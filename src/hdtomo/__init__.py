@@ -36,7 +36,6 @@ _EXPORTS = {
     "pattern_row": "patterns",
     "pattern_row_grid": "patterns",
     "pattern_value": "patterns",
-    "QuadratureSample": "reconstruct",
     "QuadratureDataset": "reconstruct",
     "Sinogram": "reconstruct",
     "PhaseSpectrum": "reconstruct",

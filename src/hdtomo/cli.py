@@ -310,7 +310,7 @@ def cmd_wigner(args) -> int:
 def cmd_report(args) -> int:
     import numpy as np
 
-    from . import formats
+    from . import formats, reconstruct
 
     rho_re, _ = formats.read_matrix(args.rho_re)
     err_re, _ = formats.read_matrix(args.err_re)
@@ -318,13 +318,11 @@ def cmd_report(args) -> int:
         raise DataError(
             f"matrix files disagree on size: {rho_re.shape} vs {err_re.shape}"
         )
-    trace = float(np.trace(rho_re))
-    trace_err = float(np.sqrt(np.sum(np.diagonal(err_re) ** 2)))
-    report = {
-        "version": 1, "command": "report", "M": rho_re.shape[0],
-        "trace": trace, "trace_err": trace_err,
-        "compatible": bool(abs(trace - 1.0) <= 3.0 * trace_err),
-    }
+    est = reconstruct.DensityMatrixEstimate.from_matrices(
+        rho_re, err_re, np.zeros_like(err_re), meta={}
+    )
+    report = {"version": 1, "command": "report", "M": est.M}
+    report.update(reconstruct.check_normalization(est))
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -101,8 +101,12 @@ def write_samples(path, ds, meta: dict | None = None):
 
 
 def read_samples(path):
-    """Read a samples CSV; returns (QuadratureDataset, metadata dict)."""
-    from .reconstruct import QuadratureDataset
+    """Read a samples CSV; returns (QuadratureDataset, metadata dict).
+
+    The phase_index column must agree with phase_radians on the grid of
+    n_phi phases, and the file must hold at least one sample row.
+    """
+    from .reconstruct import QuadratureDataset, _phase_indices
 
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
@@ -115,7 +119,10 @@ def read_samples(path):
         )
     n_phi = _meta_int(meta, "n_phi", path)
     nblks = _meta_int(meta, "nblks", path)
+    if len(lines) == 2:
+        raise DataError(f"{path}: no sample rows after the column header")
     n = len(lines) - 2
+    index = np.empty(n, dtype=np.int64)
     phases = np.empty(n)
     values = np.empty(n)
     block = np.empty(n, dtype=np.int64)
@@ -126,6 +133,12 @@ def read_samples(path):
         phases[i - 3] = _float(cells[1], path, i)
         values[i - 3] = _float(cells[3], path, i)
         try:
+            index[i - 3] = int(cells[0])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {i}: phase_index {cells[0]!r} is not an integer"
+            ) from None
+        try:
             block[i - 3] = int(cells[2])
         except ValueError:
             raise DataError(f"{path}: line {i}: block {cells[2]!r} is not an integer") from None
@@ -134,6 +147,18 @@ def read_samples(path):
         block=block if nblks > 1 else None,
         nblks=nblks if nblks > 1 else None,
     )
+    try:
+        expected = _phase_indices(ds)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(index != expected)
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(
+            f"{path}: line {k + 3}: phase_index {index[k]} does not match "
+            f"phase_radians {float(phases[k])!r}, which is grid index {expected[k]} "
+            f"of n_phi={n_phi}"
+        )
     return ds, meta
 
 

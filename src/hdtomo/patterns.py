@@ -390,6 +390,24 @@ def pattern_row_grid(table: PatternTable, d: int) -> np.ndarray:
         return (2.0 * x * u[:k] - ut[1:k + 1]) * v[d:M] - u[:k] * vt[d + 1:M + 1]
 
 
+def kernel_factors(table: PatternTable):
+    """The rank-2 factors (A, U, V, W) of the kernel over a table's grid.
+
+    f_{n,m}(x_k) = A[n, k] V[m, k] - U[n, k] W[m, k] for 0 <= n, m < M,
+    with A_n = 2x u_n - u~_{n+1}, U = u, V = v and W_m = v~_{m+1}; the
+    beta scalings cancel in every product.  Returned in float64, shape
+    (M, len(x)) each.
+    """
+    M = table.cutoff
+    u, ut, v, vt = table.u, table.u_tilde, table.v, table.v_tilde
+    x = table.x.astype(u.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 2.0 * x * u[:M] - ut[1:M + 1]
+    return tuple(
+        np.asarray(f, dtype=np.float64) for f in (A, u[:M], v[:M], vt[1:M + 1])
+    )
+
+
 def pattern_value(ws: PatternWorkspace, n: int, m: int) -> float:
     """Single kernel value f_{n,m}(x); f_{m,n} is served by symmetry."""
     M = ws.cutoff

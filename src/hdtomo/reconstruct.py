@@ -11,6 +11,22 @@ DFT along the phase axis, and contracts each matrix diagonal against
 pattern-function rows evaluated once per bin center.  Error bars come
 either from the per-sample variance (real and imaginary parts separately)
 or from the scatter of estimates over independent statistical blocks.
+
+The unbinned sums are matrix products.  The kernel is a rank-2 product,
+f_{n,m} = A_n v_m - u_n v~_{m+1} with A_n = 2x u_n - u~_{n+1}, and the
+phase factor splits as e^{-i(m-n)phi} = e^{i n phi} e^{-i m phi}, so over
+the samples k, sum_k F = (A o E)(V o conj E)^T - (U o E)(V~ o conj E)^T
+with E[n, k] = e^{i n phi_k}.  The variance sums follow from
+(Re F)^2 = f^2/2 + Re(f^2 e^{-2i(m-n)phi})/2, where f^2 = A^2 v^2 +
+u^2 v~^2 - 2 A u v v~ is three more outer products.  Rows n go in tiles of
+64, each against columns m >= n0 only, with the u side scaled down and the
+v side up by one exact power of two per sample so the squares stay inside
+the double range up to M ~ 1000.  Pattern tables are built for slabs of
+2e6 / (M + 2) samples, so each table array holds 2e6 doubles whatever M
+is, and the products run on chunks of 65536 / M samples whose operands
+take a few MB.  The expanded f^2 leaves a rounding residue where a variance
+is exactly 0; a variance numerator at or below 16 eps times the summed
+magnitudes of the three f^2 terms is reported as 0.
 """
 
 from __future__ import annotations
@@ -21,17 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
-from .patterns import PatternConfig, build_table, pattern_row_grid
+from .patterns import PatternConfig, build_table, kernel_factors, pattern_row_grid
 
 PHASE_GRID_TOL = 1e-8
 
-
-@dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne measurement: phase in [0, 2 pi), quadrature outcome."""
-
-    phase: float
-    value: float
+# Unbinned sums (_moment_sums): rows n per matrix-product tile, pattern
+# table entries built at a time, and factor entries contracted at a time.
+_TILE = 64
+_SLAB_ELEMENTS = 2_000_000
+_CHUNK_ELEMENTS = 65_536
 
 
 @dataclass
@@ -119,6 +133,17 @@ class DensityMatrixEstimate:
     trace: float
     trace_err: float
     meta: dict
+
+    @classmethod
+    def from_matrices(cls, rho, err_re, err_im, meta) -> "DensityMatrixEstimate":
+        """Wrap full M x M matrices.  The trace sums the real diagonal; its
+        error adds the diagonal error bars of the real part in quadrature."""
+        return cls(
+            M=rho.shape[0], rho=rho, err_re=err_re, err_im=err_im,
+            trace=float(np.real(np.diagonal(rho)).sum()),
+            trace_err=float(np.sqrt(np.sum(np.diagonal(err_re) ** 2))),
+            meta=meta,
+        )
 
 
 def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
@@ -268,7 +293,7 @@ def _finite_rows(f: np.ndarray, d: int) -> np.ndarray:
     return f
 
 
-def _assemble(M, rho_u, err_re_u, err_im_u, meta) -> DensityMatrixEstimate:
+def _assemble(rho_u, err_re_u, err_im_u, meta) -> DensityMatrixEstimate:
     """Mirror the upper triangle into an exactly Hermitian estimate."""
     rho = rho_u + rho_u.conj().T
     np.fill_diagonal(rho, np.real(np.diagonal(rho_u)))
@@ -276,14 +301,7 @@ def _assemble(M, rho_u, err_re_u, err_im_u, meta) -> DensityMatrixEstimate:
     err_im = err_im_u + err_im_u.T
     np.fill_diagonal(err_re, np.diagonal(err_re_u))
     np.fill_diagonal(err_im, np.diagonal(err_im_u))
-    diag_re = np.real(np.diagonal(rho))
-    diag_err = np.diagonal(err_re)
-    trace = float(diag_re.sum())
-    trace_err = float(np.sqrt(np.sum(diag_err**2)))
-    return DensityMatrixEstimate(
-        M=M, rho=rho, err_re=err_re, err_im=err_im,
-        trace=trace, trace_err=trace_err, meta=meta,
-    )
+    return DensityMatrixEstimate.from_matrices(rho, err_re, err_im, meta)
 
 
 def _midpoint_corrected(f: np.ndarray) -> np.ndarray:
@@ -348,41 +366,131 @@ def estimate_binned(
         "n_phi": spec.n_phi, "beta": cfg.beta, "max_diag": dmax,
         "bin_correction": bool(bin_correction),
     }
-    return _assemble(M, rho_u, err_re_u, err_im_u, meta)
+    return _assemble(rho_u, err_re_u, err_im_u, meta)
+
+
+def _band(M: int, dmax: int) -> np.ndarray:
+    """Mask of the estimated upper band 0 <= m - n <= dmax of an M x M matrix."""
+    d = np.arange(M)[None, :] - np.arange(M)[:, None]
+    return (d >= 0) & (d <= dmax)
+
+
+def _add_chunk(sums, sq, tile, dmax, A, U, V, W, Ebar, C2, S2):
+    """Add one chunk of samples to the sums of _moment_sums.
+
+    A, U, V, W are the kernel factors (kernel_factors) and Ebar =
+    e^{-i n phi}, C2 = cos 2n phi, S2 = sin 2n phi the phase factors, all
+    shaped (M, K) for the K samples of the chunk.
+    """
+    M, K = A.shape
+    # the mean's operands need no balancing: one right side serves all tiles
+    right = np.empty((M, 2, K), dtype=np.complex128)
+    np.multiply(V, Ebar, out=right[:, 0])
+    np.multiply(W, Ebar, out=right[:, 1])
+    right = right.reshape(M, 2 * K)
+    left = np.empty((tile, 2, K), dtype=np.complex128)
+    if sq is not None:
+        # squared-term operands, [plain | cos 2n phi | sin 2n phi] x [3 terms]
+        p = np.empty((tile, 3, 3, K))
+        q = np.empty((M, 3, 3, K))
+    for n0 in range(0, M, tile):
+        n1 = min(n0 + tile, M)
+        m1 = min(n1 + dmax, M)
+        t, r = n1 - n0, m1 - n0
+        blk = (slice(n0, n1), slice(n0, m1))
+        el = Ebar[n0:n1].conj()
+        np.multiply(A[n0:n1], el, out=left[:t, 0])
+        np.multiply(U[n0:n1], -el, out=left[:t, 1])
+        sums[blk] += left[:t].reshape(t, 2 * K) @ right[n0:m1].T
+        if sq is None:
+            continue
+        a, u = A[n0:n1], U[n0:n1]
+        _, e = np.frexp(np.maximum(np.abs(a).max(axis=0), np.abs(u).max(axis=0)))
+        a, u = np.ldexp(a, -e), np.ldexp(u, -e)
+        v, w = np.ldexp(V[n0:m1], e), np.ldexp(W[n0:m1], e)
+        pt, qt = p[:t], q[:r]
+        np.multiply(a, a, out=pt[:, 0, 0])
+        np.multiply(u, u, out=pt[:, 0, 1])
+        np.multiply(a, -2.0 * u, out=pt[:, 0, 2])
+        np.multiply(v, v, out=qt[:, 0, 0])
+        np.multiply(w, w, out=qt[:, 0, 1])
+        np.multiply(v, w, out=qt[:, 0, 2])
+        for x, rows in ((pt, slice(n0, n1)), (qt, slice(n0, m1))):
+            np.multiply(x[:, 0], C2[rows, None], out=x[:, 1])
+            np.multiply(x[:, 0], S2[rows, None], out=x[:, 2])
+        squares = pt[:, 0, :2].reshape(t, 2 * K) @ qt[:, 0, :2].reshape(r, 2 * K).T
+        plain = squares + pt[:, 0, 2] @ qt[:, 0, 2].T
+        twice = pt[:, 1:].reshape(t, 6 * K) @ qt[:, 1:].reshape(r, 6 * K).T
+        sq[0][blk] += plain + twice
+        sq[1][blk] += plain - twice
+        sq[2][blk] += squares + np.abs(pt[:, 0, 2]) @ np.abs(qt[:, 0, 2]).T
 
 
 def _moment_sums(phases, values, cfg, dmax, want_var):
-    """Per-diagonal sums of F = e^{-i d phi} f(x) over the given samples.
+    """Sums over the samples of F_{n,m} = e^{-i(m-n) phi} f_{n,m}(x) and
+    of (Re F)^2, (Im F)^2, as the matrix products of the module docstring;
+    (Im F)^2 = f^2/2 - Re(f^2 e^{-2i(m-n) phi})/2.
 
-    Returns (sums, sums2) where sums[d] is complex of length M-d and
-    sums2[d] stacks sum(Re F)^2 and sum(Im F)^2; sums2 is None unless
-    want_var.  Samples are processed in slabs to bound workspace memory.
+    Rows n go in tiles of _TILE, each against the columns
+    n0 <= m < n1 + dmax only.  Before squaring, a tile's u side is divided
+    and its v side multiplied by the same exact power of two per sample,
+    taken from the tile's largest |A_n| or |u_n|: products are unchanged,
+    and neither A^2 nor v^2 leaves the double range.  Pattern tables are
+    built for slabs of _SLAB_ELEMENTS / (M + 2) samples and contracted in
+    chunks of _CHUNK_ELEMENTS / M.
+
+    Returns (sums, sq).  sums is complex M x M, valid on _band(M, dmax),
+    with a real diagonal.  sq is None unless want_var; otherwise it stacks
+    sum (Re F)^2, sum (Im F)^2 (exactly 0 on the diagonal, as sin 0 = 0)
+    and the rounding floor 16 eps sum(A^2 v^2 + u^2 v~^2 + 2|A u v v~|),
+    at or below which a variance numerator cannot be told from 0.
+    Non-finite sums raise NumericalError.
     """
     M = cfg.cutoff
-    sums = [np.zeros(M - d, dtype=np.complex128) for d in range(dmax + 1)]
-    sums2 = [np.zeros((2, M - d)) for d in range(dmax + 1)] if want_var else None
-    slab = max(256, int(4.0e6) // (M + 2))
+    sums = np.zeros((M, M), dtype=np.complex128)
+    sq = np.zeros((3, M, M)) if want_var else None
+    tile = min(_TILE, M)
+    slab = max(256, _SLAB_ELEMENTS // (M + 2))
+    chunk = max(64, _CHUNK_ELEMENTS // M)
     for start in range(0, values.size, slab):
         sl = slice(start, min(start + slab, values.size))
-        table = build_table(values[sl], cfg)
-        phi = phases[sl]
-        for d in range(dmax + 1):
-            f = _finite_rows(pattern_row_grid(table, d), d)
-            c = np.cos(d * phi)
-            s = np.sin(d * phi)
-            sums[d] += (f @ c) - 1j * (f @ s)
-            if want_var:
-                f2 = f * f
-                sums2[d][0] += f2 @ (c * c)
-                sums2[d][1] += f2 @ (s * s)
-    return sums, sums2
+        factors = kernel_factors(build_table(values[sl], cfg))
+        # phase factors once per distinct phase (a gridded dataset has n_phi)
+        uniq, inv = np.unique(phases[sl], return_inverse=True)
+        angle = np.outer(np.arange(M), uniq)
+        phase = (np.exp(-1j * angle), np.cos(2.0 * angle), np.sin(2.0 * angle))
+        # overflow shows up as a non-finite sum, checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c0 in range(0, sl.stop - sl.start, chunk):
+                cols = slice(c0, c0 + chunk)
+                _add_chunk(sums, sq, tile, dmax,
+                           *(f[:, cols] for f in factors),
+                           *(g[:, inv[cols]] for g in phase))
+    band = _band(M, dmax)
+    if not (np.all(np.isfinite(sums[band]))
+            and (sq is None or np.all(np.isfinite(sq[:, band])))):
+        raise NumericalError(
+            "unbinned moment sums are not finite; "
+            "try a different beta or double precision"
+        )
+    diag = np.arange(M)
+    sums[diag, diag] = sums[diag, diag].real
+    if want_var:
+        sq[:2] *= 0.5
+        sq[1][diag, diag] = 0.0
+        sq[2] *= 16.0 * np.finfo(np.float64).eps
+    return sums, sq
 
 
 def estimate_unbinned(
     ds: QuadratureDataset, cfg: PatternConfig, max_diag: int | None = None
 ) -> DensityMatrixEstimate:
     """Direct Monte Carlo sum over every sample, with per-sample variance
-    error bars computed separately for real and imaginary parts."""
+    error bars computed separately for real and imaginary parts.
+
+    A variance whose numerator sum(F^2) - N mean^2 is at or below the
+    rounding floor of its sums is reported as exactly 0.
+    """
     M = cfg.cutoff
     dmax = _resolve_max_diag(M, max_diag)
     _require_phases(ds.n_phi, M, dmax)
@@ -392,23 +500,25 @@ def estimate_unbinned(
             f"estimate_unbinned needs at least 2 samples (got {N}); "
             "the sample variance is undefined"
         )
-    sums, sums2 = _moment_sums(ds.phases, ds.values, cfg, dmax, want_var=True)
+    sums, sq = _moment_sums(ds.phases, ds.values, cfg, dmax, want_var=True)
+    band = _band(M, dmax)
+    mean = sums[band] / N
+    sum_re2, sum_im2, floor = sq[:, band]
+    var_re = sum_re2 - N * mean.real**2
+    var_im = sum_im2 - N * mean.imag**2
+    var_re[var_re <= floor] = 0.0
+    var_im[var_im <= floor] = 0.0
     rho_u = np.zeros((M, M), dtype=np.complex128)
     err_re_u = np.zeros((M, M))
     err_im_u = np.zeros((M, M))
-    for d in range(dmax + 1):
-        mean = sums[d] / N
-        var_re = np.maximum(sums2[d][0] - N * mean.real**2, 0.0) / (N - 1)
-        var_im = np.maximum(sums2[d][1] - N * mean.imag**2, 0.0) / (N - 1)
-        rows = np.arange(M - d)
-        rho_u[rows, rows + d] = mean
-        err_re_u[rows, rows + d] = np.sqrt(var_re / N)
-        err_im_u[rows, rows + d] = np.sqrt(var_im / N)
+    rho_u[band] = mean
+    err_re_u[band] = np.sqrt(var_re / (N - 1) / N)
+    err_im_u[band] = np.sqrt(var_im / (N - 1) / N)
     meta = {
         "estimator": "unbinned", "N": N, "n_bin": None,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,
     }
-    return _assemble(M, rho_u, err_re_u, err_im_u, meta)
+    return _assemble(rho_u, err_re_u, err_im_u, meta)
 
 
 def _block_slices(ds: QuadratureDataset):
@@ -463,38 +573,40 @@ def block_statistics(
                 table = build_table(sino.bin_centers, cfg)
             half = _half_spectrum(sino.freq, ds.n_phi)
             spectra[b] = _mirror_rows(half, ds.n_phi, dmax)
-        block_rows = None
     else:
-        table = None
-        block_rows = []
-        for pick in picks:
-            sums, _ = _moment_sums(
-                ds.phases[pick], ds.values[pick], cfg, dmax, want_var=False
-            )
-            block_rows.append([s / pick.size for s in sums])
+        band = _band(M, dmax)
+        G = np.stack([
+            _moment_sums(ds.phases[pick], ds.values[pick], cfg, dmax,
+                         want_var=False)[0][band] / pick.size
+            for pick in picks
+        ], axis=1)
     rho_u = np.zeros((M, M), dtype=np.complex128)
     err_re_u = np.zeros((M, M))
     err_im_u = np.zeros((M, M))
-    for d in range(dmax + 1):
-        if n_bin is not None:
+
+    def put(idx, G):
+        """Mean and standard error over the block axis of G."""
+        rho_u[idx] = G.mean(axis=1)
+        err_re_u[idx] = G.real.std(axis=1, ddof=1) / math.sqrt(nblks)
+        err_im_u[idx] = G.imag.std(axis=1, ddof=1) / math.sqrt(nblks)
+
+    if n_bin is None:
+        put(band, G)
+    else:
+        for d in range(dmax + 1):
             f = _finite_rows(pattern_row_grid(table, d), d)
             if bin_correction:
                 f = _midpoint_corrected(f)
             rows_d = np.ascontiguousarray(spectra[:, d, :]).astype(np.complex128)
             G = (f @ rows_d.real.T) + 1j * (f @ rows_d.imag.T)
-        else:
-            G = np.stack([block_rows[b][d] for b in range(nblks)], axis=1)
-        mean = G.mean(axis=1)
-        rows = np.arange(M - d)
-        rho_u[rows, rows + d] = mean
-        err_re_u[rows, rows + d] = G.real.std(axis=1, ddof=1) / math.sqrt(nblks)
-        err_im_u[rows, rows + d] = G.imag.std(axis=1, ddof=1) / math.sqrt(nblks)
+            rows = np.arange(M - d)
+            put((rows, rows + d), G)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax, "nblks": nblks,
         "bin_correction": bool(bin_correction and n_bin is not None),
     }
-    return _assemble(M, rho_u, err_re_u, err_im_u, meta)
+    return _assemble(rho_u, err_re_u, err_im_u, meta)
 
 
 def check_normalization(est: DensityMatrixEstimate) -> dict:

@@ -2,7 +2,9 @@
 
 Everything here is deliberately slow and simple: arbitrary precision where
 the double recursions are delicate, brute-force sums where the library
-uses transforms.  Nothing imports from hdtomo's numeric kernels.
+uses transforms or matrix products.  Only biorthogonality_defect and
+estimate_unbinned_loop use hdtomo's pattern tables, to check what the
+library builds on them.
 """
 
 import math
@@ -128,3 +130,86 @@ def biorthogonality_defect(M: int, dmax: int, n_points: int = 4096) -> float:
         gram = (pp * wts) @ f.T
         worst = max(worst, float(np.max(np.abs(gram - eye))))
     return worst
+
+
+def estimate_unbinned_loop(ds, cfg, max_diag=None):
+    """The unbinned estimator as a per-diagonal loop: for each sample slab
+    and each diagonal d, evaluate the kernel rows f_{n,n+d}(x_k) and
+    contract them with cos(d phi_k), sin(d phi_k) and their squares.
+
+    This is the elementwise form the library's matrix-product path
+    replaced.  Returns (rho, err_re, err_im, size1, size2), the first three
+    assembled exactly as the library does.  size1 = sum_k (|A_n v_m| +
+    |u_n v~_{m+1}|) and size2 = sum_k (|A_n v_m| + |u_n v~_{m+1}|)^2 are
+    the magnitudes that bound the rounding error of the sums of F and of
+    F^2, where f_{n,m} = A_n v_m - u_n v~_{m+1}.
+    """
+    from hdtomo import patterns
+
+    M = cfg.cutoff
+    dmax = M - 1 if max_diag is None else int(max_diag)
+    N = ds.values.size
+    sums = [np.zeros(M - d, dtype=np.complex128) for d in range(dmax + 1)]
+    sums2 = [np.zeros((2, M - d)) for d in range(dmax + 1)]
+    sizes = [np.zeros((2, M - d)) for d in range(dmax + 1)]
+    slab = max(256, int(4.0e6) // (M + 2))
+    for start in range(0, N, slab):
+        sl = slice(start, min(start + slab, N))
+        table = patterns.build_table(ds.values[sl], cfg)
+        phi = ds.phases[sl]
+        for d in range(dmax + 1):
+            f = patterns.pattern_row_grid(table, d)
+            assert np.all(np.isfinite(f))
+            c = np.cos(d * phi)
+            s = np.sin(d * phi)
+            sums[d] += (f @ c) - 1j * (f @ s)
+            f2 = f * f
+            sums2[d][0] += f2 @ (c * c)
+            sums2[d][1] += f2 @ (s * s)
+            k = M - d
+            t = table
+            size = (np.abs((2.0 * t.x * t.u[:k] - t.u_tilde[1:k + 1]) * t.v[d:M])
+                    + np.abs(t.u[:k] * t.v_tilde[d + 1:M + 1]))
+            sizes[d][0] += size.sum(axis=1)
+            sizes[d][1] += (size * size).sum(axis=1)
+    rho = np.zeros((M, M), dtype=np.complex128)
+    err_re = np.zeros((M, M))
+    err_im = np.zeros((M, M))
+    size1 = np.zeros((M, M))
+    size2 = np.zeros((M, M))
+    for d in range(dmax + 1):
+        mean = sums[d] / N
+        var_re = np.maximum(sums2[d][0] - N * mean.real**2, 0.0) / (N - 1)
+        var_im = np.maximum(sums2[d][1] - N * mean.imag**2, 0.0) / (N - 1)
+        rows = np.arange(M - d)
+        rho[rows, rows + d] = mean
+        err_re[rows, rows + d] = np.sqrt(var_re / N)
+        err_im[rows, rows + d] = np.sqrt(var_im / N)
+        size1[rows, rows + d] = sizes[d][0]
+        size2[rows, rows + d] = sizes[d][1]
+    # mirror the upper triangle: exactly Hermitian, real diagonal
+    diag = np.arange(M)
+    rho = rho + np.triu(rho, 1).conj().T
+    rho[diag, diag] = rho[diag, diag].real
+    err_re, err_im, size1, size2 = (
+        a + np.triu(a, 1).T for a in (err_re, err_im, size1, size2)
+    )
+    return rho, err_re, err_im, size1, size2
+
+
+def check_close_to_loop(est, ref, N, M):
+    """Assert that an unbinned estimate agrees with estimate_unbinned_loop
+    (ref) up to the rounding noise of both.
+
+    A sum of K terms is off by a few eps times the sum of their magnitudes
+    (size1 for F, size2 for F^2), and each phase angle n phi, at most
+    4 pi M, carries eps times its size.
+    """
+    rho, err_re, err_im, size1, size2 = ref
+    noise = 64.0 * np.finfo(np.float64).eps * (1.0 + 8.0 * math.pi * M)
+    for new, old, new_err, old_err in ((est.rho.real, rho.real, est.err_re, err_re),
+                                       (est.rho.imag, rho.imag, est.err_im, err_im)):
+        assert np.all(np.isfinite(new)) and np.all(np.isfinite(new_err))
+        assert np.all(np.abs(new - old) <= 1e-10 * old_err + noise * size1 / N)
+        assert np.all(np.abs(new_err**2 - old_err**2)
+                      <= 2e-12 * old_err**2 + noise * size2 / (N * (N - 1.0)))

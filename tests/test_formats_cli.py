@@ -141,6 +141,28 @@ def test_read_samples_header_and_cell_errors(tmp_path):
         formats.read_samples(p)
 
 
+def test_read_samples_checks_phase_index(tmp_path):
+    ds = _small_dataset(n_phi=4)
+    p = tmp_path / "samples.csv"
+    formats.write_samples(p, ds)
+    lines = p.read_text().splitlines()
+    # row 5 of the file claims the wrong grid index for its phase
+    cells = lines[4].split(",")
+    cells[0] = str((int(cells[0]) + 1) % 4)
+    lines[4] = ",".join(cells)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="line 5: phase_index .* does not match"):
+        formats.read_samples(p)
+
+    head = "# hdtomo-csv v1 kind=samples n_phi=4 nblks=1"
+    p.write_text(head + "\nphase_index,phase_radians,block,value\n3,0.0,0,0.5\n")
+    with pytest.raises(DataError, match="line 3: phase_index 3 does not match"):
+        formats.read_samples(p)
+    p.write_text(head + "\nphase_index,phase_radians,block,value\nx,0.0,0,0.5\n")
+    with pytest.raises(DataError, match="line 3: phase_index 'x' is not an integer"):
+        formats.read_samples(p)
+
+
 def test_matrix_row_count_mismatch(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# hdtomo-csv v1 kind=matrix M=3\n1.0,0.0,0.0\n0.0,1.0,0.0\n")
@@ -423,6 +445,43 @@ def test_cli_report_subcommand(tmp_path, capsys):
     assert printed == formats.read_report(outp)
     assert printed["M"] == 4
     assert isinstance(printed["compatible"], bool)
+
+
+def test_cli_reconstruct_rejects_samples_without_rows(tmp_path, capsys):
+    p = tmp_path / "empty.csv"
+    p.write_text("# hdtomo-csv v1 kind=samples n_phi=4 nblks=1\n"
+                 "phase_index,phase_radians,block,value\n")
+    rc = _run("reconstruct", "--samples", p, "-M", "4", "--out-dir", tmp_path / "rec")
+    assert rc == 2
+    assert "no sample rows" in capsys.readouterr().err
+
+
+def test_cli_reconstruct_rejects_mismatched_phase_index(tmp_path, capsys):
+    sim = _simulated_dir(tmp_path, n_phi=4)
+    samples = sim / "samples.csv"
+    lines = samples.read_text().splitlines()
+    lines[2] = "3," + lines[2].split(",", 1)[1]  # first row has phase 0
+    samples.write_text("\n".join(lines) + "\n")
+    rc = _run("reconstruct", "--samples", samples, "-M", "4",
+              "--out-dir", tmp_path / "rec")
+    assert rc == 2
+    assert "line 3: phase_index 3 does not match" in capsys.readouterr().err
+
+
+def test_cli_report_matches_reconstruct_normalization(tmp_path, capsys):
+    sim = _simulated_dir(tmp_path, nblks=4, nsamples=100)
+    rec = tmp_path / "rec"
+    assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+                "--out-dir", rec) == 0
+    outp = tmp_path / "norm.json"
+    assert _run("report", "--rho-re", rec / "rho_re.csv",
+                "--err-re", rec / "err_re.csv", "--out", outp) == 0
+    capsys.readouterr()
+    rec_report = formats.read_report(rec / "report.json")
+    report = formats.read_report(outp)
+    assert sorted(report) == ["M", "command", "compatible", "trace", "trace_err", "version"]
+    for key in ("trace", "trace_err", "compatible"):
+        assert report[key] == rec_report[key]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for binning, phase DFT, and the density-matrix estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from hdtomo.errors import DataError, UsageError
+from hdtomo import reconstruct
+from hdtomo.errors import DataError, NumericalError, UsageError
 from hdtomo.patterns import PatternConfig, build_workspace, choose_beta, pattern_value
 from hdtomo.reconstruct import (
     DensityMatrixEstimate,
@@ -372,6 +374,78 @@ def test_unbinned_phase_count_gate():
         estimate_unbinned(ds, cfg)
     est = estimate_unbinned(ds, cfg, max_diag=2)
     assert est.rho[0, 3] == 0.0
+
+
+# The matrix-product sums against the per-diagonal loop they replaced.
+
+
+def _check_resolved(est, ref, rel_rho, rel_err):
+    """Where the oracle error bar exceeds 1e-9 (the cut of acceptance
+    criterion 7) the gaps are small fractions of that error bar, and an
+    oracle error bar of exactly 0 is exactly 0 here too."""
+    rho, err_re, err_im = ref[:3]
+    for new, old, new_err, old_err in ((est.rho.real, rho.real, est.err_re, err_re),
+                                       (est.rho.imag, rho.imag, est.err_im, err_im)):
+        mask = old_err > 1e-9
+        assert np.all(np.abs(new - old)[mask] <= rel_rho * old_err[mask])
+        assert np.all(np.abs(new_err - old_err)[mask] <= rel_err * old_err[mask])
+        assert np.all(new_err[old_err == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("M, nsamples, alpha", [(8, 5000, 0.8), (128, 100, 3.0 + 0.5j)])
+def test_unbinned_matches_loop_oracle(M, nsamples, alpha):
+    ds = _simulate("coherent", alpha, M, nsamples=nsamples, n_phi=M, seed=29)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    est = estimate_unbinned(ds, cfg)
+    ref = oracles.estimate_unbinned_loop(ds, cfg)
+    oracles.check_close_to_loop(est, ref, ds.N, M)
+    _check_resolved(est, ref, rel_rho=1e-10, rel_err=1e-12)
+
+
+@pytest.mark.parametrize("M, x_max", [(800, 26.0), (1024, 27.0)])
+def test_unbinned_envelope_large_cutoff(M, x_max):
+    # the squared factors overflow double precision here unless each row
+    # tile is balanced; the result must still match the loop
+    rng = np.random.default_rng(M)
+    x = rng.uniform(-x_max, x_max, 300)
+    x[:2] = -x_max, x_max
+    j = rng.integers(0, M, x.size)
+    ds = QuadratureDataset(2.0 * math.pi * j / M, x, n_phi=M)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            est = estimate_unbinned(ds, cfg)
+    ref = oracles.estimate_unbinned_loop(ds, cfg)
+    oracles.check_close_to_loop(est, ref, ds.N, M)
+    _check_resolved(est, ref, rel_rho=1e-10, rel_err=1e-10)
+
+
+def test_unbinned_nonfinite_sums_raise(monkeypatch):
+    # one tile over all rows cannot hold A^2 at |x| = 26: the sums overflow
+    # and must be refused, not returned
+    M = 800
+    x = np.array([-26.0, 26.0, 3.0])
+    ds = QuadratureDataset(np.zeros(3), x, n_phi=M)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+    monkeypatch.setattr(reconstruct, "_TILE", M)
+    with pytest.raises(NumericalError, match="not finite"):
+        estimate_unbinned(ds, cfg)
+
+
+def test_block_unbinned_matches_loop_oracle():
+    ds = _simulate("coherent", 0.6, 8, nsamples=60, nblks=4, n_phi=8, seed=3)
+    cfg = PatternConfig(cutoff=8, beta=choose_beta(ds.values))
+    est = block_statistics(ds, cfg)
+    G = []
+    for b in range(4):
+        pick = ds.block == b
+        sub = QuadratureDataset(ds.phases[pick], ds.values[pick], n_phi=8)
+        G.append(oracles.estimate_unbinned_loop(sub, cfg)[0])
+    G = np.array(G)
+    np.testing.assert_allclose(est.rho, G.mean(axis=0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(est.err_re, G.real.std(axis=0, ddof=1) / 2.0,
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_binned_approaches_unbinned_with_fine_bins():
