@@ -103,8 +103,9 @@ def write_samples(path, ds, meta: dict | None = None):
 def read_samples(path):
     """Read a samples CSV; returns (QuadratureDataset, metadata dict).
 
-    The phase_index column must agree with phase_radians on the grid of
-    n_phi phases, and the file must hold at least one sample row.
+    The metadata counts n_phi and nblks must be at least 1, the
+    phase_index column must agree with phase_radians on the grid of n_phi
+    phases, and the file must hold at least one sample row.
     """
     from .reconstruct import QuadratureDataset, _phase_indices
 
@@ -119,6 +120,9 @@ def read_samples(path):
         )
     n_phi = _meta_int(meta, "n_phi", path)
     nblks = _meta_int(meta, "nblks", path)
+    for key, count in (("n_phi", n_phi), ("nblks", nblks)):
+        if count < 1:
+            raise DataError(f"{path}: metadata key {key}={count} must be >= 1")
     if len(lines) == 2:
         raise DataError(f"{path}: no sample rows after the column header")
     n = len(lines) - 2

@@ -24,9 +24,25 @@ v side up by one exact power of two per sample so the squares stay inside
 the double range up to M ~ 1000.  Pattern tables are built for slabs of
 2e6 / (M + 2) samples, so each table array holds 2e6 doubles whatever M
 is, and the products run on chunks of 65536 / M samples whose operands
-take a few MB.  The expanded f^2 leaves a rounding residue where a variance
-is exactly 0; a variance numerator at or below 16 eps times the summed
-magnitudes of the three f^2 terms is reported as 0.
+take a few MB.  The expanded f^2 and the long sums leave a rounding
+residue where a variance is exactly 0; a variance numerator at or below
+the rounding bound of its sums, which counts the terms summed and so grows
+with the number of samples, is reported as 0.
+
+Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
+(hi - lo)), corrected by one step against the linspace edges, which is
+the largest i with edges[i] <= x: an interior edge belongs to the bin on
+its right, and the top edge stays in the last bin.  The block estimator
+indexes every sample once, key = j n_bin + bin for phase index j, and
+histograms each block with one integer bincount of its keys.  Histograms
+are made one block at a time: all blocks at once would hold nblks
+(n_phi, n_bin) arrays, about 1 GB at M = 800 with 1600 phases, 8000 bins
+and 10 blocks.  Of each block's phase DFT only rows 0..max_diag are read.
+When max_diag + 1 <= log2(n_phi) they come from real matrix products with
+a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
+1 / (n_phi n_j), against the counts; otherwise from the real FFT of the
+normalized histogram.  Integer counts make both exactly independent of
+the order of the samples within a block.
 """
 
 from __future__ import annotations
@@ -171,9 +187,15 @@ def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
     """Map phases to grid indices j with phi_j = 2 pi j / n_phi, verifying
     the dataset really is gridded over the full circle."""
     step = 2.0 * math.pi / ds.n_phi
-    j = np.rint(ds.phases / step).astype(np.int64)
-    if np.any(np.abs(ds.phases - j * step) > PHASE_GRID_TOL):
-        k = int(np.argmax(np.abs(ds.phases - j * step)))
+    t = ds.phases / step
+    np.rint(t, out=t)
+    j = t.astype(np.int64)
+    # distance to the grid, |j step - phi|, in the same buffer
+    t *= step
+    t -= ds.phases
+    np.abs(t, out=t)
+    if np.any(t > PHASE_GRID_TOL):
+        k = int(np.argmax(t))
         raise DataError(
             f"phases are not on the equispaced grid 2*pi*j/{ds.n_phi}: "
             f"sample {k} has phase {ds.phases[k]!r}"
@@ -193,6 +215,65 @@ def _default_edges(values: np.ndarray, n_bin: int) -> tuple[float, float]:
     return -amax - half_bin, amax + half_bin
 
 
+def _bin_edges(values: np.ndarray, n_bin: int, bin_range) -> np.ndarray:
+    """Edges of n_bin equal-width bins over bin_range, or over the default
+    range of _default_edges when it is None.  A given range must hold
+    every value: dropping samples would bias the estimator."""
+    if n_bin < 1:
+        raise ValueError(f"n_bin must be >= 1, got {n_bin}")
+    if values.size == 0:
+        raise DataError("cannot bin an empty dataset")
+    if bin_range is None:
+        lo, hi = _default_edges(values, n_bin)
+    else:
+        lo, hi = float(bin_range[0]), float(bin_range[1])
+        if not lo < hi:
+            raise ValueError(f"bin range must satisfy lo < hi, got [{lo}, {hi}]")
+        if np.any(values < lo) or np.any(values > hi):
+            raise DataError(
+                "samples fall outside the requested bin range "
+                f"[{lo:.6g}, {hi:.6g}]; dropping them would bias the estimator"
+            )
+    return np.linspace(lo, hi, n_bin + 1)
+
+
+def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each value on uniform edges: the largest i with
+    edges[i] <= x, clipped to 0..n_bin-1.  A value on an interior edge
+    goes to the bin on its right, one on the top edge stays in the last
+    bin; this is clip(searchsorted(edges, x, "right") - 1, 0, n_bin - 1).
+
+    The index is floor((x - lo) n_bin / (hi - lo)), clipped, then moved by
+    at most one step against edges, which absorbs the rounding of the
+    quotient and of linspace whenever that is below one bin, i.e. while
+    eps n_bin (|lo| + |hi|) / (hi - lo) stays well below 1.
+    """
+    n_bin = edges.size - 1
+    t = values - edges[0]
+    t *= n_bin / (edges[-1] - edges[0])
+    np.floor(t, out=t)
+    np.clip(t, 0, n_bin - 1, out=t)
+    idx = t.astype(np.int64)
+    del t
+    idx -= values < edges[idx]
+    idx += values >= edges[idx + 1]
+    np.clip(idx, 0, n_bin - 1, out=idx)
+    return idx
+
+
+def _phase_counts(key: np.ndarray, n_phi: int, n_bin: int):
+    """Histogram of keys j * n_bin + bin index as an (n_phi, n_bin) count
+    array, with the sample count of each phase row, none of which may be 0."""
+    counts = np.bincount(key, minlength=n_phi * n_bin).reshape(n_phi, n_bin)
+    n_per_phase = counts.sum(axis=1)
+    if np.any(n_per_phase == 0):
+        k = int(np.argmin(n_per_phase))
+        raise DataError(
+            f"phase index {k} has no samples; the phase average would be biased"
+        )
+    return counts, n_per_phase
+
+
 def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
     """Histogram each phase row into n_bin equal-width bins.
 
@@ -201,33 +282,9 @@ def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
     sample exactly on an interior edge goes to the bin on its right, and
     one on the top edge stays in the last bin.
     """
-    if n_bin < 1:
-        raise ValueError(f"n_bin must be >= 1, got {n_bin}")
-    if ds.values.size == 0:
-        raise DataError("cannot bin an empty dataset")
-    j = _phase_indices(ds)
-    if bin_range is None:
-        lo, hi = _default_edges(ds.values, n_bin)
-    else:
-        lo, hi = float(bin_range[0]), float(bin_range[1])
-        if not lo < hi:
-            raise ValueError(f"bin range must satisfy lo < hi, got [{lo}, {hi}]")
-        if np.any(ds.values < lo) or np.any(ds.values > hi):
-            raise DataError(
-                "samples fall outside the requested bin range "
-                f"[{lo:.6g}, {hi:.6g}]; dropping them would bias the estimator"
-            )
-    edges = np.linspace(lo, hi, n_bin + 1)
-    idx = np.searchsorted(edges, ds.values, side="right") - 1
-    np.clip(idx, 0, n_bin - 1, out=idx)
-    counts = np.bincount(j * n_bin + idx, minlength=ds.n_phi * n_bin)
-    counts = counts.reshape(ds.n_phi, n_bin)
-    n_per_phase = counts.sum(axis=1)
-    if np.any(n_per_phase == 0):
-        k = int(np.argmin(n_per_phase))
-        raise DataError(
-            f"phase index {k} has no samples; the phase average would be biased"
-        )
+    edges = _bin_edges(ds.values, n_bin, bin_range)
+    key = _phase_indices(ds) * n_bin + _bin_index(ds.values, edges)
+    counts, n_per_phase = _phase_counts(key, ds.n_phi, n_bin)
     freq = counts / n_per_phase[:, None]
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Sinogram(
@@ -442,16 +499,28 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     Returns (sums, sq).  sums is complex M x M, valid on _band(M, dmax),
     with a real diagonal.  sq is None unless want_var; otherwise it stacks
     sum (Re F)^2, sum (Im F)^2 (exactly 0 on the diagonal, as sin 0 = 0)
-    and the rounding floor 16 eps sum(A^2 v^2 + u^2 v~^2 + 2|A u v v~|),
-    at or below which a variance numerator cannot be told from 0.
+    and bounds on the rounding of those two and of each part of sums.
     Non-finite sums raise NumericalError.
+
+    The bounds count roundings.  n terms added in any order are off by at
+    most (n - 1) eps/2 times the sum of their magnitudes (to first order),
+    and r roundings in forming each term add r eps/2 times the same.
+    With g = |A_n v_m| + |u_n v~_{m+1}| per sample, a chunk of K samples
+    adds 4K real terms to each part of sums, of total magnitude sum g and
+    r = 4 (the two phase factors, the complex product); and 9K terms to
+    each sum of squares, of total magnitude at most sum g^2 and r = 5.  The
+    C chunk results are then added one at a time.  So the bounds are
+    eps/2 (4K + 4 + C) sum g, where sum g <= sqrt(N sum g^2)
+    (Cauchy-Schwarz), and eps/2 (9K + 5 + C) sum g^2, with sum g^2 =
+    sum(A^2 v^2 + u^2 v~^2 + 2|A u v v~|) summed alongside the squares.
     """
     M = cfg.cutoff
     sums = np.zeros((M, M), dtype=np.complex128)
-    sq = np.zeros((3, M, M)) if want_var else None
+    sq = np.zeros((4, M, M)) if want_var else None
     tile = min(_TILE, M)
     slab = max(256, _SLAB_ELEMENTS // (M + 2))
     chunk = max(64, _CHUNK_ELEMENTS // M)
+    n_chunks = 0
     for start in range(0, values.size, slab):
         sl = slice(start, min(start + slab, values.size))
         factors = kernel_factors(build_table(values[sl], cfg))
@@ -462,6 +531,7 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
         # overflow shows up as a non-finite sum, checked below
         with np.errstate(over="ignore", invalid="ignore"):
             for c0 in range(0, sl.stop - sl.start, chunk):
+                n_chunks += 1
                 cols = slice(c0, c0 + chunk)
                 _add_chunk(sums, sq, tile, dmax,
                            *(f[:, cols] for f in factors),
@@ -478,7 +548,11 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     if want_var:
         sq[:2] *= 0.5
         sq[1][diag, diag] = 0.0
-        sq[2] *= 16.0 * np.finfo(np.float64).eps
+        k = min(chunk, values.size)
+        half_eps = np.finfo(np.float64).eps / 2
+        np.multiply(np.sqrt(values.size * sq[2]), half_eps * (4 * k + 4 + n_chunks),
+                    out=sq[3])
+        sq[2] *= half_eps * (9 * k + 5 + n_chunks)
     return sums, sq
 
 
@@ -489,7 +563,11 @@ def estimate_unbinned(
     error bars computed separately for real and imaginary parts.
 
     A variance whose numerator sum(F^2) - N mean^2 is at or below the
-    rounding floor of its sums is reported as exactly 0.
+    rounding floor of its sums is reported as exactly 0.  That floor adds
+    the rounding bound of sum(F^2) and that of N mean^2 = S^2 / N, which
+    is 2|S| / N times the bound on S = sum F (see _moment_sums).  Both
+    grow with the number of samples summed, as the rounding of a sum of
+    identical samples does.
     """
     M = cfg.cutoff
     dmax = _resolve_max_diag(M, max_diag)
@@ -503,11 +581,11 @@ def estimate_unbinned(
     sums, sq = _moment_sums(ds.phases, ds.values, cfg, dmax, want_var=True)
     band = _band(M, dmax)
     mean = sums[band] / N
-    sum_re2, sum_im2, floor = sq[:, band]
+    sum_re2, sum_im2, round2, round1 = sq[:, band]
     var_re = sum_re2 - N * mean.real**2
     var_im = sum_im2 - N * mean.imag**2
-    var_re[var_re <= floor] = 0.0
-    var_im[var_im <= floor] = 0.0
+    var_re[var_re <= round2 + 2.0 * np.abs(mean.real) * round1] = 0.0
+    var_im[var_im <= round2 + 2.0 * np.abs(mean.imag) * round1] = 0.0
     rho_u = np.zeros((M, M), dtype=np.complex128)
     err_re_u = np.zeros((M, M))
     err_im_u = np.zeros((M, M))
@@ -534,6 +612,53 @@ def _block_slices(ds: QuadratureDataset):
     return [np.flatnonzero(ds.block == b) for b in range(ds.nblks)]
 
 
+def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int) -> np.ndarray:
+    """Rows 0..dmax of the phase DFT of one (n_phi, n_bin) histogram whose
+    phase rows are normalized by their counts, as phase_dft has them.
+
+    A real matrix product with the DFT matrix costs (dmax + 1) n_phi per
+    bin and a real FFT about n_phi log2(n_phi), so rows up to
+    dmax + 1 <= log2(n_phi) come from the matrix, with row 0 exactly real.
+    """
+    n_phi = counts.shape[0]
+    if dmax + 1 > math.log2(n_phi):
+        half = _half_spectrum(counts / n_per_phase[:, None], n_phi)
+        return _mirror_rows(half, n_phi, dmax)
+    jd = np.outer(np.arange(dmax + 1), np.arange(n_phi)) % n_phi
+    angle = (2.0 * math.pi / n_phi) * jd
+    # cos rows d = 0..dmax, then -sin rows d = 1..dmax
+    dft = np.concatenate([np.cos(angle), -np.sin(angle[1:])])
+    re_im = (dft / (n_phi * n_per_phase)) @ counts.astype(np.float64)
+    rows = np.empty((dmax + 1, counts.shape[1]), dtype=np.complex128)
+    rows.real = re_im[:dmax + 1]
+    rows[0].imag = 0.0
+    rows[1:].imag = re_im[dmax + 1:]
+    return rows
+
+
+def _block_spectra(ds: QuadratureDataset, picks, n_bin: int, bin_range, dmax: int):
+    """Rows 0..dmax of the phase spectrum of each block on one shared bin
+    grid; returns (spectra, edges).
+
+    Every sample is indexed once, key = j n_bin + bin.  Each block's
+    histogram is one integer bincount of its keys, made one block at a
+    time: all blocks at once would take nblks times the memory.  Spectra
+    that would take more than 3e8 bytes as complex128 are kept in
+    complex64.
+    """
+    edges = _bin_edges(ds.values, n_bin, bin_range)
+    key = _phase_indices(ds)
+    key *= n_bin
+    key += _bin_index(ds.values, edges)
+    big = len(picks) * (dmax + 1) * n_bin * 16 > 3e8
+    spectra = np.empty((len(picks), dmax + 1, n_bin),
+                       dtype=np.complex64 if big else np.complex128)
+    for b, pick in enumerate(picks):
+        counts, n_per_phase = _phase_counts(key[pick], ds.n_phi, n_bin)
+        spectra[b] = _phase_rows(counts, n_per_phase, dmax)
+    return spectra, edges
+
+
 def block_statistics(
     ds: QuadratureDataset,
     cfg: PatternConfig,
@@ -547,7 +672,9 @@ def block_statistics(
 
     With n_bin given each block runs through the binned path on a shared
     bin grid (bin_correction as in estimate_binned); otherwise each block
-    is summed unbinned.
+    is summed unbinned.  meta["spectra_dtype"] names the dtype the block
+    spectra were kept in: complex64 once they would take more than 3e8
+    bytes as complex128, None for the unbinned path.
     """
     M = cfg.cutoff
     dmax = _resolve_max_diag(M, max_diag)
@@ -555,24 +682,8 @@ def block_statistics(
     picks = _block_slices(ds)
     nblks = ds.nblks
     if n_bin is not None:
-        if bin_range is None:
-            bin_range = _default_edges(ds.values, n_bin)
-        # shared bin grid, pattern tables built once for all blocks; each
-        # sinogram is reduced to its spectrum immediately so only one
-        # (n_phi, n_bin) histogram is alive at a time
-        big = nblks * (dmax + 1) * n_bin * 16 > 3e8
-        rows_dtype = np.complex64 if big else np.complex128
-        spectra = np.empty((nblks, dmax + 1, n_bin), dtype=rows_dtype)
-        table = None
-        for b, pick in enumerate(picks):
-            sub = QuadratureDataset(
-                phases=ds.phases[pick], values=ds.values[pick], n_phi=ds.n_phi
-            )
-            sino = bin(sub, n_bin, bin_range=bin_range)
-            if table is None:
-                table = build_table(sino.bin_centers, cfg)
-            half = _half_spectrum(sino.freq, ds.n_phi)
-            spectra[b] = _mirror_rows(half, ds.n_phi, dmax)
+        spectra, edges = _block_spectra(ds, picks, n_bin, bin_range, dmax)
+        table = build_table(0.5 * (edges[:-1] + edges[1:]), cfg)
     else:
         band = _band(M, dmax)
         G = np.stack([
@@ -605,6 +716,7 @@ def block_statistics(
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax, "nblks": nblks,
         "bin_correction": bool(bin_correction and n_bin is not None),
+        "spectra_dtype": None if n_bin is None else spectra.dtype.name,
     }
     return _assemble(rho_u, err_re_u, err_im_u, meta)
 

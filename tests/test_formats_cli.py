@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,19 @@ def test_cli_reconstruct_rejects_mismatched_phase_index(tmp_path, capsys):
               "--out-dir", tmp_path / "rec")
     assert rc == 2
     assert "line 3: phase_index 3 does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("n_phi", 0), ("nblks", 0), ("nblks", -3)])
+def test_cli_reconstruct_rejects_nonpositive_counts(tmp_path, capsys, key, value):
+    sim = _simulated_dir(tmp_path, n_phi=4)
+    samples = sim / "samples.csv"
+    lines = samples.read_text().splitlines()
+    lines[0] = re.sub(rf"\b{key}=\S+", f"{key}={value}", lines[0])
+    samples.write_text("\n".join(lines) + "\n")
+    rc = _run("reconstruct", "--samples", samples, "-M", "4",
+              "--out-dir", tmp_path / "rec")
+    assert rc == 2
+    assert f"metadata key {key}={value} must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_report_matches_reconstruct_normalization(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from hdtomo.patterns import PatternConfig, choose_beta
-from hdtomo.reconstruct import QuadratureDataset, estimate_unbinned
+from hdtomo.reconstruct import QuadratureDataset, _bin_index, estimate_unbinned
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -34,3 +34,16 @@ def test_unbinned_matches_loop_and_is_hermitian(data):
     assert np.all(np.diagonal(est.err_im) == 0.0)
     assert np.array_equal(est.err_re, est.err_re.T)
     assert np.array_equal(est.err_im, est.err_im.T)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 100.0),
+       n_bin=st.integers(1, 20000), data=st.data())
+def test_bin_index_matches_searchsorted(lo, width, n_bin, data):
+    # every edge and both of its float neighbours, plus points in between
+    edges = np.linspace(lo, lo + width, n_bin + 1)
+    inside = data.draw(st.lists(st.floats(edges[0], edges[-1]), max_size=50))
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf), inside])
+    expected = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bin - 1)
+    assert np.array_equal(_bin_index(x, edges), expected)

@@ -349,11 +349,17 @@ def test_unbinned_fock_one_within_errors():
     assert est.meta["n_bin"] is None
 
 
-def test_unbinned_identical_samples_zero_error():
-    # four equal values: the moment sums cancel without rounding residue
-    ds = QuadratureDataset(np.zeros(4), np.full(4, 0.4), n_phi=1)
-    cfg = PatternConfig(cutoff=3, beta=choose_beta(ds.values))
-    est = estimate_unbinned(ds, cfg, max_diag=0)
+@pytest.mark.parametrize("N, x, M, max_diag", [
+    (4, 0.4, 3, 0),
+    (67, 0.0, 7, None), (67, 0.7, 7, None),
+    (1000, 0.0, 7, None), (1000, 0.7, 7, None),
+])
+def test_unbinned_identical_samples_zero_error(N, x, M, max_diag):
+    # equal values at phase 0: whatever rounding residue the sums leave,
+    # the rounding floor, which grows with N, removes it
+    ds = QuadratureDataset(np.zeros(N), np.full(N, x), n_phi=M)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    est = estimate_unbinned(ds, cfg, max_diag=max_diag)
     assert np.all(est.err_re == 0.0)
     assert np.all(est.err_im == 0.0)
 
@@ -530,13 +536,16 @@ def test_block_identical_blocks_zero_error():
         assert np.all(est.err_im == 0.0)
         assert est.meta["estimator"] == "block"
         assert est.meta["nblks"] == 2
+        assert est.meta["spectra_dtype"] == ("complex128" if n_bin else None)
 
 
-def test_block_shuffle_within_blocks_invariant():
+# max_diag None takes the phase rows from the real FFT, 0 from the DFT matrix
+@pytest.mark.parametrize("max_diag", [None, 0])
+def test_block_shuffle_within_blocks_invariant(max_diag):
     rng = np.random.default_rng(31)
     ds = _simulate("coherent", 0.0, 3, nsamples=200, nblks=4, n_phi=4, seed=7)
     cfg = PatternConfig(cutoff=3, beta=choose_beta(ds.values))
-    base = block_statistics(ds, cfg, n_bin=64)
+    base = block_statistics(ds, cfg, n_bin=64, max_diag=max_diag)
 
     perm = np.arange(ds.N)
     for b in range(4):
@@ -545,7 +554,7 @@ def test_block_shuffle_within_blocks_invariant():
     shuffled = QuadratureDataset(
         ds.phases[perm], ds.values[perm], n_phi=4, block=ds.block[perm], nblks=4
     )
-    again = block_statistics(shuffled, cfg, n_bin=64)
+    again = block_statistics(shuffled, cfg, n_bin=64, max_diag=max_diag)
     assert np.array_equal(base.rho, again.rho)
     assert np.array_equal(base.err_re, again.err_re)
 
@@ -576,6 +585,65 @@ def test_block_validation_errors():
     )
     with pytest.raises(DataError, match="equal sizes"):
         block_statistics(skew, cfg, max_diag=0)
+
+    # binned: phase 1 has no samples in block 1, a range that leaves out
+    # samples, and a phase off the grid
+    two = dict(n_phi=2, block=np.array([0, 0, 1, 1]), nblks=2)
+    values = np.array([0.1, 0.2, 0.3, 0.4])
+    holes = QuadratureDataset(np.array([0.0, math.pi, 0.0, 0.0]), values, **two)
+    with pytest.raises(DataError, match="phase index 1 has no samples"):
+        block_statistics(holes, cfg, n_bin=4, max_diag=0)
+    full = QuadratureDataset(np.array([0.0, math.pi] * 2), values, **two)
+    with pytest.raises(DataError, match="outside the requested bin range"):
+        block_statistics(full, cfg, n_bin=4, bin_range=(0.0, 0.35), max_diag=0)
+    skewed = QuadratureDataset(np.array([0.0, math.pi, 0.0, 0.77]), values, **two)
+    with pytest.raises(DataError, match="equispaced"):
+        block_statistics(skewed, cfg, n_bin=4, max_diag=0)
+
+
+def _uneven_blocks(n_phi, nblks=4, size=300, seed=5):
+    """Blocks of equal size whose phase rows hold unequal sample counts."""
+    rng = np.random.default_rng(seed)
+    j = np.concatenate([
+        np.concatenate([np.arange(n_phi), rng.integers(0, n_phi, size - n_phi)])
+        for _ in range(nblks)
+    ])
+    return QuadratureDataset(
+        2.0 * math.pi * j / n_phi, rng.normal(0.3, 0.8, j.size), n_phi=n_phi,
+        block=np.repeat(np.arange(nblks), size), nblks=nblks,
+    )
+
+
+@pytest.mark.parametrize("n_phi, max_diag", [(8, None), (64, 0), (64, 2)])
+def test_block_binned_matches_per_block_oracle(n_phi, max_diag):
+    ds = _uneven_blocks(n_phi)
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    est = block_statistics(ds, cfg, n_bin=40, max_diag=max_diag, bin_correction=True)
+    ref = oracles.block_statistics_per_block(ds, cfg, 40, max_diag=max_diag,
+                                             bin_correction=True)
+    if max_diag is None:
+        # all 6 rows of 8 phases come from the real FFT, as in the oracle
+        for new, old in zip((est.rho, est.err_re, est.err_im), ref):
+            assert np.array_equal(new, old)
+        return
+    # rows 0..max_diag from the DFT matrix: same sums, another order
+    rho, err_re, err_im = ref
+    for new, old, new_err, old_err in ((est.rho.real, rho.real, est.err_re, err_re),
+                                       (est.rho.imag, rho.imag, est.err_im, err_im)):
+        assert np.all(np.abs(new - old) <= 1e-10 * old_err)
+        assert np.all(np.abs(new_err - old_err) <= 1e-12 * old_err)
+
+
+def test_block_narrow_band_computes_no_fft(monkeypatch):
+    ds = _uneven_blocks(16)
+    cfg = PatternConfig(cutoff=4, beta=choose_beta(ds.values))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a narrow band needs no FFT")
+
+    monkeypatch.setattr(np.fft, "rfft", refuse)
+    est = block_statistics(ds, cfg, n_bin=32, max_diag=0)
+    assert np.all(np.isfinite(est.rho)) and np.all(est.err_re[np.diag_indices(4)] > 0)
 
 
 def test_block_errors_track_per_sample_errors():
