@@ -2,8 +2,9 @@
 
 Each subcommand mirrors a library pipeline and reads/writes the CSV and
 JSON formats from the formats module.  A JSON run configuration (with a
-mandatory "version": 1 field) can override any flag; unknown keys are
-rejected so typos fail loudly instead of being ignored.
+mandatory "version": 1 field) can override any flag; unknown keys, and
+values of the wrong type or outside a flag's choices, are rejected so
+typos fail loudly instead of being ignored.
 
 Exit codes are a stable contract for scripting: 0 success, 1 usage error,
 2 data or I/O error, 3 numerical failure.
@@ -48,14 +49,35 @@ class RunConfig:
         return cls(version=1, options=doc)
 
     def apply(self, args: argparse.Namespace):
-        unknown = sorted(set(self.options) - set(args._dests))
+        flags = args._flags
+        unknown = sorted(set(self.options) - set(flags))
         if unknown:
             raise UsageError(
                 f"unknown config keys: {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(args._dests))})"
+                f"(allowed: {', '.join(sorted(flags))})"
             )
         for key, val in self.options.items():
-            setattr(args, key, val)
+            setattr(args, key, _config_value(key, val, flags[key]))
+
+
+def _config_value(key: str, val, action: argparse.Action):
+    """A config value checked as its flag is on the command line: against
+    the flag's type (int, float, or a true/false switch) and its choices.
+    null is allowed where the flag defaults to None."""
+    if val is None and action.default is None:
+        return val
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if action.nargs == 0 and not isinstance(val, bool):
+        raise UsageError(f"config key {key!r} must be true or false, got {val!r}")
+    if action.type is int and not (number and isinstance(val, int)):
+        raise UsageError(f"config key {key!r} must be an integer, got {val!r}")
+    if action.type is float and not number:
+        raise UsageError(f"config key {key!r} must be a number, got {val!r}")
+    if action.choices is not None and val not in action.choices:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, got {val!r}"
+        )
+    return float(val) if action.type is float else val
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,12 +106,12 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="floating-point precision for pattern recursions")
 
 
-def _collect_dests(sub: argparse.ArgumentParser):
-    dests = {
-        a.dest for a in sub._actions
+def _collect_flags(sub: argparse.ArgumentParser):
+    flags = {
+        a.dest: a for a in sub._actions
         if a.dest not in ("help", "config") and not a.dest.startswith("_")
     }
-    sub.set_defaults(_dests=frozenset(dests))
+    sub.set_defaults(_flags=flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
-    _collect_dests(p)
+    _collect_flags(p)
 
     p = sub.add_parser("reconstruct", help="estimate a density matrix from samples")
     p.add_argument("--samples", required=True, help="samples CSV path")
@@ -139,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
-    _collect_dests(p)
+    _collect_flags(p)
 
     p = sub.add_parser("wigner", help="synthesize a Wigner function grid")
     p.add_argument("--rho-re", required=True, help="real-part matrix CSV")
@@ -156,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="side length of the Cartesian grid")
     _add_common(p)
     p.set_defaults(func=cmd_wigner)
-    _collect_dests(p)
+    _collect_flags(p)
 
     p = sub.add_parser("report", help="normalization report from matrix files")
     p.add_argument("--rho-re", required=True)
@@ -164,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write JSON here as well as stdout")
     _add_common(p)
     p.set_defaults(func=cmd_report)
-    _collect_dests(p)
+    _collect_flags(p)
     return parser
 
 

@@ -179,6 +179,8 @@ def write_state(path, state, meta: dict | None = None):
 
 
 def read_state(path):
+    """Read a state CSV; returns (FockVector, metadata dict).  Each index
+    0..M-1 must appear exactly once."""
     from .simulate import FockVector
 
     with open(path, "r", newline="") as fh:
@@ -192,13 +194,20 @@ def read_state(path):
     if len(lines) - 2 != M:
         raise DataError(f"{path}: expected {M} coefficient rows, found {len(lines) - 2}")
     c = np.zeros(M, dtype=np.complex128)
+    seen = {}
     for i, line in enumerate(lines[2:], start=3):
         cells = line.split(",")
         if len(cells) != 3:
             raise DataError(f"{path}: line {i}: expected 3 columns, got {len(cells)}")
-        n = int(_float(cells[0], path, i))
+        try:
+            n = int(cells[0])
+        except ValueError:
+            raise DataError(f"{path}: line {i}: index {cells[0]!r} is not an integer") from None
         if not 0 <= n < M:
             raise DataError(f"{path}: line {i}: index {n} outside 0..{M - 1}")
+        if n in seen:
+            raise DataError(f"{path}: line {i}: index {n} repeats line {seen[n]}")
+        seen[n] = i
         c[n] = _float(cells[1], path, i) + 1j * _float(cells[2], path, i)
     deficit = float(meta.get("deficit", 0.0))
     return FockVector(M=M, c=c, deficit=deficit), meta

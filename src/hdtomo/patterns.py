@@ -17,6 +17,9 @@ The irregular family is started at index 4M from a semiclassical seed and
 recursed downward inside the oscillatory (safe) region; outside it, a
 forward recursion from the combined-scaling value v_0 = 1/(beta x) is
 stable instead.
+
+One recurrence, _regular_recurrence, serves u_n here and psi_n in the
+simulator; every kernel value is read as A V - U W from kernel_factors.
 """
 
 from __future__ import annotations
@@ -197,6 +200,21 @@ def _as_grid(x):
     return xa, scalar
 
 
+def _regular_recurrence(x, h0, count: int):
+    """Yield (sqrt(n) h_n, h_n) for n = 0..count-1 (count >= 1), where
+    h_n = (2x h_{n-1} - sqrt(n-1) h_{n-2}) / sqrt(n) from h_0 = h0 and
+    h_{-1} = 0.  h0 is an array or scalar of x's dtype, which the rows
+    keep.  Overflow is left for the caller to detect on the rows.
+    """
+    x2 = 2.0 * x
+    prev, cur = 0.0, h0
+    yield 0.0 * h0, h0
+    for n in range(1, count):
+        scaled = x2 * cur - math.sqrt(n - 1) * prev
+        prev, cur = cur, scaled / math.sqrt(n)
+        yield scaled, cur
+
+
 def regular_sequence(x, cfg: PatternConfig):
     """Regular solutions u_0..u_{M+1} and u~_n = sqrt(n) u_n at x.
 
@@ -213,18 +231,12 @@ def regular_sequence(x, cfg: PatternConfig):
         raise NumericalError(
             f"beta = {beta:.3e} underflows {cfg.precision} precision; use a larger beta"
         )
-    u = np.zeros((L, xa.size), dtype=dtype)
-    ut = np.zeros_like(u)
-    xd = xa.astype(dtype)
-    u[0] = dtype(beta)
+    u = np.empty((L, xa.size), dtype=dtype)
+    ut = np.empty_like(u)
     # overflow is detected on the result, not left to runtime warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if L > 1:
-            u[1] = 2.0 * xd * dtype(beta)
-            ut[1] = u[1]
-        for n in range(2, L):
-            ut[n] = 2.0 * xd * u[n - 1] - math.sqrt(n - 1) * u[n - 2]
-            u[n] = ut[n] / math.sqrt(n)
+        for n, rows in enumerate(_regular_recurrence(xa.astype(dtype), dtype(beta), L)):
+            ut[n], u[n] = rows
     bad = ~np.isfinite(u)
     if bad.any():
         n_bad, i_bad = np.argwhere(bad)[0]
@@ -360,43 +372,13 @@ def build_table(x, cfg: PatternConfig) -> PatternTable:
     )
 
 
-def pattern_row(ws: PatternWorkspace, d: int) -> np.ndarray:
-    """Pattern-function values f_{n,n+d}(x) for n = 0..M-d-1.
-
-    Uses the factorized form f_{n,m} = (2x u_n - u~_{n+1}) v_m - u_n v~_{m+1}
-    in which the beta scalings of u and v cancel exactly.
-    """
-    M = ws.cutoff
-    if not 0 <= d <= M - 1:
-        raise ValueError(f"diagonal d must be in 0..{M - 1}, got {d}")
-    u, ut, v, vt = ws.u, ws.u_tilde, ws.v, ws.v_tilde
-    k = M - d
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = (2.0 * ws.x * u[:k] - ut[1:k + 1]) * v[d:M] - u[:k] * vt[d + 1:M + 1]
-    if not np.all(np.isfinite(row)):
-        raise NumericalError(f"pattern row d={d} is not finite at x={ws.x:.6g}")
-    return row
-
-
-def pattern_row_grid(table: PatternTable, d: int) -> np.ndarray:
-    """Like pattern_row but over the whole grid: shape (M-d, len(x))."""
-    M = table.cutoff
-    if not 0 <= d <= M - 1:
-        raise ValueError(f"diagonal d must be in 0..{M - 1}, got {d}")
-    u, ut, v, vt = table.u, table.u_tilde, table.v, table.v_tilde
-    k = M - d
-    x = table.x.astype(u.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (2.0 * x * u[:k] - ut[1:k + 1]) * v[d:M] - u[:k] * vt[d + 1:M + 1]
-
-
 def kernel_factors(table: PatternTable):
     """The rank-2 factors (A, U, V, W) of the kernel over a table's grid.
 
     f_{n,m}(x_k) = A[n, k] V[m, k] - U[n, k] W[m, k] for 0 <= n, m < M,
     with A_n = 2x u_n - u~_{n+1}, U = u, V = v and W_m = v~_{m+1}; the
     beta scalings cancel in every product.  Returned in float64, shape
-    (M, len(x)) each.
+    (M, len(x)) each.  This is the one place A is formed.
     """
     M = table.cutoff
     u, ut, v, vt = table.u, table.u_tilde, table.v, table.v_tilde
@@ -408,6 +390,32 @@ def kernel_factors(table: PatternTable):
     )
 
 
+def pattern_row_grid(table: PatternTable, d: int) -> np.ndarray:
+    """f_{n,n+d}(x) = A_n V_{n+d} - U_n W_{n+d} for n = 0..M-d-1 over the
+    whole grid, shape (M-d, len(x)), in float64 (see kernel_factors)."""
+    M = table.cutoff
+    if not 0 <= d <= M - 1:
+        raise ValueError(f"diagonal d must be in 0..{M - 1}, got {d}")
+    A, U, V, W = kernel_factors(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return A[:M - d] * V[d:] - U[:M - d] * W[d:]
+
+
+def _column(ws: PatternWorkspace) -> PatternTable:
+    """A workspace as a one-column pattern table."""
+    u, ut, v, vt = (a[:, None] for a in (ws.u, ws.u_tilde, ws.v, ws.v_tilde))
+    return PatternTable(np.array([ws.x]), u, ut, v, vt,
+                        np.array([ws.region == "backward"]), ws.cutoff, ws.beta)
+
+
+def pattern_row(ws: PatternWorkspace, d: int) -> np.ndarray:
+    """Pattern-function values f_{n,n+d}(x) for n = 0..M-d-1 at one x."""
+    row = pattern_row_grid(_column(ws), d)[:, 0]
+    if not np.all(np.isfinite(row)):
+        raise NumericalError(f"pattern row d={d} is not finite at x={ws.x:.6g}")
+    return row
+
+
 def pattern_value(ws: PatternWorkspace, n: int, m: int) -> float:
     """Single kernel value f_{n,m}(x); f_{m,n} is served by symmetry."""
     M = ws.cutoff
@@ -415,8 +423,7 @@ def pattern_value(ws: PatternWorkspace, n: int, m: int) -> float:
         raise ValueError(f"indices must be in 0..{M - 1}, got ({n}, {m})")
     if n > m:
         n, m = m, n
-    u, ut, v, vt = ws.u, ws.u_tilde, ws.v, ws.v_tilde
-    val = (2.0 * ws.x * u[n] - ut[n + 1]) * v[m] - u[n] * vt[m + 1]
+    val = pattern_row_grid(_column(ws), m - n)[n, 0]
     if not math.isfinite(val):
         raise NumericalError(f"pattern value ({n},{m}) is not finite at x={ws.x:.6g}")
     return float(val)

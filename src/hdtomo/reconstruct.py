@@ -8,7 +8,8 @@ over measured pairs (phi, x).  Two evaluation paths give the same numbers
 on the same data: the unbinned path visits every sample, while the binned
 path compresses the data into a sinogram (per-phase histograms), takes a
 DFT along the phase axis, and contracts each matrix diagonal against
-pattern-function rows evaluated once per bin center.  Error bars come
+kernel rows at the bin centers, all read from one set of kernel factors
+whose finiteness is checked once per table (_kernel_rows).  Error bars come
 either from the per-sample variance (real and imaginary parts separately)
 or from the scatter of estimates over independent statistical blocks.
 
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, UsageError
-from .patterns import PatternConfig, build_table, kernel_factors, pattern_row_grid
+from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
 
@@ -341,15 +342,6 @@ def _require_phases(n_phi: int, M: int, dmax: int):
         )
 
 
-def _finite_rows(f: np.ndarray, d: int) -> np.ndarray:
-    if not np.all(np.isfinite(f)):
-        raise NumericalError(
-            f"pattern rows for diagonal d={d} are not finite; "
-            "try a different beta or double precision"
-        )
-    return f
-
-
 def _assemble(rho_u, err_re_u, err_im_u, meta) -> DensityMatrixEstimate:
     """Mirror the upper triangle into an exactly Hermitian estimate."""
     rho = rho_u + rho_u.conj().T
@@ -374,6 +366,26 @@ def _midpoint_corrected(f: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_rows(centers, cfg: PatternConfig, dmax: int, bin_correction: bool):
+    """Yield f_d[n, i] = f_{n,n+d}(centers[i]) = A_n V_{n+d} - U_n W_{n+d}
+    for d = 0..dmax, _midpoint_corrected if bin_correction.  Only the
+    factors are kept, so the table's u~ is freed as A is formed.  Every
+    factor entry enters row 0, so its finiteness is checked on row 0 only.
+    """
+    M = cfg.cutoff
+    A, U, V, W = kernel_factors(build_table(centers, cfg))
+    for d in range(dmax + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = A[:M - d] * V[d:]
+            f -= U[:M - d] * W[d:]
+        if d == 0 and not np.all(np.isfinite(f)):
+            raise NumericalError(
+                "pattern rows at the bin centers are not finite; "
+                "try a different beta or double precision"
+            )
+        yield _midpoint_corrected(f) if bin_correction else f
+
+
 def estimate_binned(
     spec: PhaseSpectrum,
     cfg: PatternConfig,
@@ -394,15 +406,11 @@ def estimate_binned(
     M = cfg.cutoff
     dmax = _resolve_max_diag(M, max_diag)
     _require_phases(spec.n_phi, M, dmax)
-    table = build_table(spec.bin_centers, cfg)
     N = int(spec.n_per_phase.sum())
     rho_u = np.zeros((M, M), dtype=np.complex128)
     err_re_u = np.zeros((M, M))
     err_im_u = np.zeros((M, M))
-    for d in range(dmax + 1):
-        f = _finite_rows(pattern_row_grid(table, d), d)
-        if bin_correction:
-            f = _midpoint_corrected(f)
+    for d, f in enumerate(_kernel_rows(spec.bin_centers, cfg, dmax, bin_correction)):
         row = spec.shat[d]
         mean_re = f @ row.real
         mean_im = f @ row.imag
@@ -638,7 +646,7 @@ def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int) -> np.nd
 
 def _block_spectra(ds: QuadratureDataset, picks, n_bin: int, bin_range, dmax: int):
     """Rows 0..dmax of the phase spectrum of each block on one shared bin
-    grid; returns (spectra, edges).
+    grid; returns (spectra, bin centers).
 
     Every sample is indexed once, key = j n_bin + bin.  Each block's
     histogram is one integer bincount of its keys, made one block at a
@@ -656,7 +664,7 @@ def _block_spectra(ds: QuadratureDataset, picks, n_bin: int, bin_range, dmax: in
     for b, pick in enumerate(picks):
         counts, n_per_phase = _phase_counts(key[pick], ds.n_phi, n_bin)
         spectra[b] = _phase_rows(counts, n_per_phase, dmax)
-    return spectra, edges
+    return spectra, 0.5 * (edges[:-1] + edges[1:])
 
 
 def block_statistics(
@@ -682,8 +690,7 @@ def block_statistics(
     picks = _block_slices(ds)
     nblks = ds.nblks
     if n_bin is not None:
-        spectra, edges = _block_spectra(ds, picks, n_bin, bin_range, dmax)
-        table = build_table(0.5 * (edges[:-1] + edges[1:]), cfg)
+        spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
     else:
         band = _band(M, dmax)
         G = np.stack([
@@ -704,10 +711,7 @@ def block_statistics(
     if n_bin is None:
         put(band, G)
     else:
-        for d in range(dmax + 1):
-            f = _finite_rows(pattern_row_grid(table, d), d)
-            if bin_correction:
-                f = _midpoint_corrected(f)
+        for d, f in enumerate(_kernel_rows(centers, cfg, dmax, bin_correction)):
             rows_d = np.ascontiguousarray(spectra[:, d, :]).astype(np.complex128)
             G = (f @ rows_d.real.T) + 1j * (f @ rows_d.imag.T)
             rows = np.arange(M - d)

@@ -23,7 +23,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.special import gammaln
 
 from .errors import DataError
-from .patterns import PatternConfig, choose_beta
+from .patterns import PatternConfig, _regular_recurrence, choose_beta
 from .reconstruct import (
     QuadratureDataset,
     bin as bin_dataset,
@@ -114,40 +114,24 @@ def make_state(kind: str, params, M: int) -> FockVector:
 def oscillator_wavefunctions(x, nmax: int) -> np.ndarray:
     """psi_0..psi_nmax on a grid, shape (nmax+1, len(x)).
 
-    Same three-term recurrence as the regular pattern sequence, so the
-    simulator and the estimator share one convention.
+    The all-rows case of _wavefunction_rows, so the simulator and the
+    estimator share one recurrence and one convention.
     """
-    x = np.asarray(x, dtype=np.float64)
-    psi = np.empty((nmax + 1, x.size))
-    psi[0] = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
-    if nmax >= 1:
-        psi[1] = 2.0 * x * psi[0]
-    for n in range(2, nmax + 1):
-        psi[n] = (2.0 * x * psi[n - 1] - math.sqrt(n - 1) * psi[n - 2]) / math.sqrt(n)
-    return psi
+    return _wavefunction_rows(x, np.arange(nmax + 1))
 
 
 def _wavefunction_rows(x, rows) -> np.ndarray:
-    """Selected psi_n rows only, via a two-row rolling recurrence.
-
-    Same operations as oscillator_wavefunctions, but memory stays O(len(x))
-    however high the requested indices reach, which matters for sparse
-    Fock superpositions on fine grids.
+    """Selected psi_n rows only, shape (len(rows), len(x)), from the
+    pattern functions' regular recurrence started at psi_0.  Memory stays
+    O(len(x)) however high the requested indices reach, which matters for
+    sparse Fock superpositions on fine grids.
     """
+    x = np.asarray(x, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
     out = np.empty((rows.size, x.size))
-    want = {int(n): i for i, n in enumerate(rows)}
-    prev = np.zeros(x.size)
-    cur = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
-    if 0 in want:
-        out[want[0]] = cur
-    for n in range(1, int(rows.max()) + 1):
-        if n == 1:
-            prev, cur = cur, 2.0 * x * cur
-        else:
-            prev, cur = cur, (2.0 * x * cur - math.sqrt(n - 1) * prev) / math.sqrt(n)
-        if n in want:
-            out[want[n]] = cur
+    psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    for n, (_, psi) in enumerate(_regular_recurrence(x, psi0, int(rows.max()) + 1)):
+        out[rows == n] = psi
     return out
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and simple: arbitrary precision where
 the double recursions are delicate, brute-force sums where the library
-uses transforms or matrix products.  Only biorthogonality_defect and
-estimate_unbinned_loop use hdtomo's pattern tables, to check what the
-library builds on them.
+uses transforms or matrix products.  The estimator loops and
+biorthogonality_defect use hdtomo's pattern tables, to check what the
+library builds on them; the loops write the kernel rows out themselves
+(kernel_rows) rather than calling the library's kernel.
 """
 
 import math
@@ -47,6 +48,23 @@ def v_exact(x: float, m_max: int, beta: float) -> np.ndarray:
     """Exact irregular vector v_0..v_{m_max} in the library's scaling."""
     pref = math.exp(-x * x) / beta
     return pref * np.array([w_exact(x, m) for m in range(m_max + 1)])
+
+
+def regular_rows(x, h0, count):
+    """(sqrt(n) h_n, h_n) for n < count, by the explicit row loop
+    h_1 = 2x h_0, h_n = (2x h_{n-1} - sqrt(n-1) h_{n-2}) / sqrt(n), in the
+    dtype of x.  regular_sequence and the simulator's wavefunctions each
+    wrote this loop out before they shared one recurrence."""
+    h = np.zeros((count,) + np.shape(x), dtype=x.dtype)
+    ht = np.zeros_like(h)
+    h[0] = h0
+    if count > 1:
+        h[1] = 2.0 * x * h0
+        ht[1] = h[1]
+    for n in range(2, count):
+        ht[n] = 2.0 * x * h[n - 1] - math.sqrt(n - 1) * h[n - 2]
+        h[n] = ht[n] / math.sqrt(n)
+    return ht, h
 
 
 def dft_direct(S: np.ndarray) -> np.ndarray:
@@ -132,6 +150,71 @@ def biorthogonality_defect(M: int, dmax: int, n_points: int = 4096) -> float:
     return worst
 
 
+def kernel_rows(table, d):
+    """Pattern rows f_{n,n+d} over a table's grid, written out elementwise
+    as (2x u_n - u~_{n+1}) v_{n+d} - u_n v~_{n+d+1} in the table's dtype,
+    the form the library evaluated per diagonal before it read every row
+    from one set of kernel factors."""
+    M = table.cutoff
+    k = M - d
+    u, ut, v, vt = table.u, table.u_tilde, table.v, table.v_tilde
+    x = table.x.astype(u.dtype)
+    return (2.0 * x * u[:k] - ut[1:k + 1]) * v[d:M] - u[:k] * vt[d + 1:M + 1]
+
+
+def mirror_upper(rho_u, err_re_u, err_im_u):
+    """(rho, err_re, err_im) from upper triangles, as the library
+    assembles them: exactly Hermitian, real diagonal."""
+    rho = rho_u + rho_u.conj().T
+    np.fill_diagonal(rho, np.real(np.diagonal(rho_u)))
+    err_re = err_re_u + err_re_u.T
+    err_im = err_im_u + err_im_u.T
+    np.fill_diagonal(err_re, np.diagonal(err_re_u))
+    np.fill_diagonal(err_im, np.diagonal(err_im_u))
+    return rho, err_re, err_im
+
+
+def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):
+    """The binned estimator as a per-diagonal loop: one pattern table at
+    the bin centres, then for each diagonal d its kernel rows (checked
+    finite, midpoint-corrected when asked) contracted with spectrum row d,
+    and the per-sample variance from rows 0 and 2d.
+
+    This is the form the library's shared kernel-row source replaced.
+    Returns (rho, err_re, err_im) assembled exactly as the library does.
+    """
+    from hdtomo import patterns, reconstruct
+
+    M = cfg.cutoff
+    dmax = M - 1 if max_diag is None else int(max_diag)
+    table = patterns.build_table(spec.bin_centers, cfg)
+    N = int(spec.n_per_phase.sum())
+    rho_u = np.zeros((M, M), dtype=np.complex128)
+    err_re_u = np.zeros((M, M))
+    err_im_u = np.zeros((M, M))
+    for d in range(dmax + 1):
+        f = kernel_rows(table, d)
+        assert np.all(np.isfinite(f))
+        if bin_correction:
+            f = reconstruct._midpoint_corrected(f)
+        row = spec.shat[d]
+        mean_re = f @ row.real
+        mean_im = f @ row.imag
+        f2 = f * f
+        even = spec.shat[0].real + spec.shat[(2 * d) % spec.n_phi].real
+        odd = spec.shat[0].real - spec.shat[(2 * d) % spec.n_phi].real
+        sum_re2 = 0.5 * N * (f2 @ even)
+        sum_im2 = 0.5 * N * (f2 @ odd)
+        denom = max(N - 1, 1)
+        var_re = np.maximum(sum_re2 - N * mean_re**2, 0.0) / denom
+        var_im = np.maximum(sum_im2 - N * mean_im**2, 0.0) / denom
+        rows = np.arange(M - d)
+        rho_u[rows, rows + d] = mean_re + 1j * mean_im
+        err_re_u[rows, rows + d] = np.sqrt(var_re / N)
+        err_im_u[rows, rows + d] = np.sqrt(var_im / N)
+    return mirror_upper(rho_u, err_re_u, err_im_u)
+
+
 def estimate_unbinned_loop(ds, cfg, max_diag=None):
     """The unbinned estimator as a per-diagonal loop: for each sample slab
     and each diagonal d, evaluate the kernel rows f_{n,n+d}(x_k) and
@@ -158,7 +241,7 @@ def estimate_unbinned_loop(ds, cfg, max_diag=None):
         table = patterns.build_table(ds.values[sl], cfg)
         phi = ds.phases[sl]
         for d in range(dmax + 1):
-            f = patterns.pattern_row_grid(table, d)
+            f = kernel_rows(table, d)
             assert np.all(np.isfinite(f))
             c = np.cos(d * phi)
             s = np.sin(d * phi)
@@ -257,7 +340,7 @@ def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,
     err_re_u = np.zeros((M, M))
     err_im_u = np.zeros((M, M))
     for d in range(dmax + 1):
-        f = patterns.pattern_row_grid(table, d)
+        f = kernel_rows(table, d)
         if bin_correction:
             f = reconstruct._midpoint_corrected(f)
         rows_d = np.ascontiguousarray(spectra[:, d, :])
@@ -266,10 +349,4 @@ def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,
         rho_u[rows, rows + d] = G.mean(axis=1)
         err_re_u[rows, rows + d] = G.real.std(axis=1, ddof=1) / math.sqrt(nblks)
         err_im_u[rows, rows + d] = G.imag.std(axis=1, ddof=1) / math.sqrt(nblks)
-    rho = rho_u + rho_u.conj().T
-    np.fill_diagonal(rho, np.real(np.diagonal(rho_u)))
-    err_re = err_re_u + err_re_u.T
-    err_im = err_im_u + err_im_u.T
-    np.fill_diagonal(err_re, np.diagonal(err_re_u))
-    np.fill_diagonal(err_im, np.diagonal(err_im_u))
-    return rho, err_re, err_im
+    return mirror_upper(rho_u, err_re_u, err_im_u)

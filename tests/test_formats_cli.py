@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import hdtomo
 from hdtomo import cli, formats
 from hdtomo.errors import DataError
 from hdtomo.simulate import (
@@ -29,6 +30,15 @@ def _small_dataset(seed=0, n_phi=4, nsamples=25, nblks=1, M=4):
 
 def _run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+# ---------------------------------------------------------------------------
+# package
+
+
+def test_lazy_exports_resolve():
+    for name in hdtomo._EXPORTS:
+        assert getattr(hdtomo, name) is not None, name
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +72,18 @@ def test_state_roundtrip_byte_identical(tmp_path):
     assert back.deficit == state.deficit
     formats.write_state(p2, back, meta=meta)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("index, message", [
+    ("1.7", "line 4: index '1.7' is not an integer"),
+    ("0", "line 4: index 0 repeats line 3"),
+])
+def test_read_state_rejects_bad_indices(tmp_path, index, message):
+    p = tmp_path / "state.csv"
+    p.write_text("# hdtomo-csv v1 kind=state M=3 deficit=0.0\nn,re,im\n"
+                 f"0,0.6,0.0\n{index},0.0,0.8\n1,0.0,0.0\n")
+    with pytest.raises(DataError, match=re.escape(message)):
+        formats.read_state(p)
 
 
 def test_matrix_roundtrip_byte_identical(tmp_path):
@@ -295,6 +317,25 @@ def test_cli_config_overrides_flags(tmp_path):
               "--n-bin", "200", "--config", cfgp, "--out-dir", rec)
     assert rc == 0
     assert formats.read_report(rec / "report.json")["n_bin"] == 64
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_bin", "40", "config key 'n_bin' must be an integer, got '40'"),
+    ("estimator", "bogus", "config key 'estimator' must be one of auto, binned, "
+                           "unbinned, block, got 'bogus'"),
+    ("bin_correction", "yes", "config key 'bin_correction' must be true or false, "
+                              "got 'yes'"),
+])
+def test_cli_config_checks_types_and_choices(tmp_path, capsys, key, value, message):
+    sim = _simulated_dir(tmp_path)
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"version": 1, key: value}))
+    rec = tmp_path / "rec"
+    rc = _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+              "--config", cfgp, "--out-dir", rec)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not rec.exists()
 
 
 def test_cli_config_rejects_unknown_keys(tmp_path, capsys):

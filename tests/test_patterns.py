@@ -14,6 +14,7 @@ from hdtomo.patterns import (
     choose_beta,
     in_safe_region,
     irregular_sequence,
+    kernel_factors,
     pattern_row,
     pattern_row_grid,
     pattern_value,
@@ -86,6 +87,18 @@ def test_regular_tilde_invariant():
     u, ut = regular_sequence(1.3, cfg)
     scale = np.sqrt(np.arange(u.size))
     assert np.allclose(ut, scale * u, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+def test_regular_sequence_matches_loop_oracle(precision):
+    xs = np.array([-2.0, 0.0, 0.3, 1.7])
+    cfg = PatternConfig(cutoff=16, beta=math.exp(-6.0), precision=precision)
+    dtype = cfg.dtype
+    u, ut = regular_sequence(xs, cfg)
+    assert u.dtype == dtype and ut.dtype == dtype
+    ref_ut, ref_u = oracles.regular_rows(xs.astype(dtype), dtype(cfg.beta), 18)
+    assert np.array_equal(u, ref_u)
+    assert np.array_equal(ut, ref_ut)
 
 
 def test_regular_overflow_names_index():
@@ -307,8 +320,11 @@ def test_pattern_rows_match_pattern_values():
     cfg = PatternConfig(cutoff=9, beta=math.exp(-3.0 * 1.4))
     xs = np.array([-1.4, 0.2, 0.9])
     table = build_table(xs, cfg)
+    A, U, V, W = kernel_factors(table)
     for d in range(4):
         rows = pattern_row_grid(table, d)
+        assert np.array_equal(rows, A[:9 - d] * V[d:] - U[:9 - d] * W[d:])
+        assert np.array_equal(rows, oracles.kernel_rows(table, d))
         for i, x in enumerate(xs):
             ws = build_workspace(x, cfg)
             row = pattern_row(ws, d)

@@ -322,6 +322,39 @@ def test_binned_phase_count_gate():
     assert est.rho[0, 4] == 0.0 and est.rho[0, 5] == 0.0
 
 
+@pytest.mark.parametrize("max_diag", [None, 0, 2])
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_binned_matches_loop_oracle(max_diag, bin_correction):
+    ds = _simulate("coherent", 0.9 + 0.4j, 10, nsamples=2000, n_phi=24, seed=8)
+    spec = phase_dft(bin(ds, n_bin=120))
+    cfg = PatternConfig(cutoff=10, beta=choose_beta(ds.values))
+    est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=bin_correction)
+    ref = oracles.estimate_binned_loop(spec, cfg, max_diag=max_diag,
+                                       bin_correction=bin_correction)
+    for new, old in zip((est.rho, est.err_re, est.err_im), ref):
+        assert np.array_equal(new, old)
+
+
+def test_binned_paths_reject_nonfinite_kernel(monkeypatch):
+    ds = _uneven_blocks(8)
+    cfg = PatternConfig(cutoff=4, beta=choose_beta(ds.values))
+    spec = phase_dft(bin(ds, n_bin=40))
+    occupied = int(np.argmax(spec.shat[0].real))
+    assert spec.shat[0, occupied].real > 0.0
+    build_table = reconstruct.build_table
+
+    def broken_table(x, cfg):
+        table = build_table(x, cfg)
+        table.u[2, occupied] = np.inf
+        return table
+
+    monkeypatch.setattr(reconstruct, "build_table", broken_table)
+    with pytest.raises(NumericalError, match="not finite"):
+        estimate_binned(spec, cfg)
+    with pytest.raises(NumericalError, match="not finite"):
+        block_statistics(ds, cfg, n_bin=40, max_diag=1)
+
+
 def test_binned_max_diag_validation():
     ds = QuadratureDataset(np.zeros(2), np.array([-0.2, 0.2]), n_phi=1)
     spec = phase_dft(bin(ds, n_bin=4))

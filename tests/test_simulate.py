@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import oracles
 from hdtomo import patterns
 from hdtomo.errors import DataError
 from hdtomo.simulate import (
@@ -11,6 +12,7 @@ from hdtomo.simulate import (
     TRUNCATION_WARN,
     MarginalTable,
     SimulationPlan,
+    _wavefunction_rows,
     make_state,
     marginals,
     oscillator_wavefunctions,
@@ -89,6 +91,15 @@ def test_wavefunction_convention_matches_patterns():
     u, _ = patterns.regular_sequence(x, cfg)
     expect = (2.0 / math.pi) ** 0.25 * np.exp(-x * x) * u[:13]
     assert np.max(np.abs(psi - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("rows", [[0], [5, 17], [3, 80], [80, 3, 3]])
+def test_wavefunction_rows_match_all_rows(rows):
+    x = np.linspace(-12.0, 12.0, 801)
+    psi = oscillator_wavefunctions(x, max(rows))
+    psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    assert np.array_equal(psi, oracles.regular_rows(x, psi0, max(rows) + 1)[1])
+    assert np.array_equal(_wavefunction_rows(x, rows), psi[rows])
 
 
 def test_wavefunctions_are_normalized():
