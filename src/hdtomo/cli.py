@@ -62,10 +62,14 @@ class RunConfig:
 
 def _config_value(key: str, val, action: argparse.Action):
     """A config value checked as its flag is on the command line: against
-    the flag's type (int, float, or a true/false switch) and its choices.
-    null is allowed where the flag defaults to None."""
-    if val is None and action.default is None:
+    the flag's type (int, float, a true/false switch, or a string for a
+    flag without one; levels also takes a list of integers) and its
+    choices.  null is allowed where an optional flag defaults to None."""
+    if val is None and action.default is None and not action.required:
         return val
+    levels = key == "levels" and isinstance(val, list) and all(type(v) is int for v in val)
+    if action.type is None and action.nargs != 0 and not (isinstance(val, str) or levels):
+        raise UsageError(f"config key {key!r} must be a string, got {val!r}")
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if action.nargs == 0 and not isinstance(val, bool):
         raise UsageError(f"config key {key!r} must be true or false, got {val!r}")

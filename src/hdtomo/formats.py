@@ -6,14 +6,18 @@ single leading metadata line
     # hdtomo-csv v1 kind=<kind> key=value ...
 
 Floats are written with repr(), which round-trips doubles exactly, so
-write -> read -> write is byte-identical.  Complex matrices are stored as
-separate real and imaginary files.  Reports are small JSON documents.
+write -> read -> write is byte-identical.  One writer (_write_table) and
+one reader (_read_lines, _parse_rows) serve the four CSV kinds; after the
+metadata line, blank lines and lines starting with '#' are rows, and so
+rejected.  Complex matrices are stored as separate real and imaginary
+files.  Reports are small JSON documents.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -23,6 +27,8 @@ FORMAT_TAG = "hdtomo-csv"
 FORMAT_VERSION = "v1"
 
 SAMPLES_HEADER = "phase_index,phase_radians,block,value"
+
+_CHUNK_CELLS = 1 << 16
 
 
 def _fmt(v) -> str:
@@ -74,14 +80,85 @@ def _meta_int(meta: dict, key: str, path) -> int:
         raise DataError(f"{path}: metadata key {key}={meta[key]!r} is not an integer") from None
 
 
-def _float(cell: str, path, lineno: int) -> float:
+def _cell(cell: str, path, lineno: int, name):
+    """Check one cell as Python reads it: a finite float, or an integer
+    when name, the column's name in messages, is given."""
     try:
-        v = float(cell)
+        v = float(cell) if name is None else int(cell)
     except ValueError:
-        raise DataError(f"{path}: line {lineno}: {cell!r} is not a number") from None
-    if not math.isfinite(v):
+        what = f"{cell!r} is not a number" if name is None else (
+            f"{name} {cell!r} is not an integer")
+        raise DataError(f"{path}: line {lineno}: {what}") from None
+    if name is None and not math.isfinite(v):
         raise DataError(f"{path}: line {lineno}: non-finite value {cell!r}")
-    return v
+
+
+def _write_table(path, kind, meta, header, columns):
+    """Write the metadata line, the column header unless None, and a row
+    per index of the equal-length columns: repr() of their .tolist()
+    entries, in chunks of about 65k cells."""
+    lines = [_metadata_line(kind, meta)] + ([] if header is None else [header])
+    step = max(1, _CHUNK_CELLS // max(1, len(columns)))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for a in range(0, len(columns[0]) if columns else 0, step):
+            cells = [map(repr, col[a:a + step].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _read_lines(path, kind, header):
+    """(metadata, column header line, row lines) of a CSV of this kind.
+    header is the exact column header, None for a file without one
+    (matrix), or for a Wigner file 'r', the corner label before its thetas."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if header is None and not lines:
+        raise DataError(f"{path}: empty file")
+    if header is not None and len(lines) < 2:
+        name = "Wigner" if kind == "wigner" else kind
+        raise DataError(f"{path}: file is too short to be a {name} CSV")
+    meta = _parse_metadata(lines[0], path, kind)
+    if header is None:
+        return meta, None, lines[1:]
+    if kind == "wigner" and lines[1].split(",", 1)[0] != header:
+        raise DataError(f"{path}: line 2 must start with the corner label {header!r}")
+    if kind != "wigner" and lines[1] != header:
+        raise DataError(f"{path}: line 2: expected column header {header!r}")
+    return meta, lines[1], lines[2:]
+
+
+def _parse_rows(path, lines, first_line, ncols, ints):
+    """Parse row lines of ncols cells, numbered from first_line in messages.
+
+    ints maps the integer columns to their names.  Without them the result
+    is an (n, ncols) float64 array, with them the list of the columns.  One
+    loadtxt pass reads all rows; if it fails, a walk names the first bad line.
+    """
+    dtype = np.dtype([(f"f{k}", np.int64 if k in ints else np.float64)
+                      for k in range(ncols)] if ints else np.float64)
+    reason = "rows do not parse"
+    try:
+        # a warning fails the pass too: an older numpy may read 1.7 as int 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = (np.loadtxt(lines, dtype=dtype, comments=None, delimiter=",",
+                                ndmin=1 if ints else 2)
+                     if lines else np.empty((0,) if ints else (0, ncols), dtype))
+    except (ValueError, Warning) as exc:
+        reason = str(exc)
+    else:
+        columns = [table[f] for f in dtype.names] if ints else list(table.T)
+        if len(table) == len(lines) and len(columns) == ncols and all(
+                np.isfinite(c).all() for c in columns):
+            return [np.ascontiguousarray(c) for c in columns] if ints else table
+    for i, line in enumerate(lines, start=first_line):
+        cells = line.split(",")
+        if len(cells) != ncols:
+            raise DataError(f"{path}: line {i}: expected {ncols} columns, got {len(cells)}")
+        for k, cell in enumerate(cells):
+            _cell(cell, path, i, ints.get(k))
+    # a cell that Python reads and numpy does not, such as 1_0
+    raise DataError(f"{path}: {reason}")
 
 
 def write_samples(path, ds, meta: dict | None = None):
@@ -93,11 +170,8 @@ def write_samples(path, ds, meta: dict | None = None):
     header = dict(meta or {})
     header["n_phi"] = ds.n_phi
     header["nblks"] = ds.nblks if ds.nblks is not None else 1
-    lines = [_metadata_line("samples", header), SAMPLES_HEADER]
-    for j, phi, b, x in zip(idx, ds.phases, block, ds.values):
-        lines.append(f"{j},{repr(float(phi))},{int(b)},{repr(float(x))}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, "samples", header, SAMPLES_HEADER,
+                 [idx, ds.phases, block.astype(np.int64, copy=False), ds.values])
 
 
 def read_samples(path):
@@ -109,43 +183,15 @@ def read_samples(path):
     """
     from .reconstruct import QuadratureDataset, _phase_indices
 
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise DataError(f"{path}: file is too short to be a samples CSV")
-    meta = _parse_metadata(lines[0], path, "samples")
-    if lines[1] != SAMPLES_HEADER:
-        raise DataError(
-            f"{path}: line 2: expected column header {SAMPLES_HEADER!r}"
-        )
+    meta, _, rows = _read_lines(path, "samples", SAMPLES_HEADER)
     n_phi = _meta_int(meta, "n_phi", path)
     nblks = _meta_int(meta, "nblks", path)
     for key, count in (("n_phi", n_phi), ("nblks", nblks)):
         if count < 1:
             raise DataError(f"{path}: metadata key {key}={count} must be >= 1")
-    if len(lines) == 2:
+    if not rows:
         raise DataError(f"{path}: no sample rows after the column header")
-    n = len(lines) - 2
-    index = np.empty(n, dtype=np.int64)
-    phases = np.empty(n)
-    values = np.empty(n)
-    block = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[2:], start=3):
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise DataError(f"{path}: line {i}: expected 4 columns, got {len(cells)}")
-        phases[i - 3] = _float(cells[1], path, i)
-        values[i - 3] = _float(cells[3], path, i)
-        try:
-            index[i - 3] = int(cells[0])
-        except ValueError:
-            raise DataError(
-                f"{path}: line {i}: phase_index {cells[0]!r} is not an integer"
-            ) from None
-        try:
-            block[i - 3] = int(cells[2])
-        except ValueError:
-            raise DataError(f"{path}: line {i}: block {cells[2]!r} is not an integer") from None
+    index, phases, block, values = _parse_rows(path, rows, 3, 4, {0: "phase_index", 2: "block"})
     ds = QuadratureDataset(
         phases=phases, values=values, n_phi=n_phi,
         block=block if nblks > 1 else None,
@@ -171,11 +217,8 @@ def write_state(path, state, meta: dict | None = None):
     header = dict(meta or {})
     header["M"] = state.M
     header["deficit"] = float(state.deficit)
-    lines = [_metadata_line("state", header), "n,re,im"]
-    for n, c in enumerate(state.c):
-        lines.append(f"{n},{repr(float(c.real))},{repr(float(c.imag))}")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    c = state.c
+    _write_table(path, "state", header, "n,re,im", [np.arange(c.size), c.real, c.imag])
 
 
 def read_state(path):
@@ -183,32 +226,23 @@ def read_state(path):
     0..M-1 must appear exactly once."""
     from .simulate import FockVector
 
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise DataError(f"{path}: file is too short to be a state CSV")
-    meta = _parse_metadata(lines[0], path, "state")
-    if lines[1] != "n,re,im":
-        raise DataError(f"{path}: line 2: expected column header 'n,re,im'")
+    meta, _, rows = _read_lines(path, "state", "n,re,im")
     M = _meta_int(meta, "M", path)
-    if len(lines) - 2 != M:
-        raise DataError(f"{path}: expected {M} coefficient rows, found {len(lines) - 2}")
+    if len(rows) != M:
+        raise DataError(f"{path}: expected {M} coefficient rows, found {len(rows)}")
+    n, re, im = _parse_rows(path, rows, 3, 3, {0: "index"})
+    repeat = np.ones(M, dtype=bool)
+    repeat[np.unique(n, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeat | (n < 0) | (n >= M))
+    if bad.size:
+        k = int(bad[0])
+        if not 0 <= n[k] < M:
+            raise DataError(f"{path}: line {k + 3}: index {n[k]} outside 0..{M - 1}")
+        first = int(np.argmax(n == n[k]))
+        raise DataError(f"{path}: line {k + 3}: index {n[k]} repeats line {first + 3}")
     c = np.zeros(M, dtype=np.complex128)
-    seen = {}
-    for i, line in enumerate(lines[2:], start=3):
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise DataError(f"{path}: line {i}: expected 3 columns, got {len(cells)}")
-        try:
-            n = int(cells[0])
-        except ValueError:
-            raise DataError(f"{path}: line {i}: index {cells[0]!r} is not an integer") from None
-        if not 0 <= n < M:
-            raise DataError(f"{path}: line {i}: index {n} outside 0..{M - 1}")
-        if n in seen:
-            raise DataError(f"{path}: line {i}: index {n} repeats line {seen[n]}")
-        seen[n] = i
-        c[n] = _float(cells[1], path, i) + 1j * _float(cells[2], path, i)
+    c.real[n] = re
+    c.imag[n] = im
     deficit = float(meta.get("deficit", 0.0))
     return FockVector(M=M, c=c, deficit=deficit), meta
 
@@ -220,29 +254,15 @@ def write_matrix(path, matrix, meta: dict | None = None):
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     header = dict(meta or {})
     header["M"] = matrix.shape[0]
-    lines = [_metadata_line("matrix", header)]
-    for row in matrix:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, "matrix", header, None, list(matrix.T))
 
 
 def read_matrix(path):
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    meta = _parse_metadata(lines[0], path, "matrix")
+    meta, _, rows = _read_lines(path, "matrix", None)
     M = _meta_int(meta, "M", path)
-    if len(lines) - 1 != M:
-        raise DataError(f"{path}: expected {M} rows, found {len(lines) - 1}")
-    out = np.empty((M, M))
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != M:
-            raise DataError(f"{path}: line {i}: expected {M} columns, got {len(cells)}")
-        out[i - 2] = [_float(c, path, i) for c in cells]
-    return out, meta
+    if len(rows) != M:
+        raise DataError(f"{path}: expected {M} rows, found {len(rows)}")
+    return _parse_rows(path, rows, 2, M, {}), meta
 
 
 def write_wigner(path, r, theta, W, meta: dict | None = None):
@@ -252,36 +272,16 @@ def write_wigner(path, r, theta, W, meta: dict | None = None):
     W = np.asarray(W, dtype=np.float64)
     if W.shape != (r.size, theta.size):
         raise ValueError(f"W has shape {W.shape}, expected {(r.size, theta.size)}")
-    lines = [_metadata_line("wigner", dict(meta or {}))]
-    lines.append("r," + ",".join(repr(float(t)) for t in theta))
-    for ri, row in zip(r, W):
-        lines.append(repr(float(ri)) + "," + ",".join(repr(float(v)) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ",".join(["r", *map(repr, theta.tolist())])
+    _write_table(path, "wigner", dict(meta or {}), header, [r, *W.T])
 
 
 def read_wigner(path):
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if len(lines) < 2:
-        raise DataError(f"{path}: file is too short to be a Wigner CSV")
-    meta = _parse_metadata(lines[0], path, "wigner")
-    head = lines[1].split(",")
-    if head[0] != "r":
-        raise DataError(f"{path}: line 2 must start with the corner label 'r'")
-    theta = np.array([_float(c, path, 2) for c in head[1:]])
-    nr = len(lines) - 2
-    r = np.empty(nr)
-    W = np.empty((nr, theta.size))
-    for i, line in enumerate(lines[2:], start=3):
-        cells = line.split(",")
-        if len(cells) != theta.size + 1:
-            raise DataError(
-                f"{path}: line {i}: expected {theta.size + 1} columns, got {len(cells)}"
-            )
-        r[i - 3] = _float(cells[0], path, i)
-        W[i - 3] = [_float(c, path, i) for c in cells[1:]]
-    return r, theta, W, meta
+    meta, head, rows = _read_lines(path, "wigner", "r")
+    _, comma, cells = head.partition(",")
+    theta = _parse_rows(path, [cells], 2, cells.count(",") + 1, {})[0] if comma else np.empty(0)
+    table = _parse_rows(path, rows, 3, theta.size + 1, {})
+    return table[:, 0], theta, table[:, 1:], meta
 
 
 def write_report(path, report: dict):

@@ -39,15 +39,12 @@ class PatternConfig:
     """Parameters shared by all pattern evaluations.
 
     cutoff is the density-matrix dimension M, beta the range-control
-    constant, precision one of {"single", "double"}.  forward_floor guards
-    the forward-branch seed 1/(beta x) against tiny |x|; binned estimators
-    set it to 1e-3 of the bin width.
+    constant, precision one of {"single", "double"}.
     """
 
     cutoff: int
     beta: float
     precision: str = "double"
-    forward_floor: float = 0.0
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -56,8 +53,6 @@ class PatternConfig:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be 'single' or 'double', got {self.precision!r}")
-        if self.forward_floor < 0.0:
-            raise ValueError("forward_floor must be >= 0")
 
     @property
     def dtype(self):
@@ -285,13 +280,6 @@ def _forward_irregular(xa: np.ndarray, cfg: PatternConfig):
     M = cfg.cutoff
     L = M + 2
     dtype = cfg.dtype
-    floor = cfg.forward_floor
-    if np.any(np.abs(xa) <= floor) or np.any(xa == 0.0):
-        i = int(np.argmin(np.abs(xa)))
-        raise NumericalError(
-            f"forward irregular recursion is singular at x={xa[i]:.6g} "
-            f"(|x| <= floor {floor:.3e}); v_0 = 1/(beta x) diverges"
-        )
     v = np.zeros((L, xa.size), dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         v[0] = (1.0 / (cfg.beta * xa)).astype(dtype)

@@ -199,7 +199,7 @@ def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
         k = int(np.argmax(t))
         raise DataError(
             f"phases are not on the equispaced grid 2*pi*j/{ds.n_phi}: "
-            f"sample {k} has phase {ds.phases[k]!r}"
+            f"sample {k} has phase {float(ds.phases[k])!r}"
         )
     if j.size and (j.min() < 0 or j.max() >= ds.n_phi):
         raise DataError("phase indices fall outside 0..n_phi-1")

@@ -13,6 +13,9 @@ import math
 import mpmath as mp
 import numpy as np
 
+from hdtomo.errors import DataError
+from hdtomo.formats import SAMPLES_HEADER, _meta_int, _parse_metadata
+
 
 def u_exact(x: float, n: int, beta: float = 1.0) -> float:
     """Regular solution from the Hermite closed form u_n = beta H_n(sqrt(2) x) / sqrt(2^n n!)."""
@@ -350,3 +353,161 @@ def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,
         err_re_u[rows, rows + d] = G.real.std(axis=1, ddof=1) / math.sqrt(nblks)
         err_im_u[rows, rows + d] = G.imag.std(axis=1, ddof=1) / math.sqrt(nblks)
     return mirror_upper(rho_u, err_re_u, err_im_u)
+
+
+# ---------------------------------------------------------------------------
+# CSV readers with one Python pass per line, the form the formats module
+# had before its single loadtxt reader; the metadata helpers are the
+# library's.
+
+def _float(cell: str, path, lineno: int) -> float:
+    try:
+        v = float(cell)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: {cell!r} is not a number") from None
+    if not math.isfinite(v):
+        raise DataError(f"{path}: line {lineno}: non-finite value {cell!r}")
+    return v
+
+
+def read_samples_by_line(path):
+    """Read a samples CSV; returns (QuadratureDataset, metadata dict).
+
+    The metadata counts n_phi and nblks must be at least 1, the
+    phase_index column must agree with phase_radians on the grid of n_phi
+    phases, and the file must hold at least one sample row.
+    """
+    from hdtomo.reconstruct import QuadratureDataset, _phase_indices
+
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < 2:
+        raise DataError(f"{path}: file is too short to be a samples CSV")
+    meta = _parse_metadata(lines[0], path, "samples")
+    if lines[1] != SAMPLES_HEADER:
+        raise DataError(
+            f"{path}: line 2: expected column header {SAMPLES_HEADER!r}"
+        )
+    n_phi = _meta_int(meta, "n_phi", path)
+    nblks = _meta_int(meta, "nblks", path)
+    for key, count in (("n_phi", n_phi), ("nblks", nblks)):
+        if count < 1:
+            raise DataError(f"{path}: metadata key {key}={count} must be >= 1")
+    if len(lines) == 2:
+        raise DataError(f"{path}: no sample rows after the column header")
+    n = len(lines) - 2
+    index = np.empty(n, dtype=np.int64)
+    phases = np.empty(n)
+    values = np.empty(n)
+    block = np.empty(n, dtype=np.int64)
+    for i, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
+        if len(cells) != 4:
+            raise DataError(f"{path}: line {i}: expected 4 columns, got {len(cells)}")
+        phases[i - 3] = _float(cells[1], path, i)
+        values[i - 3] = _float(cells[3], path, i)
+        try:
+            index[i - 3] = int(cells[0])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {i}: phase_index {cells[0]!r} is not an integer"
+            ) from None
+        try:
+            block[i - 3] = int(cells[2])
+        except ValueError:
+            raise DataError(f"{path}: line {i}: block {cells[2]!r} is not an integer") from None
+    ds = QuadratureDataset(
+        phases=phases, values=values, n_phi=n_phi,
+        block=block if nblks > 1 else None,
+        nblks=nblks if nblks > 1 else None,
+    )
+    try:
+        expected = _phase_indices(ds)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(index != expected)
+    if bad.size:
+        k = int(bad[0])
+        raise DataError(
+            f"{path}: line {k + 3}: phase_index {index[k]} does not match "
+            f"phase_radians {float(phases[k])!r}, which is grid index {expected[k]} "
+            f"of n_phi={n_phi}"
+        )
+    return ds, meta
+
+
+def read_state_by_line(path):
+    """Read a state CSV; returns (FockVector, metadata dict).  Each index
+    0..M-1 must appear exactly once."""
+    from hdtomo.simulate import FockVector
+
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < 2:
+        raise DataError(f"{path}: file is too short to be a state CSV")
+    meta = _parse_metadata(lines[0], path, "state")
+    if lines[1] != "n,re,im":
+        raise DataError(f"{path}: line 2: expected column header 'n,re,im'")
+    M = _meta_int(meta, "M", path)
+    if len(lines) - 2 != M:
+        raise DataError(f"{path}: expected {M} coefficient rows, found {len(lines) - 2}")
+    c = np.zeros(M, dtype=np.complex128)
+    seen = {}
+    for i, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
+        if len(cells) != 3:
+            raise DataError(f"{path}: line {i}: expected 3 columns, got {len(cells)}")
+        try:
+            n = int(cells[0])
+        except ValueError:
+            raise DataError(f"{path}: line {i}: index {cells[0]!r} is not an integer") from None
+        if not 0 <= n < M:
+            raise DataError(f"{path}: line {i}: index {n} outside 0..{M - 1}")
+        if n in seen:
+            raise DataError(f"{path}: line {i}: index {n} repeats line {seen[n]}")
+        seen[n] = i
+        c[n] = _float(cells[1], path, i) + 1j * _float(cells[2], path, i)
+    deficit = float(meta.get("deficit", 0.0))
+    return FockVector(M=M, c=c, deficit=deficit), meta
+
+
+def read_matrix_by_line(path):
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    meta = _parse_metadata(lines[0], path, "matrix")
+    M = _meta_int(meta, "M", path)
+    if len(lines) - 1 != M:
+        raise DataError(f"{path}: expected {M} rows, found {len(lines) - 1}")
+    out = np.empty((M, M))
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != M:
+            raise DataError(f"{path}: line {i}: expected {M} columns, got {len(cells)}")
+        out[i - 2] = [_float(c, path, i) for c in cells]
+    return out, meta
+
+
+def read_wigner_by_line(path):
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if len(lines) < 2:
+        raise DataError(f"{path}: file is too short to be a Wigner CSV")
+    meta = _parse_metadata(lines[0], path, "wigner")
+    head = lines[1].split(",")
+    if head[0] != "r":
+        raise DataError(f"{path}: line 2 must start with the corner label 'r'")
+    theta = np.array([_float(c, path, 2) for c in head[1:]])
+    nr = len(lines) - 2
+    r = np.empty(nr)
+    W = np.empty((nr, theta.size))
+    for i, line in enumerate(lines[2:], start=3):
+        cells = line.split(",")
+        if len(cells) != theta.size + 1:
+            raise DataError(
+                f"{path}: line {i}: expected {theta.size + 1} columns, got {len(cells)}"
+            )
+        r[i - 3] = _float(cells[0], path, i)
+        W[i - 3] = [_float(c, path, i) for c in cells[1:]]
+    return r, theta, W, meta

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import hdtomo
+import oracles
 from hdtomo import cli, formats
 from hdtomo.errors import DataError
+from hdtomo.reconstruct import QuadratureDataset
 from hdtomo.simulate import (
+    FockVector,
     SimulationPlan,
     make_state,
     marginals,
@@ -199,6 +202,91 @@ def test_metadata_values_may_not_contain_spaces(tmp_path):
         formats.write_samples(tmp_path / "x.csv", ds, meta={"note": "two words"})
 
 
+# Cells a single fault can leave: unreadable, blank, non-finite, a float
+# where an integer belongs, padded, signed, or a '#' that is not a comment.
+_PYTHON_ONLY = "1_0"
+_HUGE = "9" * 20
+_BAD_CELLS = ["x", "", " ", "nan", "-inf", "1e400", "1.7", "-0", "+1", " 2 ",
+              "#1", "2#", "1e3", "0x1", "4.5e-320", _PYTHON_ONLY, _HUGE]
+_HEADER_ROW = "header row"
+
+
+def _mutations(text):
+    """Single-fault variants of a CSV text: one cell replaced; one line
+    with a cell too many or too few, commented, blanked, padded, dropped,
+    doubled or after a blank line; or the file's line ends changed."""
+    lines = text.splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        for k in range(len(cells)):
+            for bad in _BAD_CELLS:
+                yield bad, lines[:i] + [",".join(cells[:k] + [bad] + cells[k + 1:])] + lines[i + 1:]
+        for changed in ([lines[i] + ","], [",".join(cells[1:])], ["#" + lines[i]], [""],
+                        [], ["", lines[i]], [lines[i] + " "], [lines[i]] * 2):
+            doubled_header = i == 1 and changed == [lines[1]] * 2
+            yield _HEADER_ROW if doubled_header else None, lines[:i] + changed + lines[i + 1:]
+    yield None, [text.replace("\n", "\r\n")]
+    yield None, [text.rstrip("\n")]
+    yield None, [text, "#"]
+    yield None, [text]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and _same(tuple(vars(a).values()), tuple(vars(b).values()))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    return a == b
+
+
+def test_readers_match_line_oracles_on_single_faults(tmp_path):
+    # Each variant gives the line-by-line reader's values or its DataError
+    # text.  The exceptions are cells Python reads and numpy does not: digit
+    # grouping (1_0), and integers beyond int64, on which the old samples
+    # reader crashed with OverflowError.  Those are DataErrors now.  A
+    # header line repeated as a row has several bad cells; the two readers
+    # name the same line but may name different cells of it.
+    ds = QuadratureDataset(np.array([0.0, math.pi, math.pi, 0.0]),
+                           np.array([0.5, -1.25, 3e-300, -0.0]), n_phi=2,
+                           block=np.array([0, 0, 1, 1]), nblks=2)
+    writers = [
+        (lambda p: formats.write_samples(p, ds, meta={"seed": 3}),
+         formats.read_samples, oracles.read_samples_by_line),
+        (lambda p: formats.write_state(p, FockVector(3, np.array([0.6, 0.8j, -0.0]), 1e-3)),
+         formats.read_state, oracles.read_state_by_line),
+        (lambda p: formats.write_matrix(p, [[1.0, -2.5e-8], [0.0, 7.0]]),
+         formats.read_matrix, oracles.read_matrix_by_line),
+        (lambda p: formats.write_wigner(p, [0.0, 1.5], [0.0, 3.0], [[0.25, -1.0], [2.0, 5e-3]]),
+         formats.read_wigner, oracles.read_wigner_by_line),
+    ]
+    p = tmp_path / "t.csv"
+    count = 0
+    for write, read, oracle in writers:
+        write(p)
+        for bad, lines in _mutations(p.read_text()):
+            p.write_text("\n".join(lines) + "\n", newline="")
+            if bad in (_PYTHON_ONLY, _HUGE):
+                new = _outcome(read, p)
+                assert isinstance(new, str) or _same(new, _outcome(oracle, p)), lines
+            elif bad == _HEADER_ROW:
+                new, old = _outcome(read, p), _outcome(oracle, p)
+                assert new.split(": ")[:2] == old.split(": ")[:2], (new, old)
+            else:
+                new, old = _outcome(read, p), _outcome(oracle, p)
+                assert _same(new, old), (lines, new, old)
+            count += 1
+    assert count > 500
+
+
 # ---------------------------------------------------------------------------
 # cmd_simulate
 
@@ -319,12 +407,26 @@ def test_cli_config_overrides_flags(tmp_path):
     assert formats.read_report(rec / "report.json")["n_bin"] == 64
 
 
+def test_cli_config_levels_take_a_list(tmp_path):
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"version": 1, "state": "fock", "levels": [0, 2]}))
+    out = tmp_path / "run"
+    assert _run("simulate", "-M", "4", "--n-phi", "4", "--nsamples", "2",
+                "--config", cfgp, "--out-dir", out) == 0
+    state, meta = formats.read_state(out / "state.csv")
+    assert meta["levels"] == "0+2"
+    assert np.flatnonzero(state.c).tolist() == [0, 2]
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("n_bin", "40", "config key 'n_bin' must be an integer, got '40'"),
     ("estimator", "bogus", "config key 'estimator' must be one of auto, binned, "
                            "unbinned, block, got 'bogus'"),
     ("bin_correction", "yes", "config key 'bin_correction' must be true or false, "
                               "got 'yes'"),
+    ("out_dir", 5, "config key 'out_dir' must be a string, got 5"),
+    ("samples", ["a"], "config key 'samples' must be a string, got ['a']"),
+    ("out_dir", None, "config key 'out_dir' must be a string, got None"),
 ])
 def test_cli_config_checks_types_and_choices(tmp_path, capsys, key, value, message):
     sim = _simulated_dir(tmp_path)

@@ -162,13 +162,6 @@ def test_irregular_forward_branch():
     assert np.all(vt == scale * v)
 
 
-def test_forward_floor_guard():
-    cfg = PatternConfig(cutoff=1, beta=1.0, forward_floor=10.0)
-    assert not in_safe_region(3.0, 1)
-    with pytest.raises(NumericalError, match="singular"):
-        irregular_sequence(3.0, cfg)
-
-
 def test_irregular_mixed_regions_rejected():
     cfg = PatternConfig(cutoff=4, beta=1.0)
     with pytest.raises(ValueError, match="both regions"):
@@ -366,8 +359,6 @@ def test_config_validation():
         PatternConfig(cutoff=4, beta=math.inf)
     with pytest.raises(ValueError):
         PatternConfig(cutoff=4, beta=1.0, precision="half")
-    with pytest.raises(ValueError):
-        PatternConfig(cutoff=4, beta=1.0, forward_floor=-1.0)
     assert PatternConfig(cutoff=4, beta=1.0).dtype is np.float64
     assert PatternConfig(cutoff=4, beta=1.0, precision="single").dtype is np.float32
 

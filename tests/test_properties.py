@@ -1,14 +1,20 @@
 """Property tests over random small inputs (hypothesis)."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
+from hdtomo import formats
 from hdtomo.patterns import PatternConfig, choose_beta
 from hdtomo.reconstruct import QuadratureDataset, _bin_index, estimate_unbinned
+from hdtomo.simulate import FockVector
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -47,3 +53,75 @@ def test_bin_index_matches_searchsorted(lo, width, n_bin, data):
                         np.nextafter(edges, np.inf), inside])
     expected = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bin - 1)
     assert np.array_equal(_bin_index(x, edges), expected)
+
+
+# finite doubles, with the signed zero, subnormals and the largest magnitudes
+_DOUBLES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def _doubles(data, *shape):
+    return data.draw(arrays(np.float64, shape, elements=_DOUBLES))
+
+
+def _draw_samples(data):
+    n_phi, nblks, N = (data.draw(st.integers(1, k)) for k in (5, 3, 20))
+    j = data.draw(arrays(np.int64, N, elements=st.integers(0, n_phi - 1)))
+    block = data.draw(arrays(np.int64, N, elements=st.integers(0, nblks - 1)))
+    return (QuadratureDataset(2.0 * math.pi * j / n_phi, _doubles(data, N), n_phi,
+                              block if nblks > 1 else None, nblks if nblks > 1 else None),)
+
+
+def _draw_state(data):
+    M = data.draw(st.integers(1, 6))
+    c = np.empty(M, dtype=np.complex128)
+    c.real, c.imag = _doubles(data, M), _doubles(data, M)
+    return (FockVector(M, c, data.draw(_DOUBLES)),)
+
+
+def _draw_matrix(data):
+    M = data.draw(st.integers(1, 6))
+    return (_doubles(data, M, M),)
+
+
+def _draw_wigner(data):
+    nr, nt = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    return _doubles(data, nr), _doubles(data, nt), _doubles(data, nr, nt)
+
+
+_DRAW = {
+    "samples": _draw_samples,
+    "state": _draw_state,
+    "matrix": _draw_matrix,
+    "wigner": _draw_wigner,
+}
+
+
+def _bits(objs):
+    """dtype, shape and bytes of every array in a format's arguments."""
+    out = []
+    for obj in objs:
+        if isinstance(obj, QuadratureDataset):
+            out += [obj.phases, obj.values, obj.block]
+        elif isinstance(obj, FockVector):
+            out += [obj.c, np.float64(obj.deficit)]
+        else:
+            out.append(obj)
+    return [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+@pytest.mark.parametrize("kind", list(_DRAW))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_round_trip_is_exact(kind, data):
+    write = getattr(formats, f"write_{kind}")
+    read = getattr(formats, f"read_{kind}")
+    args = _DRAW[kind](data)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        write(first, *args)
+        *back, meta = read(first)
+        assert _bits(back) == _bits(args)
+        write(second, *back, meta=meta)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()

@@ -189,7 +189,7 @@ def test_bin_requires_every_phase_row():
 
 def test_bin_rejects_off_grid_phases():
     ds = QuadratureDataset(np.array([0.0, 0.77]), np.zeros(2), n_phi=2)
-    with pytest.raises(DataError, match="equispaced"):
+    with pytest.raises(DataError, match="equispaced.*: sample 1 has phase 0.77$"):
         bin(ds, n_bin=4)
 
 
