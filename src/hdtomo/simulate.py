@@ -7,9 +7,11 @@ are computed analytically from the coefficients,
 
 with psi_n the oscillator eigenfunctions in the convention psi_0(x) =
 (2/pi)^{1/4} e^{-x^2} (vacuum quadrature variance 1/4), and samples are
-drawn by inverse-CDF interpolation on a tabulated grid.  Sampling is
-deterministic given the plan seed; each phase gets its own substream, so
-results do not depend on evaluation order.
+drawn by inverse-CDF interpolation on a tabulated grid.  marginals and
+sample walk the table in chunks of rows of about _CHUNK entries with
+scratch buffers reused from chunk to chunk, so their memory is the table
+plus a fixed amount of scratch.  Sampling is deterministic given the plan
+seed: phase j's draws depend only on (seed, j) and table row j.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.special import gammaln
 
 from .errors import DataError
@@ -35,6 +36,11 @@ from .reconstruct import (
 
 TRUNCATION_WARN = 1e-6
 TRUNCATION_FAIL = 1e-2
+
+# Table entries per chunk of rows in marginals and sample (4 rows at 2^17
+# grid points, 128 at 4096): their scratch stays cache-sized however large
+# the table is.
+_CHUNK = 2**19
 
 
 @dataclass
@@ -158,28 +164,62 @@ def phase_grid(n_phi: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
+def _chunk_rows(n_points: int) -> int:
+    """Table rows per chunk: _CHUNK entries, never fewer than two rows,
+    because numpy sends a one-row product to BLAS's matrix-vector kernel,
+    which rounds differently from the matrix-matrix kernel."""
+    return max(2, _CHUNK // n_points)
+
+
+def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-row trapezoid terms (p[:, 1:] + p[:, :-1]) * dx / 2, written to
+    out, in the order scipy's trapezoid rules use.  Their sum is a row's
+    mass, their cumulative sum its unnormalised CDF."""
+    np.add(p[:, 1:], p[:, :-1], out=out)
+    out *= dx
+    out /= 2.0
+    return out
+
+
 def marginals(state: FockVector, phases, x) -> MarginalTable:
-    """Analytic quadrature distributions of the state at the given phases."""
+    """Analytic quadrature distributions of the state at the given phases.
+
+    The table is filled in chunks of rows of about _CHUNK entries.  Per
+    chunk: one complex matrix product into a reused buffer, |amp|^2
+    written into the table rows, their trapezoid mass, and their
+    normalisation while the chunk is still in cache.  Memory is the table
+    plus a fixed amount of scratch.  Every entry goes through the same
+    operations in the same order as in a whole-table evaluation.
+    """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     support = np.flatnonzero(np.abs(state.c) > 0.0)
-    psi = _wavefunction_rows(x, support)
+    psi = _wavefunction_rows(x, support).astype(np.complex128)
     rot = np.exp(-1j * np.outer(phases, support)) * state.c[support]
-    p = np.empty((phases.size, x.size))
-    mass = np.empty(phases.size)
-    # chunk the complex amplitude so big (n_phi, grid) tables stay cheap
-    step = max(1, int(2.5e8 // (16 * x.size)))
-    for a in range(0, phases.size, step):
-        amp = rot[a:a + step] @ psi
-        p[a:a + step] = amp.real**2 + amp.imag**2
-        mass[a:a + step] = trapezoid(p[a:a + step], x, axis=1)
+    n_phi = phases.size
+    p = np.empty((n_phi, x.size))
+    mass = np.empty(n_phi)
+    dx = np.diff(x)
+    rows = min(_chunk_rows(x.size), n_phi)
+    amp = np.empty((rows, x.size), dtype=np.complex128)
+    imag2 = np.empty((rows, x.size))
+    terms = np.empty((rows, x.size - 1))
+    for a in range(0, n_phi, rows):
+        a = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
+        chunk = p[a:a + rows]
+        np.matmul(rot[a:a + rows], psi, out=amp)
+        np.multiply(amp.real, amp.real, out=chunk)
+        np.multiply(amp.imag, amp.imag, out=imag2)
+        chunk += imag2
+        m = mass[a:a + rows] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
+        if not np.any(m < 0.999):
+            chunk /= m[:, None]
     if np.any(mass < 0.999):
         j = int(np.argmin(mass))
         raise DataError(
             f"marginal grid too narrow: phase {phases[j]:.4f} keeps only "
             f"{mass[j]:.6f} of its probability mass; widen the x grid"
         )
-    p /= mass[:, None]
     return MarginalTable(phases=phases, x=x, p=p)
 
 
@@ -207,24 +247,68 @@ class SimulationPlan:
 def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     """Draw the planned dataset from tabulated marginals by inverse CDF.
 
-    Per phase j the generator is seeded from (plan.seed, j), so any subset
-    of phases reproduces identically regardless of evaluation order.
+    The table is read in chunks of rows of about _CHUNK entries; per chunk
+    the trapezoid terms, their cumulative sum and its normalisation form
+    the CDF rows in reused buffers.  Phase j's draws depend only on
+    (plan.seed, j) and table row j: its generator is seeded from
+    SeedSequence((plan.seed, j)), so a run over a prefix of the phases
+    reproduces that prefix.  Each phase's draws are interpolated in sorted
+    order and put back in draw order.
+
+    Raises ValueError when the table's shapes do not fit together, and
+    DataError naming the phase index when a row has a negative entry or a
+    trapezoid total that is not positive and finite.
     """
     n_phi = table.phases.size
     if n_phi != plan.n_phi:
         raise ValueError(
             f"plan.n_phi = {plan.n_phi} but the marginal table has {n_phi} phases"
         )
+    x, p = table.x, table.p
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError(f"the marginal table needs an x grid of at least 2 points, "
+                         f"got shape {x.shape}")
+    if p.shape != (n_phi, x.size):
+        raise ValueError(f"the marginal table's p has shape {p.shape}, "
+                         f"expected {(n_phi, x.size)}")
     draws = plan.nsamples * plan.nblks
     values = np.empty(n_phi * draws)
-    x = table.x
-    for j in range(n_phi):
-        cdf = cumulative_trapezoid(table.p[j], x, initial=0.0)
-        cdf /= cdf[-1]
-        keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-        rng = np.random.default_rng(np.random.SeedSequence((plan.seed, j)))
-        u = rng.random(draws)
-        values[j * draws:(j + 1) * draws] = np.interp(u, cdf[keep], x[keep])
+    dx = np.diff(x)
+    rows = min(_chunk_rows(x.size), n_phi)
+    # column 0 is never written: every CDF starts at 0, and its first
+    # point is always kept
+    cdf = np.zeros((rows, x.size))
+    keep = np.ones((rows, x.size), dtype=bool)
+    u = np.empty(draws)
+    for a in range(0, n_phi, rows):
+        n = min(rows, n_phi - a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _trapezoid_terms(p[a:a + n], dx, cdf[:n, 1:])
+            np.cumsum(terms, axis=1, out=terms)
+        total = cdf[:n, -1].copy()
+        low = p[a:a + n].min(axis=1)
+        bad = np.flatnonzero((low < 0.0) | ~(np.isfinite(total) & (total > 0.0)))
+        if bad.size:
+            i = bad[0]
+            if low[i] < 0.0:
+                raise DataError(f"marginal table phase {a + i} has a negative "
+                                f"density {low[i]:.6g}")
+            raise DataError(f"marginal table phase {a + i} has probability mass "
+                            f"{total[i]:.6g}; it must be positive and finite")
+        cdf[:n] /= total[:, None]
+        # interp needs rising abscissae: of each flat run of the CDF only the
+        # first point is kept (for finite doubles, b > a iff b - a > 0)
+        np.greater(cdf[:n, 1:], cdf[:n, :-1], out=keep[:n, 1:])
+        for i in range(n):
+            j = a + i
+            if keep[i].all():
+                cdf_j, x_j = cdf[i], x
+            else:
+                cdf_j, x_j = cdf[i][keep[i]], x[keep[i]]
+            rng = np.random.default_rng(np.random.SeedSequence((plan.seed, j)))
+            rng.random(out=u)
+            order = np.argsort(u)
+            values[j * draws:(j + 1) * draws][order] = np.interp(u[order], cdf_j, x_j)
     phases = np.repeat(table.phases, draws)
     block = np.tile(
         np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi

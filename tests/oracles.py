@@ -5,16 +5,21 @@ the double recursions are delicate, brute-force sums where the library
 uses transforms or matrix products.  The estimator loops and
 biorthogonality_defect use hdtomo's pattern tables, to check what the
 library builds on them; the loops write the kernel rows out themselves
-(kernel_rows) rather than calling the library's kernel.
+(kernel_rows) rather than calling the library's kernel.  marginals_whole,
+sample_by_phase and the read_*_by_line readers are the library's earlier
+code, kept to show that what replaced them gives the same results.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from hdtomo.errors import DataError
 from hdtomo.formats import SAMPLES_HEADER, _meta_int, _parse_metadata
+from hdtomo.reconstruct import QuadratureDataset
+from hdtomo.simulate import MarginalTable, _wavefunction_rows
 
 
 def u_exact(x: float, n: int, beta: float = 1.0) -> float:
@@ -68,6 +73,58 @@ def regular_rows(x, h0, count):
         ht[n] = 2.0 * x * h[n - 1] - math.sqrt(n - 1) * h[n - 2]
         h[n] = ht[n] / math.sqrt(n)
     return ht, h
+
+
+def marginals_whole(state, phases, x):
+    """simulate.marginals as one pass over slabs of up to 2.5e8 bytes of
+    complex amplitude, with fresh temporaries and scipy's trapezoid."""
+    phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    support = np.flatnonzero(np.abs(state.c) > 0.0)
+    psi = _wavefunction_rows(x, support)
+    rot = np.exp(-1j * np.outer(phases, support)) * state.c[support]
+    p = np.empty((phases.size, x.size))
+    mass = np.empty(phases.size)
+    step = max(1, int(2.5e8 // (16 * x.size)))
+    for a in range(0, phases.size, step):
+        amp = rot[a:a + step] @ psi
+        p[a:a + step] = amp.real**2 + amp.imag**2
+        mass[a:a + step] = trapezoid(p[a:a + step], x, axis=1)
+    if np.any(mass < 0.999):
+        j = int(np.argmin(mass))
+        raise DataError(
+            f"marginal grid too narrow: phase {phases[j]:.4f} keeps only "
+            f"{mass[j]:.6f} of its probability mass; widen the x grid"
+        )
+    p /= mass[:, None]
+    return MarginalTable(phases=phases, x=x, p=p)
+
+
+def sample_by_phase(table, plan):
+    """simulate.sample as one CDF per phase from scipy's
+    cumulative_trapezoid, interpolated at the unsorted draws."""
+    n_phi = table.phases.size
+    if n_phi != plan.n_phi:
+        raise ValueError(
+            f"plan.n_phi = {plan.n_phi} but the marginal table has {n_phi} phases"
+        )
+    draws = plan.nsamples * plan.nblks
+    values = np.empty(n_phi * draws)
+    x = table.x
+    for j in range(n_phi):
+        cdf = cumulative_trapezoid(table.p[j], x, initial=0.0)
+        cdf /= cdf[-1]
+        keep = np.concatenate(([True], np.diff(cdf) > 0.0))
+        rng = np.random.default_rng(np.random.SeedSequence((plan.seed, j)))
+        u = rng.random(draws)
+        values[j * draws:(j + 1) * draws] = np.interp(u, cdf[keep], x[keep])
+    phases = np.repeat(table.phases, draws)
+    block = np.tile(
+        np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi
+    )
+    return QuadratureDataset(
+        phases=phases, values=values, n_phi=n_phi, block=block, nblks=plan.nblks
+    )
 
 
 def dft_direct(S: np.ndarray) -> np.ndarray:

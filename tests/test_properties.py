@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from hdtomo import formats
+from hdtomo import formats, simulate
 from hdtomo.patterns import PatternConfig, choose_beta
 from hdtomo.reconstruct import QuadratureDataset, _bin_index, estimate_unbinned
-from hdtomo.simulate import FockVector
+from hdtomo.simulate import FockVector, MarginalTable, SimulationPlan
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -53,6 +53,41 @@ def test_bin_index_matches_searchsorted(lo, width, n_bin, data):
                         np.nextafter(edges, np.inf), inside])
     expected = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bin - 1)
     assert np.array_equal(_bin_index(x, edges), expected)
+
+
+def _zero_runs(data, n_x):
+    """A row mask with runs of exact zeros at both ends and one inside,
+    leaving at least one entry standing."""
+    lead = data.draw(st.integers(0, n_x - 1))
+    trail = data.draw(st.integers(0, n_x - 1 - lead))
+    start = data.draw(st.integers(0, n_x))
+    stop = data.draw(st.integers(start, n_x))
+    zero = np.zeros(n_x, dtype=bool)
+    zero[:lead] = zero[n_x - trail:] = zero[start:stop] = True
+    zero[data.draw(st.integers(lead, n_x - 1 - trail))] = False
+    return zero
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_chunked_sampler_matches_per_phase_oracle(data):
+    n_x = data.draw(st.integers(2, 300), label="grid points")
+    n_phi = data.draw(st.integers(1, 40), label="n_phi")
+    draws = data.draw(st.integers(1, 60), label="draws per phase")
+    chunk = data.draw(st.integers(1, 3 * n_x), label="_CHUNK")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = np.cumsum(rng.uniform(0.01, 1.0, n_x)) - 0.5 * n_x
+    # entries over 200 decades, so some CDF steps also round away to flat
+    p = rng.random((n_phi, n_x)) * 10.0 ** rng.integers(-100, 100, (n_phi, n_x))
+    for row in p:
+        row[_zero_runs(data, n_x)] = 0.0
+    table = MarginalTable(phases=2.0 * math.pi * np.arange(n_phi) / n_phi, x=x, p=p)
+    plan = SimulationPlan(nsamples=draws, nblks=1, n_phi=n_phi,
+                          seed=data.draw(st.integers(0, 2**32 - 1), label="plan seed"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", chunk)
+        ds = simulate.sample(table, plan)
+    assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
 
 
 # finite doubles, with the signed zero, subnormals and the largest magnitudes

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import kstest
 
 import oracles
-from hdtomo import patterns
+from hdtomo import patterns, simulate
 from hdtomo.errors import DataError
 from hdtomo.simulate import (
     TRUNCATION_FAIL,
@@ -192,6 +192,102 @@ def test_marginal_grid_too_narrow():
         marginals(state, [0.0], np.linspace(-1.0, 1.0, 256))
 
 
+# (state, grid points): the Fock pair's tails are exact zeros, and every
+# state's CDF goes flat where its steps drop below rounding (the keep path)
+_ORACLE_STATES = {
+    "fock-pair": (("fock_superposition", [600, 700], 800), 8192),
+    "cat": (("cat", 3.0, 64), 4096),
+    "coherent": (("coherent", 1.5 + 0.5j, 32), 2048),
+}
+
+
+def _set_chunk(monkeypatch, chunk, n_points):
+    """_CHUNK for one table row count: 'default', 3 rows per chunk, or a
+    grid longer than one chunk."""
+    if chunk == "3 rows":
+        monkeypatch.setattr(simulate, "_CHUNK", 3 * n_points)
+    elif chunk == "row > chunk":
+        monkeypatch.setattr(simulate, "_CHUNK", n_points // 3)
+
+
+@pytest.mark.parametrize("chunk", ["default", "3 rows", "row > chunk"])
+@pytest.mark.parametrize("name", list(_ORACLE_STATES))
+def test_chunked_simulator_matches_whole_table_oracles(name, chunk, monkeypatch):
+    args, n_points = _ORACLE_STATES[name]
+    state = make_state(*args)
+    x = quadrature_grid(state.M, n_points)
+    _set_chunk(monkeypatch, chunk, n_points)
+    # 7 phases: not a multiple of 3 (or 2) rows per chunk
+    table = marginals(state, phase_grid(7), x)
+    assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
+    plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
+    ds, ref = sample(table, plan), oracles.sample_by_phase(table, plan)
+    for field in ("values", "phases", "block"):
+        assert np.array_equal(getattr(ds, field), getattr(ref, field))
+
+
+@pytest.mark.parametrize("chunk", ["default", "3 rows"])
+def test_sampler_uniform_table_matches_oracle(chunk, monkeypatch):
+    # a strictly increasing CDF: no entry is dropped before interpolating
+    x = np.linspace(-2.0, 3.0, 512)
+    _set_chunk(monkeypatch, chunk, x.size)
+    table = MarginalTable(phases=phase_grid(5), x=x, p=np.ones((5, x.size)))
+    plan = SimulationPlan(nsamples=2000, nblks=1, n_phi=5, seed=4)
+    assert np.array_equal(sample(table, plan).values,
+                          oracles.sample_by_phase(table, plan).values)
+
+
+@pytest.mark.parametrize("chunk", ["default", "3 rows"])
+def test_marginal_grid_too_narrow_message_matches_oracle(chunk, monkeypatch):
+    # every phase but 3.0 keeps enough mass; the one named is the worst over
+    # all chunks, not the first bad one
+    state = make_state("coherent", 3.0, 32)
+    phases = [0.0, 0.1, 0.2, 0.3, 3.0, 0.4, 0.5, 2.0]
+    x = np.linspace(0.0, 6.0, 256)
+    _set_chunk(monkeypatch, chunk, x.size)
+    with pytest.raises(DataError) as new:
+        marginals(state, phases, x)
+    with pytest.raises(DataError) as old:
+        oracles.marginals_whole(state, phases, x)
+    assert str(new.value) == str(old.value)
+    assert "phase 3.0000 keeps only 0.000000" in str(new.value)
+
+
+def _bad_table(bad_row):
+    x = np.linspace(-4.0, 4.0, 64)
+    p = np.tile(np.exp(-x * x), (3, 1))
+    p[1] = bad_row(x)
+    return MarginalTable(phases=phase_grid(3), x=x, p=p)
+
+
+@pytest.mark.parametrize("bad_row, match", [
+    (np.zeros_like, "phase 1 has probability mass 0;"),
+    (lambda x: np.where(x > 3.9, 5e-324, 0.0), "phase 1 has probability mass 0;"),
+    (lambda x: np.full_like(x, np.nan), "phase 1 has probability mass nan;"),
+    (lambda x: np.full_like(x, np.inf), "phase 1 has probability mass inf;"),
+    (lambda x: np.full_like(x, 1.7e308), "phase 1 has probability mass inf;"),
+    (lambda x: np.exp(-x * x) - 1e-3, "phase 1 has a negative density -0.000999"),
+    (lambda x: np.where(x > 0.0, 1.0, -np.inf), "phase 1 has a negative density -inf"),
+])
+def test_sampler_rejects_rows_without_a_density(bad_row, match):
+    # unchecked, these draw x[0] for every sample (no mass) or sample a
+    # non-monotone CDF (negative entries), with at most a RuntimeWarning
+    plan = SimulationPlan(nsamples=10, nblks=1, n_phi=3, seed=0)
+    with pytest.raises(DataError, match=match):
+        sample(_bad_table(bad_row), plan)
+
+
+def test_sampler_checks_table_shapes():
+    x = np.linspace(-4.0, 4.0, 64)
+    plan = SimulationPlan(nsamples=10, nblks=1, n_phi=3, seed=0)
+    with pytest.raises(ValueError, match=r"p has shape \(3, 63\), expected \(3, 64\)"):
+        sample(MarginalTable(phase_grid(3), x, np.ones((3, 63))), plan)
+    with pytest.raises(ValueError, match=r"p has shape \(192,\)"):
+        sample(MarginalTable(phase_grid(3), x, np.ones(192)), plan)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        sample(MarginalTable(phase_grid(3), x[:1], np.ones((3, 1))), plan)
+
+
 def test_sampler_is_deterministic():
     state = make_state("cat", 1.5, 24)
     x = quadrature_grid(24, 2048)
@@ -206,8 +302,8 @@ def test_sampler_is_deterministic():
 
 
 def test_sampler_per_phase_streams():
-    # each phase owns an independent generator keyed by (seed, phase index),
-    # so a run over fewer phases reproduces the shared prefix
+    # phase j's draws depend only on (seed, j) and table row j, so a run
+    # over a prefix of the phases reproduces that prefix
     state = make_state("coherent", 1.0, 16)
     x = quadrature_grid(16, 2048)
     full = sample(marginals(state, phase_grid(4), x),
