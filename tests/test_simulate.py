@@ -193,7 +193,8 @@ def test_marginal_grid_too_narrow():
 
 
 # (state, grid points): the Fock pair's tails are exact zeros, and every
-# state's CDF goes flat where its steps drop below rounding (the keep path)
+# state's CDF goes flat where its steps drop below rounding, so the sampler
+# drops points of flat runs
 _ORACLE_STATES = {
     "fock-pair": (("fock_superposition", [600, 700], 800), 8192),
     "cat": (("cat", 3.0, 64), 4096),
@@ -220,6 +221,8 @@ def test_chunked_simulator_matches_whole_table_oracles(name, chunk, monkeypatch)
     # 7 phases: not a multiple of 3 (or 2) rows per chunk
     table = marginals(state, phase_grid(7), x)
     assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
+    # no phases: an empty (0, len(x)) table, as the whole-table code gave
+    assert np.array_equal(marginals(state, [], x).p, oracles.marginals_whole(state, [], x).p)
     plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
     ds, ref = sample(table, plan), oracles.sample_by_phase(table, plan)
     for field in ("values", "phases", "block"):
