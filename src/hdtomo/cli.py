@@ -267,7 +267,7 @@ def cmd_reconstruct(args) -> int:
                                  precision=args.precision)
     kind = args.estimator
     if kind == "auto":
-        kind = "block" if (ds.nblks or 0) >= 2 else "binned"
+        kind = "block" if ds.nblks >= 2 else "binned"
     if kind == "binned":
         sino = reconstruct.bin(ds, args.n_bin)
         est = reconstruct.estimate_binned(

@@ -166,12 +166,11 @@ def write_samples(path, ds, meta: dict | None = None):
     from .reconstruct import _phase_indices
 
     idx = _phase_indices(ds)
-    block = ds.block if ds.block is not None else np.zeros(ds.N, dtype=np.int64)
     header = dict(meta or {})
     header["n_phi"] = ds.n_phi
-    header["nblks"] = ds.nblks if ds.nblks is not None else 1
+    header["nblks"] = ds.nblks
     _write_table(path, "samples", header, SAMPLES_HEADER,
-                 [idx, ds.phases, block.astype(np.int64, copy=False), ds.values])
+                 [idx, ds.phases, ds.block.astype(np.int64, copy=False), ds.values])
 
 
 def read_samples(path):
@@ -179,7 +178,8 @@ def read_samples(path):
 
     The metadata counts n_phi and nblks must be at least 1, the
     phase_index column must agree with phase_radians on the grid of n_phi
-    phases, and the file must hold at least one sample row.
+    phases, every block label (kept also for nblks=1) must lie in
+    0..nblks-1, and the file must hold at least one sample row.
     """
     from .reconstruct import QuadratureDataset, _phase_indices
 
@@ -192,11 +192,8 @@ def read_samples(path):
     if not rows:
         raise DataError(f"{path}: no sample rows after the column header")
     index, phases, block, values = _parse_rows(path, rows, 3, 4, {0: "phase_index", 2: "block"})
-    ds = QuadratureDataset(
-        phases=phases, values=values, n_phi=n_phi,
-        block=block if nblks > 1 else None,
-        nblks=nblks if nblks > 1 else None,
-    )
+    ds = QuadratureDataset(phases=phases, values=values, n_phi=n_phi,
+                           block=block, nblks=nblks)
     try:
         expected = _phase_indices(ds)
     except DataError as exc:

@@ -67,11 +67,13 @@ _CHUNK_ELEMENTS = 65_536
 
 @dataclass
 class QuadratureDataset:
-    """Measurement record (phases, values), optionally split into blocks.
+    """Measurement record (phases, values) split into statistical blocks.
 
     n_phi declares how many distinct phases the acquisition used.  Phases
     must lie in [0, 2 pi); data taken only on [0, pi) has to go through
-    double_by_symmetry before binning.
+    double_by_symmetry before binning.  Block labels are integers in
+    0..nblks-1; without them the data is one block, nblks = 1 with uint16
+    labels all 0 as simulate.sample makes them, and nblks > 1 is an error.
     """
 
     phases: np.ndarray
@@ -93,16 +95,19 @@ class QuadratureDataset:
             np.all(self.phases >= 0.0) and np.all(self.phases < 2.0 * math.pi)
         ):
             raise DataError("phases must lie in [0, 2*pi)")
-        if self.block is not None:
-            self.block = np.asarray(self.block)
-            if self.block.shape != self.values.shape:
-                raise ValueError("block labels must match the sample count")
-            if self.nblks is None or self.nblks < 1:
-                raise ValueError("nblks must be given alongside block labels")
-            if self.block.size and (
-                self.block.min() < 0 or self.block.max() >= self.nblks
-            ):
-                raise DataError(f"block labels must lie in 0..{self.nblks - 1}")
+        if self.block is None:
+            if self.nblks not in (None, 1):
+                raise ValueError(f"nblks={self.nblks} needs block labels")
+            self.block, self.nblks = np.zeros(self.values.shape, np.uint16), 1
+        self.block = np.asarray(self.block)
+        if self.block.shape != self.values.shape:
+            raise ValueError("block labels must match the sample count")
+        if not np.issubdtype(self.block.dtype, np.integer):
+            raise ValueError(f"block labels must be integers, got {self.block.dtype}")
+        if not isinstance(self.nblks, (int, np.integer)) or self.nblks < 1:
+            raise ValueError(f"block labels need an integer nblks >= 1, got {self.nblks!r}")
+        if self.block.size and not 0 <= self.block.min() <= self.block.max() < self.nblks:
+            raise DataError(f"block labels must lie in 0..{self.nblks - 1}")
 
     @property
     def N(self) -> int:
@@ -127,7 +132,7 @@ class PhaseSpectrum:
 
     shat[d, i] = (1/n_phi) sum_j freq[j, i] e^{-2 pi i j d / n_phi}, with
     the conjugate symmetry shat[n_phi - d] = conj(shat[d]) holding exactly.
-    Bin geometry and per-phase counts ride along so estimators need only
+    Bin centers and per-phase counts ride along so estimators need only
     this object and a PatternConfig.
     """
 
@@ -135,7 +140,6 @@ class PhaseSpectrum:
     n_bin: int
     shat: np.ndarray
     bin_centers: np.ndarray
-    bin_width: float
     n_per_phase: np.ndarray
 
 
@@ -177,10 +181,9 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
         )
     phases = np.concatenate([ds.phases, ds.phases + math.pi])
     values = np.concatenate([ds.values, -ds.values])
-    block = None if ds.block is None else np.concatenate([ds.block, ds.block])
     return QuadratureDataset(
         phases=phases, values=values, n_phi=2 * ds.n_phi,
-        block=block, nblks=ds.nblks,
+        block=np.concatenate([ds.block, ds.block]), nblks=ds.nblks,
     )
 
 
@@ -319,9 +322,7 @@ def phase_dft(s: Sinogram) -> PhaseSpectrum:
     shat = _mirror_rows(_half_spectrum(s.freq, s.n_phi), s.n_phi, s.n_phi - 1)
     return PhaseSpectrum(
         n_phi=s.n_phi, n_bin=s.n_bin, shat=shat,
-        bin_centers=s.bin_centers,
-        bin_width=float(s.bin_edges[1] - s.bin_edges[0]) if s.n_bin else 0.0,
-        n_per_phase=s.n_per_phase,
+        bin_centers=s.bin_centers, n_per_phase=s.n_per_phase,
     )
 
 
@@ -608,8 +609,6 @@ def estimate_unbinned(
 
 
 def _block_slices(ds: QuadratureDataset):
-    if ds.block is None or ds.nblks is None:
-        raise DataError("block statistics need a dataset with block labels")
     if ds.nblks < 2:
         raise DataError(f"need at least 2 blocks, got {ds.nblks}")
     sizes = np.bincount(ds.block.astype(np.int64), minlength=ds.nblks)
@@ -646,24 +645,22 @@ def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int) -> np.nd
 
 def _block_spectra(ds: QuadratureDataset, picks, n_bin: int, bin_range, dmax: int):
     """Rows 0..dmax of the phase spectrum of each block on one shared bin
-    grid; returns (spectra, bin centers).
+    grid; returns (spectra, bin centers).  spectra is complex128 and
+    diagonal-major, (dmax + 1, nblks, n_bin), so spectra[d] holds
+    diagonal d of every block.
 
     Every sample is indexed once, key = j n_bin + bin.  Each block's
     histogram is one integer bincount of its keys, made one block at a
-    time: all blocks at once would take nblks times the memory.  Spectra
-    that would take more than 3e8 bytes as complex128 are kept in
-    complex64.
+    time: all blocks at once would take nblks times the memory.
     """
     edges = _bin_edges(ds.values, n_bin, bin_range)
     key = _phase_indices(ds)
     key *= n_bin
     key += _bin_index(ds.values, edges)
-    big = len(picks) * (dmax + 1) * n_bin * 16 > 3e8
-    spectra = np.empty((len(picks), dmax + 1, n_bin),
-                       dtype=np.complex64 if big else np.complex128)
+    spectra = np.empty((dmax + 1, len(picks), n_bin), dtype=np.complex128)
     for b, pick in enumerate(picks):
         counts, n_per_phase = _phase_counts(key[pick], ds.n_phi, n_bin)
-        spectra[b] = _phase_rows(counts, n_per_phase, dmax)
+        spectra[:, b] = _phase_rows(counts, n_per_phase, dmax)
     return spectra, 0.5 * (edges[:-1] + edges[1:])
 
 
@@ -680,9 +677,7 @@ def block_statistics(
 
     With n_bin given each block runs through the binned path on a shared
     bin grid (bin_correction as in estimate_binned); otherwise each block
-    is summed unbinned.  meta["spectra_dtype"] names the dtype the block
-    spectra were kept in: complex64 once they would take more than 3e8
-    bytes as complex128, None for the unbinned path.
+    is summed unbinned.
     """
     M = cfg.cutoff
     dmax = _resolve_max_diag(M, max_diag)
@@ -712,15 +707,13 @@ def block_statistics(
         put(band, G)
     else:
         for d, f in enumerate(_kernel_rows(centers, cfg, dmax, bin_correction)):
-            rows_d = np.ascontiguousarray(spectra[:, d, :]).astype(np.complex128)
-            G = (f @ rows_d.real.T) + 1j * (f @ rows_d.imag.T)
+            G = (f @ spectra[d].real.T) + 1j * (f @ spectra[d].imag.T)
             rows = np.arange(M - d)
             put((rows, rows + d), G)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax, "nblks": nblks,
         "bin_correction": bool(bin_correction and n_bin is not None),
-        "spectra_dtype": None if n_bin is None else spectra.dtype.name,
     }
     return _assemble(rho_u, err_re_u, err_im_u, meta)
 

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DataError
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
@@ -65,6 +64,8 @@ def _coherent_coefficients(alpha: complex, M: int) -> np.ndarray:
         c = np.zeros(M, dtype=np.complex128)
         c[0] = 1.0
         return c
+    from scipy.special import gammaln
+
     n = np.arange(M)
     # log-space so alpha^n / sqrt(n!) survives large n
     log_amp = -0.5 * abs(alpha) ** 2 + n * np.log(complex(alpha)) - 0.5 * gammaln(n + 1.0)
@@ -242,6 +243,8 @@ class SimulationPlan:
     def __post_init__(self):
         if min(self.nsamples, self.nblks, self.n_phi) < 1:
             raise ValueError("nsamples, nblks and n_phi must all be >= 1")
+        if self.nblks > 65535:
+            raise ValueError(f"nblks must be <= 65535 (uint16 labels), got {self.nblks}")
         if self.grid_points < 16:
             raise ValueError("grid_points must be >= 16")
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import NumericalError
 
@@ -105,6 +104,8 @@ def lambda_direct(x: float, M: int) -> LambdaTable:
     Intended as an oracle for moderate M (say up to 64); the recursive
     builders are the production path.
     """
+    from scipy.special import eval_genlaguerre, gammaln
+
     if x < 0:
         raise ValueError(f"radial argument must be >= 0, got {x}")
     vals = np.zeros((M, M))

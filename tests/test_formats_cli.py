@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -44,24 +46,39 @@ def test_lazy_exports_resolve():
         assert getattr(hdtomo, name) is not None, name
 
 
+def test_core_modules_import_no_scipy():
+    # scipy.special is imported inside the two functions that use it
+    code = ("import sys\n"
+            "import hdtomo.simulate, hdtomo.reconstruct, hdtomo.patterns, "
+            "hdtomo.wigner, hdtomo.formats\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(hdtomo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
 
 def test_samples_roundtrip_byte_identical(tmp_path):
-    ds = _small_dataset(seed=3, nblks=2)
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    formats.write_samples(p1, ds, meta={"state": "vacuum", "seed": 3})
-    back, meta = formats.read_samples(p1)
-    assert back.N == ds.N
-    assert np.array_equal(back.phases, ds.phases)
-    assert np.array_equal(back.values, ds.values)
-    assert np.array_equal(back.block, ds.block)
-    assert back.nblks == 2
-    assert meta["state"] == "vacuum"
-    formats.write_samples(p2, back, meta=meta)
-    assert p1.read_bytes() == p2.read_bytes()
+    # one block too: its labels come back as read, not dropped
+    for nblks in (2, 1):
+        ds = _small_dataset(seed=3, nblks=nblks)
+        p1 = tmp_path / f"a{nblks}.csv"
+        p2 = tmp_path / f"b{nblks}.csv"
+        formats.write_samples(p1, ds, meta={"state": "vacuum", "seed": 3})
+        back, meta = formats.read_samples(p1)
+        assert back.N == ds.N
+        assert np.array_equal(back.phases, ds.phases)
+        assert np.array_equal(back.values, ds.values)
+        assert np.array_equal(back.block, ds.block)
+        assert back.nblks == nblks
+        assert meta["state"] == "vacuum"
+        formats.write_samples(p2, back, meta=meta)
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_state_roundtrip_byte_identical(tmp_path):
@@ -165,6 +182,12 @@ def test_read_samples_header_and_cell_errors(tmp_path):
     p.write_text(head + "\nphase_index,phase_radians,block,value\n0,0.0,x,1.0\n")
     with pytest.raises(DataError, match="is not an integer"):
         formats.read_samples(p)
+
+    # a one-block file keeps its block column, so its labels are checked
+    for label in (7, -2):
+        p.write_text(head + f"\nphase_index,phase_radians,block,value\n0,0.0,{label},1.0\n")
+        with pytest.raises(DataError, match=r"block labels must lie in 0\.\.0"):
+            formats.read_samples(p)
 
 
 def test_read_samples_checks_phase_index(tmp_path):

@@ -13,7 +13,12 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from hdtomo import formats, simulate
 from hdtomo.patterns import PatternConfig, choose_beta
-from hdtomo.reconstruct import QuadratureDataset, _bin_index, estimate_unbinned
+from hdtomo.reconstruct import (
+    QuadratureDataset,
+    _bin_index,
+    block_statistics,
+    estimate_unbinned,
+)
 from hdtomo.simulate import FockVector, MarginalTable, SimulationPlan
 
 
@@ -53,6 +58,45 @@ def test_bin_index_matches_searchsorted(lo, width, n_bin, data):
                         np.nextafter(edges, np.inf), inside])
     expected = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_bin - 1)
     assert np.array_equal(_bin_index(x, edges), expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_statistics_ignore_sample_order_and_block_names(data):
+    M = data.draw(st.integers(2, 6), label="M")
+    n_phi = data.draw(st.integers(M, M + 3), label="n_phi")
+    nblks = data.draw(st.integers(2, 5), label="nblks")
+    per = data.draw(st.integers(1, 3), label="samples per phase and block")
+    max_diag = data.draw(st.none() | st.integers(0, M - 1), label="max_diag")
+    n_bin = data.draw(st.integers(1, 40), label="n_bin")
+    # equal blocks, each holding per samples of every phase
+    j = np.tile(np.repeat(np.arange(n_phi), per), nblks)
+    block = np.repeat(np.arange(nblks), n_phi * per)
+    x = np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        min_size=j.size, max_size=j.size)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    perm, names = rng.permutation(j.size), rng.permutation(nblks)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+
+    def estimate(order, labels, bins):
+        ds = QuadratureDataset(2.0 * math.pi * j[order] / n_phi, x[order], n_phi,
+                               labels[order], nblks)
+        est = block_statistics(ds, cfg, n_bin=bins, max_diag=max_diag)
+        return est.rho, est.err_re, est.err_im
+
+    for bins in (n_bin, None):
+        ref = estimate(slice(None), block, bins)
+        shuffled = estimate(perm, block, bins)
+        renamed = estimate(slice(None), names[block], bins)
+        scale = 1.0 + max(np.abs(a).max() for a in ref)
+        for a, b, c in zip(ref, shuffled, renamed):
+            # integer counts make the binned spectra exactly order-free
+            if bins is None:
+                np.testing.assert_allclose(b, a, rtol=0, atol=1e-12 * scale)
+            else:
+                assert np.array_equal(b, a)
+            np.testing.assert_allclose(c, a, rtol=0, atol=1e-12 * scale)
 
 
 def _zero_runs(data, n_x):
@@ -104,7 +148,7 @@ def _draw_samples(data):
     j = data.draw(arrays(np.int64, N, elements=st.integers(0, n_phi - 1)))
     block = data.draw(arrays(np.int64, N, elements=st.integers(0, nblks - 1)))
     return (QuadratureDataset(2.0 * math.pi * j / n_phi, _doubles(data, N), n_phi,
-                              block if nblks > 1 else None, nblks if nblks > 1 else None),)
+                              block, nblks),)
 
 
 def _draw_state(data):

@@ -70,8 +70,13 @@ def test_dataset_block_label_validation():
         QuadratureDataset(
             np.zeros(2), np.zeros(2), n_phi=1, block=np.array([0, 2]), nblks=2
         )
+    with pytest.raises(ValueError, match="needs block labels"):
+        QuadratureDataset(np.zeros(2), np.zeros(2), n_phi=1, nblks=2)
     ds = QuadratureDataset(np.zeros(3), np.ones(3), n_phi=1)
     assert ds.N == 3
+    # without labels a dataset is one block of uint16 zeros, as sample makes them
+    assert ds.nblks == 1
+    assert ds.block.dtype == np.uint16 and np.array_equal(ds.block, [0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +275,7 @@ def test_binned_single_sample_point_formula():
 
     k = np.nonzero(sino.freq[0])[0][0]
     xc = sino.bin_centers[k]
-    assert abs(xc - x0) <= 0.5 * spec.bin_width
+    assert abs(xc - x0) <= 0.5 * (sino.bin_edges[1] - sino.bin_edges[0])
     ws = build_workspace(float(xc), cfg)
     for n in range(3):
         assert est.rho[n, n].real == pattern_value(ws, n, n)
@@ -569,7 +574,6 @@ def test_block_identical_blocks_zero_error():
         assert np.all(est.err_im == 0.0)
         assert est.meta["estimator"] == "block"
         assert est.meta["nblks"] == 2
-        assert est.meta["spectra_dtype"] == ("complex128" if n_bin else None)
 
 
 # max_diag None takes the phase rows from the real FFT, 0 from the DFT matrix
@@ -600,8 +604,13 @@ def test_block_shuffle_within_blocks_invariant(max_diag):
 def test_block_validation_errors():
     plain = QuadratureDataset(np.zeros(4), np.linspace(-1, 1, 4), n_phi=1)
     cfg = PatternConfig(cutoff=2, beta=1.0)
-    with pytest.raises(DataError, match="block labels"):
+    with pytest.raises(DataError, match="at least 2 blocks"):
         block_statistics(plain, cfg, max_diag=0)
+
+    # half-integer labels would leave every bincount bin empty
+    with pytest.raises(ValueError, match="integers"):
+        QuadratureDataset(np.zeros(8), np.linspace(-1, 1, 8), n_phi=1,
+                          block=np.array([0.5] * 4 + [1.5] * 4), nblks=2)
 
     one = QuadratureDataset(
         np.zeros(4), np.linspace(-1, 1, 4), n_phi=1, block=np.zeros(4, int), nblks=1

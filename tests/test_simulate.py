@@ -351,6 +351,9 @@ def test_plan_validation():
         SimulationPlan(nsamples=0, nblks=1, n_phi=1, seed=0)
     with pytest.raises(ValueError):
         SimulationPlan(nsamples=1, nblks=1, n_phi=1, seed=0, grid_points=8)
+    # block labels are uint16; more blocks would wrap them
+    with pytest.raises(ValueError, match="65535"):
+        SimulationPlan(nsamples=1, nblks=70000, n_phi=1, seed=0)
     state = make_state("coherent", 0.0, 2)
     x = quadrature_grid(2, 512)
     table = marginals(state, phase_grid(2), x)
