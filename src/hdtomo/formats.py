@@ -93,17 +93,35 @@ def _cell(cell: str, path, lineno: int, name):
         raise DataError(f"{path}: line {lineno}: non-finite value {cell!r}")
 
 
-def _write_table(path, kind, meta, header, columns):
+def _cell_rows(columns):
+    """Row strings of a chunk: repr() of the columns' .tolist() entries."""
+    return map(",".join, zip(*(map(repr, col.tolist()) for col in columns)))
+
+
+def _write_table(path, kind, meta, header, columns, rows=_cell_rows):
     """Write the metadata line, the column header unless None, and a row
-    per index of the equal-length columns: repr() of their .tolist()
-    entries, in chunks of about 65k cells."""
+    per index of the equal-length columns, in chunks of about 65k cells;
+    rows maps a chunk's columns to its row strings."""
     lines = [_metadata_line(kind, meta)] + ([] if header is None else [header])
     step = max(1, _CHUNK_CELLS // max(1, len(columns)))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
         for a in range(0, len(columns[0]) if columns else 0, step):
-            cells = [map(repr, col[a:a + step].tolist()) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            fh.write("\n".join(rows([col[a:a + step] for col in columns])) + "\n")
+
+
+def _sample_rows(columns):
+    """Row strings of a samples chunk, as _cell_rows gives them.  Phase
+    index, phase and block take few distinct values, so their text is made
+    once per distinct (phase, block) pair of the chunk; the phase's bits
+    fix its index, and keep -0.0 apart from 0.0."""
+    index, phases, block, values = columns
+    _, phase_key = np.unique(phases.view(np.int64), return_inverse=True)
+    _, first, key = np.unique(phase_key * (int(block.max()) + 1) + block,
+                              return_index=True, return_inverse=True)
+    lead = np.array([f"{j!r},{phi!r},{b!r}," for j, phi, b in zip(
+        index[first].tolist(), phases[first].tolist(), block[first].tolist())], dtype=object)
+    return map(str.__add__, lead[key].tolist(), map(repr, values.tolist()))
 
 
 def _read_lines(path, kind, header):
@@ -170,7 +188,8 @@ def write_samples(path, ds, meta: dict | None = None):
     header["n_phi"] = ds.n_phi
     header["nblks"] = ds.nblks
     _write_table(path, "samples", header, SAMPLES_HEADER,
-                 [idx, ds.phases, ds.block.astype(np.int64, copy=False), ds.values])
+                 [idx, ds.phases, ds.block.astype(np.int64, copy=False), ds.values],
+                 rows=_sample_rows)
 
 
 def read_samples(path):

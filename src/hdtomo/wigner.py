@@ -15,6 +15,13 @@ where rho~_{n,d} = (-1)^n rho_{n,n+d} collects the matrix by diagonals (the
 alternating sign lives in rho~, never in lambda).  Two recursive builders
 fill the lambda table in O(M^2); a closed-form log-factorial evaluation
 serves as the reference for both.
+
+wigner_polar's default path runs the three-term recurrence once for all
+radii together: M array steps, each making row n of every radius's table,
+which is folded into the diagonal sums as it comes.  Its memory is
+O(n_r M) for n_r radii; no M x M table is kept.  A polar grid needs at
+least one radius and one angle, and its Cartesian resample at least two
+radii and two points a side.
 """
 
 from __future__ import annotations
@@ -79,23 +86,56 @@ class LambdaTable:
         return self.values[: self.M - d, d]
 
 
+def _not_finite(method: str, n: int, d: int, x: float) -> NumericalError:
+    return NumericalError(
+        f"lambda table ({method}) is not finite at (n={n}, d={d}), x={x:.6g}"
+    )
+
+
 def _check_table(values: np.ndarray, x: float, method: str) -> None:
     if not np.all(np.isfinite(values)):
         n, d = np.argwhere(~np.isfinite(values))[0]
-        raise NumericalError(
-            f"lambda table ({method}) is not finite at (n={n}, d={d}), x={x:.6g}"
-        )
+        raise _not_finite(method, n, d, x)
 
 
-def _seed_row0(x: float, M: int) -> np.ndarray:
-    """First row lambda_{0,d} = sqrt(x/d) lambda_{0,d-1} from lambda_{0,0} = z(x)."""
-    z = LAMBDA_0 * math.exp(-0.5 * x)
-    if M == 1:
-        return np.array([z])
-    steps = np.sqrt(x / np.arange(1.0, M))
-    # overflow is detected on the result by _check_table, not left to warnings
+def _lambda_rows(x: np.ndarray, M: int, method: str):
+    """Yield row n of the lambda table, lambda_{n,d}(x) for d < M - n, as an
+    array of shape (len(x), M - n) for every radial argument in x at once.
+
+    Row 0 is lambda_{0,d} = sqrt(x/d) lambda_{0,d-1} from lambda_{0,0} = z(x),
+    row 1 is lambda_{1,d} = (1 + d - x)/sqrt(d+1) lambda_{0,d}, and rows
+    n >= 2 follow the three-term recurrence in n
+
+        lambda_{n,d} = a'_{n,d} lambda_{n-1,d} - b'_{n,d} lambda_{n-2,d},
+        a'_{n,d} = (2n + d - x - 1)/sqrt(n(n+d)),
+        b'_{n,d} = sqrt((n-1)(n+d-1)/(n(n+d))),
+
+    whose d = 0 column is the scaled Laguerre recurrence.  Each row is checked
+    as it is made: the first non-finite entry raises NumericalError naming
+    method, n, d and x.  The next row is computed from the yielded ones, so
+    callers must not modify them.
+    """
+    xc = x[:, None]
+    z = LAMBDA_0 * np.exp(-0.5 * xc)
+    # overflow is detected on the rows by the check, not left to warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return z * np.concatenate(([1.0], np.cumprod(steps)))
+        steps = np.sqrt(xc / np.arange(1.0, M))
+        row = z * np.concatenate((np.ones_like(xc), np.cumprod(steps, axis=1)), axis=1)
+    for n in range(M):
+        if n == 1:
+            d = np.arange(M - 1.0)
+            prev, row = row, (1.0 + d - xc) / np.sqrt(d + 1.0) * row[:, : M - 1]
+        elif n >= 2:
+            d = np.arange(M - n, dtype=np.float64)
+            denom = np.sqrt(n * (n + d))
+            a = (2.0 * n + d - xc - 1.0) / denom
+            b = np.sqrt((n - 1.0) * (n + d - 1.0)) / denom
+            prev, row = row, a * row[:, : M - n] - b * prev[:, : M - n]
+        bad = ~np.isfinite(row)
+        if bad.any():
+            i, d = np.argwhere(bad)[0]
+            raise _not_finite(method, n, d, x[i])
+        yield row
 
 
 def lambda_direct(x: float, M: int) -> LambdaTable:
@@ -125,40 +165,14 @@ def lambda_direct(x: float, M: int) -> LambdaTable:
     return LambdaTable(x=x, M=M, method="direct", values=vals)
 
 
-def _seed_row1(vals: np.ndarray, x: float, M: int) -> None:
-    """Second row lambda_{1,d} = (1 + d - x)/sqrt(d+1) lambda_{0,d}."""
-    if M >= 2:
-        d = np.arange(M - 1.0)
-        vals[1, : M - 1] = (1.0 + d - x) / np.sqrt(d + 1.0) * vals[0, : M - 1]
-
-
-def _fill_three_term(vals: np.ndarray, x: float, M: int) -> None:
-    """Interior fill by the three-term recurrence in n from rows 0 and 1:
-
-    lambda_{n,d} = a'_{n,d} lambda_{n-1,d} - b'_{n,d} lambda_{n-2,d},
-    a'_{n,d} = (2n + d - x - 1)/sqrt(n(n+d)),
-    b'_{n,d} = sqrt((n-1)(n+d-1)/(n(n+d))).
-
-    The d = 0 column reduces to the scaled Laguerre three-term recurrence.
-    """
-    for n in range(2, M):
-        d = np.arange(M - n, dtype=np.float64)
-        denom = np.sqrt(n * (n + d))
-        a = (2.0 * n + d - x - 1.0) / denom
-        b = np.sqrt((n - 1.0) * (n + d - 1.0)) / denom
-        vals[n, : M - n] = a * vals[n - 1, : M - n] - b * vals[n - 2, : M - n]
-
-
 def lambda_method1(x: float, M: int) -> LambdaTable:
     """Row-by-row builder: seed rows 0 and 1, then the three-term recurrence
-    in n for every column at once."""
+    in n for every column at once (see _lambda_rows)."""
     if x < 0:
         raise ValueError(f"radial argument must be >= 0, got {x}")
     vals = np.zeros((M, M))
-    vals[0] = _seed_row0(x, M)
-    _seed_row1(vals, x, M)
-    _fill_three_term(vals, x, M)
-    _check_table(vals, x, "recurrence1")
+    for n, row in enumerate(_lambda_rows(np.array([x], dtype=np.float64), M, "recurrence1")):
+        vals[n, : M - n] = row[0]
     return LambdaTable(x=x, M=M, method="recurrence1", values=vals)
 
 
@@ -192,12 +206,12 @@ def lambda_method2(x: float, M: int) -> LambdaTable:
     if x < 0:
         raise ValueError(f"radial argument must be >= 0, got {x}")
     vals = np.zeros((M, M))
-    vals[0] = _seed_row0(x, M)
+    rows = _lambda_rows(np.array([x], dtype=np.float64), M, "recurrence2")
     if not _wavefront_stable(x, M):
-        _seed_row1(vals, x, M)
-        _fill_three_term(vals, x, M)
-        _check_table(vals, x, "recurrence2")
+        for n, row in enumerate(rows):
+            vals[n, : M - n] = row[0]
         return LambdaTable(x=x, M=M, method="recurrence2", values=vals)
+    vals[0] = next(rows)[0]
     for n in range(1, M):
         if n == 1:
             vals[1, 0] = (1.0 - x) * vals[0, 0]
@@ -233,6 +247,8 @@ class WignerGrid:
 
 def polar_grid(M: int, n_r: int = 121, n_theta: int = 64, r_max: float | None = None):
     """Equispaced polar grid sized from the cutoff: r up to sqrt(M)."""
+    if n_r < 1 or n_theta < 1:
+        raise ValueError(f"polar grid needs n_r >= 1 and n_theta >= 1, got {n_r} and {n_theta}")
     if r_max is None:
         r_max = math.sqrt(M)
     r = np.linspace(0.0, r_max, n_r)
@@ -241,46 +257,68 @@ def polar_grid(M: int, n_r: int = 121, n_theta: int = 64, r_max: float | None = 
 
 
 def wigner_polar(rho: DiagonalDensityMatrix, r, theta, method: str = "recurrence1") -> WignerGrid:
-    """Synthesize W(r, theta); the lambda table is built once per radius and
-    reused across all angles."""
+    """Synthesize W(r, theta) by one pass over all radii.
+
+    recurrence1 accumulates the diagonal coefficients row by row as the
+    batched recurrence makes them, so it keeps O(len(r) M) values and no
+    lambda table; direct and recurrence2 build one table per radius.  One
+    matrix product against the angle phases then gives every W(r, theta).
+    """
     if method not in _BUILDERS:
         raise ValueError(f"method must be one of {sorted(_BUILDERS)}, got {method!r}")
-    build = _BUILDERS[method]
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if np.any(r < 0):
         raise ValueError("radii must be >= 0")
     M = rho.M
+    x = 4.0 * r * r
+    rhot = np.zeros((M, M), dtype=np.complex128)  # rhot[n, d] = rho~_{n,d}
+    for d in range(M):
+        rhot[: M - d, d] = rho.diagonals[d]
+    if method == "recurrence1":
+        coeff = np.zeros((r.size, M), dtype=np.complex128)
+        for n, row in enumerate(_lambda_rows(x, M, method)):
+            coeff[:, : M - n] += row * rhot[n, : M - n]
+    else:
+        build = _BUILDERS[method]
+        coeff = np.array([np.einsum("nd,nd->d", build(xv, M).values, rhot) for xv in x],
+                         dtype=np.complex128).reshape(r.size, M)
     phases = np.exp(1j * np.outer(np.arange(M), theta))
     phases[0] *= 0.5  # the 1/(1 + delta_{d,0}) regrouping
-    W = np.empty((r.size, theta.size))
-    coeff = np.empty(M, dtype=np.complex128)
-    for i, rv in enumerate(r):
-        table = build(4.0 * rv * rv, M)
-        for d in range(M):
-            coeff[d] = table.values[: M - d, d] @ rho.diagonals[d]
-        W[i] = (coeff @ phases).real
-    return WignerGrid(r=r, theta=theta, W=W)
+    return WignerGrid(r=r, theta=theta, W=(coeff @ phases).real)
 
 
 def cartesian_resample(grid: WignerGrid, n: int = 201):
     """Bilinear resample of a polar Wigner grid onto a square (x, y) grid.
 
-    Returns (x, y, W_xy); points beyond the largest tabulated radius are
-    filled with zero.
+    Returns (x, y, W_xy) on n x n points spanning [-r_max, r_max]; points
+    beyond the largest tabulated radius are filled with zero.  The grid needs
+    at least 2 strictly increasing radii and at least 1 angle, and n >= 2.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     r, theta, W = grid.r, grid.theta, grid.W
+    if r.size < 2 or theta.size < 1 or n < 2:
+        raise ValueError(
+            f"Cartesian resample needs at least 2 radii, 1 angle and n >= 2, "
+            f"got {r.size}, {theta.size} and n={n}"
+        )
     # wrap the angle axis so interpolation is periodic across 2 pi
     theta_w = np.concatenate([theta, [theta[0] + 2.0 * math.pi]])
     W_w = np.concatenate([W, W[:, :1]], axis=1)
-    interp = RegularGridInterpolator((r, theta_w), W_w, bounds_error=False, fill_value=0.0)
+    for name, axis in (("radii", r), ("angles", theta_w)):
+        if not np.all(np.diff(axis) > 0):
+            raise ValueError(f"the {name} of the polar grid must be strictly increasing")
     rmax = r[-1]
     x = np.linspace(-rmax, rmax, n)
     y = np.linspace(-rmax, rmax, n)
     xg, yg = np.meshgrid(x, y, indexing="ij")
     rad = np.hypot(xg, yg)
     ang = np.mod(np.arctan2(yg, xg), 2.0 * math.pi)
-    W_xy = interp(np.stack([rad.ravel(), ang.ravel()], axis=1)).reshape(n, n)
+    i = np.clip(np.searchsorted(r, rad, side="right") - 1, 0, r.size - 2)
+    j = np.clip(np.searchsorted(theta_w, ang, side="right") - 1, 0, theta.size - 1)
+    t = (rad - r[i]) / (r[i + 1] - r[i])
+    u = (ang - theta_w[j]) / (theta_w[j + 1] - theta_w[j])
+    W_xy = ((1.0 - t) * ((1.0 - u) * W_w[i, j] + u * W_w[i, j + 1])
+            + t * ((1.0 - u) * W_w[i + 1, j] + u * W_w[i + 1, j + 1]))
+    outside = (rad < r[0]) | (rad > rmax) | (ang < theta_w[0]) | (ang > theta_w[-1])
+    W_xy[outside] = 0.0
     return x, y, W_xy

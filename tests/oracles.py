@@ -6,8 +6,9 @@ uses transforms or matrix products.  The estimator loops and
 biorthogonality_defect use hdtomo's pattern tables, to check what the
 library builds on them; the loops write the kernel rows out themselves
 (kernel_rows) rather than calling the library's kernel.  marginals_whole,
-sample_by_phase and the read_*_by_line readers are the library's earlier
-code, kept to show that what replaced them gives the same results.
+sample_by_phase, wigner_polar_per_radius, cartesian_resample_scipy and the
+read_*_by_line readers are the library's earlier code, kept to show that
+what replaced them gives the same results.
 """
 
 import math
@@ -175,6 +176,47 @@ def fock_wigner(n: int, r: float) -> float:
         rm = mp.mpf(r)
         val = 2 / mp.pi * (-1) ** n * mp.e ** (-2 * rm * rm) * _laguerre_mp(n, 0, 4 * rm * rm)
         return float(val)
+
+
+def wigner_polar_per_radius(rho, r, theta, method="recurrence1"):
+    """The library's earlier wigner_polar: one lambda table per radius and a
+    dot product per diagonal."""
+    from hdtomo.wigner import _BUILDERS, WignerGrid
+
+    build = _BUILDERS[method]
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    M = rho.M
+    phases = np.exp(1j * np.outer(np.arange(M), theta))
+    phases[0] *= 0.5  # the 1/(1 + delta_{d,0}) regrouping
+    W = np.empty((r.size, theta.size))
+    coeff = np.empty(M, dtype=np.complex128)
+    for i, rv in enumerate(r):
+        table = build(4.0 * rv * rv, M)
+        for d in range(M):
+            coeff[d] = table.values[: M - d, d] @ rho.diagonals[d]
+        W[i] = (coeff @ phases).real
+    return WignerGrid(r=r, theta=theta, W=W)
+
+
+def cartesian_resample_scipy(grid, n=201):
+    """The library's earlier cartesian_resample, on scipy's
+    RegularGridInterpolator."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    r, theta, W = grid.r, grid.theta, grid.W
+    # wrap the angle axis so interpolation is periodic across 2 pi
+    theta_w = np.concatenate([theta, [theta[0] + 2.0 * math.pi]])
+    W_w = np.concatenate([W, W[:, :1]], axis=1)
+    interp = RegularGridInterpolator((r, theta_w), W_w, bounds_error=False, fill_value=0.0)
+    rmax = r[-1]
+    x = np.linspace(-rmax, rmax, n)
+    y = np.linspace(-rmax, rmax, n)
+    xg, yg = np.meshgrid(x, y, indexing="ij")
+    rad = np.hypot(xg, yg)
+    ang = np.mod(np.arctan2(yg, xg), 2.0 * math.pi)
+    W_xy = interp(np.stack([rad.ravel(), ang.ravel()], axis=1)).reshape(n, n)
+    return x, y, W_xy
 
 
 def trapezoid_weights(x: np.ndarray) -> np.ndarray:

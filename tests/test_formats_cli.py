@@ -47,10 +47,15 @@ def test_lazy_exports_resolve():
 
 
 def test_core_modules_import_no_scipy():
-    # scipy.special is imported inside the two functions that use it
+    # scipy.special is imported inside the two functions that use it; the
+    # Wigner synthesis and its Cartesian resample need no scipy at all
     code = ("import sys\n"
             "import hdtomo.simulate, hdtomo.reconstruct, hdtomo.patterns, "
             "hdtomo.wigner, hdtomo.formats\n"
+            "from hdtomo.wigner import DiagonalDensityMatrix as D, polar_grid\n"
+            "g = hdtomo.wigner.wigner_polar(D.from_matrix([[0.5, 0.5], [0.5, 0.5]]), "
+            "*polar_grid(2, n_r=9, n_theta=8))\n"
+            "hdtomo.wigner.cartesian_resample(g, n=11)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(hdtomo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -79,6 +84,28 @@ def test_samples_roundtrip_byte_identical(tmp_path):
         assert meta["state"] == "vacuum"
         formats.write_samples(p2, back, meta=meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("nblks", [1, 3])
+def test_samples_writer_matches_cell_by_cell_writer(tmp_path, nblks):
+    # phases and blocks interleaved over several write chunks; a phase one
+    # ulp off its grid point and -0.0 share a phase index with the grid
+    # value but keep their own text
+    from hdtomo.reconstruct import _phase_indices
+
+    rng = np.random.default_rng(nblks)
+    n_phi, N = 6, 40000
+    grid = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    variants = np.concatenate([grid, np.nextafter(grid, 7.0), [-0.0]])
+    ds = QuadratureDataset(phases=rng.choice(variants, N), values=rng.normal(size=N),
+                           n_phi=n_phi, block=rng.integers(0, nblks, N), nblks=nblks)
+    ours, cells = tmp_path / "ours.csv", tmp_path / "cells.csv"
+    formats.write_samples(ours, ds, meta={"seed": 1})
+    formats._write_table(cells, "samples", {"seed": 1, "n_phi": n_phi, "nblks": nblks},
+                         formats.SAMPLES_HEADER,
+                         [_phase_indices(ds), ds.phases, ds.block, ds.values])
+    assert ours.read_bytes() == cells.read_bytes()
+    assert b"\n0,-0.0," in ours.read_bytes()
 
 
 def test_state_roundtrip_byte_identical(tmp_path):
@@ -587,6 +614,17 @@ def test_cli_wigner_cartesian_resample(tmp_path):
     assert meta["coords"] == "cartesian"
     assert Wxy.shape == (21, 21)
     assert Wxy[10, 10] == pytest.approx(2.0 / math.pi, rel=1e-3)
+
+
+@pytest.mark.parametrize("flags", [["--n-r", "0"], ["--n-theta", "0"],
+                                   ["--n-r", "1", "--cartesian", "xy.csv"],
+                                   ["--cartesian", "xy.csv", "--n-xy", "1"]])
+def test_cli_wigner_rejects_degenerate_grids(tmp_path, capsys, flags):
+    re, im = _write_rho(tmp_path, np.diag([1.0, 0.0]))
+    rc = _run("wigner", "--rho-re", re, "--rho-im", im, "--out", tmp_path / "w.csv",
+              *[tmp_path / f if f.endswith(".csv") else f for f in flags])
+    assert rc == 1
+    assert "needs" in capsys.readouterr().err
 
 
 def test_cli_wigner_mismatched_matrices(tmp_path, capsys):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hdtomo import wigner
+from hdtomo.errors import NumericalError
 from hdtomo.wigner import (
     LAMBDA_0,
     DiagonalDensityMatrix,
@@ -232,6 +235,11 @@ def test_polar_grid_shapes():
     assert theta[0] == 0.0 and theta[-1] < 2.0 * math.pi
     r, theta = polar_grid(16, n_r=7, n_theta=5, r_max=2.5)
     assert r[-1] == 2.5 and r.size == 7 and theta.size == 5
+    r, theta = polar_grid(16, n_r=1, n_theta=1)
+    assert r.tolist() == [0.0] and theta.tolist() == [0.0]
+    for n_r, n_theta in ((0, 64), (121, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="polar grid needs"):
+            polar_grid(16, n_r=n_r, n_theta=n_theta)
 
 
 def test_wigner_polar_input_validation():
@@ -240,6 +248,24 @@ def test_wigner_polar_input_validation():
         wigner_polar(rho, [0.0], [0.0], method="nope")
     with pytest.raises(ValueError):
         wigner_polar(rho, [-0.1], [0.0])
+    # the Cartesian square needs two radii and two points a side
+    one = wigner_polar(rho, *polar_grid(1, n_r=1))
+    two = wigner_polar(rho, *polar_grid(1, n_r=2))
+    for grid, n in ((one, 201), (two, 1), (two, 0)):
+        with pytest.raises(ValueError, match="Cartesian resample needs"):
+            cartesian_resample(grid, n=n)
+    flat = wigner_polar(rho, *polar_grid(1, n_r=5, r_max=0.0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        cartesian_resample(flat, n=5)
+    assert cartesian_resample(two, n=2)[2].shape == (2, 2)
+
+
+def test_wigner_polar_non_finite_radius():
+    # the batched recurrence checks each row: r = inf fails in row 0 at d = 1
+    rho = DiagonalDensityMatrix.from_matrix(np.diag([0.5, 0.25, 0.25]))
+    with pytest.raises(NumericalError,
+                       match=r"lambda table \(recurrence1\) is not finite at \(n=0, d=1\), x=inf"):
+        wigner_polar(rho, [0.0, 1.0, np.inf, 2.0], [0.0])
 
 
 def test_cartesian_resample_center_and_tail():
@@ -253,3 +279,49 @@ def test_cartesian_resample_center_and_tail():
     assert Wxy[ic, jc] == pytest.approx(2.0 / math.pi, rel=1e-3)
     # corners lie beyond r_max and are zero-filled
     assert Wxy[0, 0] == 0.0
+
+
+def _random_rho(rng, M):
+    a = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    return DiagonalDensityMatrix.from_matrix((a + a.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("method", ["direct", "recurrence1", "recurrence2"])
+@pytest.mark.parametrize("M", [1, 2, 3, 24, 64])
+def test_wigner_polar_matches_per_radius_oracle(method, M):
+    rho = _random_rho(np.random.default_rng(M), M)
+    r_max = math.sqrt(M) + 1.0
+    r = np.concatenate([[0.0], np.linspace(0.05, r_max, 12), [0.0, r_max]])
+    for n_theta in (1, 64):
+        theta = polar_grid(M, n_theta=n_theta)[1]
+        got = wigner_polar(rho, r, theta, method=method).W
+        ref = oracles.wigner_polar_per_radius(rho, r, theta, method=method).W
+        assert got.shape == ref.shape == (r.size, n_theta)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_theta", [1, 7, 64])
+def test_cartesian_resample_matches_scipy_oracle(n_theta):
+    rho = _random_rho(np.random.default_rng(5), 12)
+    for r_max, n in ((None, 201), (2.0, 2), (4.5, 64)):
+        grid = wigner_polar(rho, *polar_grid(12, n_r=37, n_theta=n_theta, r_max=r_max))
+        x, y, got = cartesian_resample(grid, n=n)
+        x0, y0, ref = oracles.cartesian_resample_scipy(grid, n=n)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(grid.W))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_wigner_polar_matches_oracle_on_random_states(data):
+    M = data.draw(st.integers(1, 12), label="M")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    method = data.draw(st.sampled_from(["direct", "recurrence1", "recurrence2"]), label="method")
+    r = data.draw(st.lists(st.floats(0.0, 2.0 * math.sqrt(M) + 2.0), min_size=1, max_size=8),
+                  label="r")
+    theta = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8), label="theta")
+    rho = _random_rho(np.random.default_rng(seed), M)
+    got = wigner_polar(rho, r, theta, method=method).W
+    ref = oracles.wigner_polar_per_radius(rho, r, theta, method=method).W
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
