@@ -20,20 +20,15 @@ _EXPORTS = {
     "NumericalError": "errors",
     "PatternOverflowError": "errors",
     "PatternConfig": "patterns",
-    "PatternWorkspace": "patterns",
     "PatternTable": "patterns",
-    "SemiclassicalSeed": "patterns",
     "choose_beta": "patterns",
     "balanced_beta": "patterns",
     "safe_region_bound": "patterns",
     "in_safe_region": "patterns",
     "semiclassical_kappa": "patterns",
-    "semiclassical_seed": "patterns",
     "regular_sequence": "patterns",
     "irregular_sequence": "patterns",
-    "build_workspace": "patterns",
     "build_table": "patterns",
-    "pattern_row": "patterns",
     "pattern_row_grid": "patterns",
     "pattern_value": "patterns",
     "QuadratureDataset": "reconstruct",

@@ -16,9 +16,13 @@ recursion usable far into the classically forbidden region.
 The irregular family is started at index 4M from a semiclassical seed and
 recursed downward inside the oscillatory (safe) region; outside it, a
 forward recursion from the combined-scaling value v_0 = 1/(beta x) is
-stable instead.
+stable instead.  The region is chosen per quadrature value, so one grid
+may mix both.
 
-One recurrence, _regular_recurrence, serves u_n here and psi_n in the
+PatternTable is the one representation of both families: build_table
+makes it over a grid of quadrature values (a scalar is one column), and
+kernel_factors, pattern_row_grid and pattern_value read it.  One
+recurrence, _regular_recurrence, serves u_n here and psi_n in the
 simulator; every kernel value is read as A V - U W from kernel_factors.
 """
 
@@ -59,37 +63,12 @@ class PatternConfig:
         return _DTYPES[self.precision]
 
 
-@dataclass(frozen=True)
-class SemiclassicalSeed:
-    """Seed data for the irregular recursion at one index m."""
-
-    m: int
-    alpha_m: float
-    tau_m: float
-    chi_m: float
-    kappa_m: float
-
-
-@dataclass
-class PatternWorkspace:
-    """The beta-scaled vector bundle (u, u~, v, v~) at one quadrature value."""
-
-    x: float
-    u: np.ndarray
-    u_tilde: np.ndarray
-    v: np.ndarray
-    v_tilde: np.ndarray
-    region: str
-    cutoff: int
-    beta: float
-
-
 @dataclass
 class PatternTable:
-    """Workspace vectors for a whole grid of quadrature values at once.
+    """The beta-scaled vectors (u, u~, v, v~) over a grid of quadrature values.
 
     Arrays have shape (M+2, len(x)); backward[i] tells which recursion
-    produced column i.
+    produced column i.  One point is a one-column table.
     """
 
     x: np.ndarray
@@ -142,7 +121,7 @@ def semiclassical_kappa(m: int, x, refine: bool = True):
     included: a phase term of order alpha^-2 and an amplitude factor of
     order alpha^-4, both polynomials in cot(tau_m).  Without them the
     downward recursion inherits an O(1/m) seed error that the product
-    integrals of pattern_row can resolve at M >= 16.
+    integrals of pattern_row_grid can resolve at M >= 16.
 
     Accepts a scalar or an ndarray x; requires |x| < alpha_m.
     """
@@ -173,15 +152,6 @@ def semiclassical_kappa(m: int, x, refine: bool = True):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
-
-
-def semiclassical_seed(m: int, x: float, refine: bool = True) -> SemiclassicalSeed:
-    """Bundle the seed value with its intermediate quantities for inspection."""
-    alpha = math.sqrt(m + 0.5)
-    kappa = semiclassical_kappa(m, x, refine=refine)
-    tau = math.acos(x / alpha)
-    chi = math.sin(2.0 * tau) - 2.0 * tau
-    return SemiclassicalSeed(m=m, alpha_m=alpha, tau_m=tau, chi_m=chi, kappa_m=float(kappa))
 
 
 def _as_grid(x):
@@ -303,60 +273,37 @@ def _finish_irregular(v: np.ndarray, xa: np.ndarray, cfg: PatternConfig):
 
 
 def irregular_sequence(x, cfg: PatternConfig):
-    """Irregular solutions v_0..v_{M+1}, v~_m = sqrt(m) v_m, and the region used.
+    """Irregular solutions v_0..v_{M+1}, v~_m = sqrt(m) v_m, and the backward mask.
 
-    Inside the safe region the recursion is seeded at index 4M from the
-    semiclassical values and run downward; outside it the forward recursion
-    from v_0 = 1/(beta x) is used.  Array input must lie in a single region
-    (build_table handles mixed grids).
+    Columns inside the safe region are seeded at index 4M from the
+    semiclassical values and recursed downward; the others run the forward
+    recursion from v_0 = 1/(beta x).  A grid may mix both.  Returns shape
+    (M+2,) and a bool for scalar x, (M+2, len(x)) and a per-column bool
+    mask (True where the backward recursion ran) for array input.
     """
     xa, scalar = _as_grid(x)
-    safe = np.abs(xa) < safe_region_bound(cfg.cutoff)
-    if safe.all():
-        region = "backward"
-        v = _backward_irregular(xa, cfg)
-    elif not safe.any():
-        region = "forward"
-        v = _forward_irregular(xa, cfg)
-    else:
-        raise ValueError(
-            "irregular_sequence received x values from both regions; "
-            "use build_table for mixed grids"
-        )
+    backward = np.abs(xa) < safe_region_bound(cfg.cutoff)
+    v = np.zeros((cfg.cutoff + 2, xa.size), dtype=cfg.dtype)
+    if backward.any():
+        v[:, backward] = _backward_irregular(xa[backward], cfg)
+    if not backward.all():
+        v[:, ~backward] = _forward_irregular(xa[~backward], cfg)
     vt = _finish_irregular(v, xa, cfg)
     if scalar:
-        return v[:, 0], vt[:, 0], region
-    return v, vt, region
-
-
-def build_workspace(x: float, cfg: PatternConfig) -> PatternWorkspace:
-    """Construct the full (u, u~, v, v~) bundle at one quadrature value."""
-    u, ut = regular_sequence(x, cfg)
-    v, vt, region = irregular_sequence(x, cfg)
-    return PatternWorkspace(
-        x=float(x), u=u, u_tilde=ut, v=v, v_tilde=vt,
-        region=region, cutoff=cfg.cutoff, beta=cfg.beta,
-    )
+        return v[:, 0], vt[:, 0], bool(backward[0])
+    return v, vt, backward
 
 
 def build_table(x, cfg: PatternConfig) -> PatternTable:
-    """Construct workspace vectors for a grid of quadrature values.
-
-    Columns inside and outside the safe region are handled by the backward
-    and forward recursions respectively.
-    """
+    """The (u, u~, v, v~) table over a grid of quadrature values; a scalar x
+    gives a one-column table.  regular_sequence fills u and u~,
+    irregular_sequence v, v~ and the backward mask."""
     xa, _ = _as_grid(x)
     u, ut = regular_sequence(xa, cfg)
-    safe = np.abs(xa) < safe_region_bound(cfg.cutoff)
-    v = np.zeros_like(u)
-    if safe.any():
-        v[:, safe] = _backward_irregular(xa[safe], cfg)
-    if (~safe).any():
-        v[:, ~safe] = _forward_irregular(xa[~safe], cfg)
-    vt = _finish_irregular(v, xa, cfg)
+    v, vt, backward = irregular_sequence(xa, cfg)
     return PatternTable(
         x=xa, u=u, u_tilde=ut, v=v, v_tilde=vt,
-        backward=safe, cutoff=cfg.cutoff, beta=cfg.beta,
+        backward=backward, cutoff=cfg.cutoff, beta=cfg.beta,
     )
 
 
@@ -380,38 +327,29 @@ def kernel_factors(table: PatternTable):
 
 def pattern_row_grid(table: PatternTable, d: int) -> np.ndarray:
     """f_{n,n+d}(x) = A_n V_{n+d} - U_n W_{n+d} for n = 0..M-d-1 over the
-    whole grid, shape (M-d, len(x)), in float64 (see kernel_factors)."""
+    whole grid, shape (M-d, len(x)), in float64 (see kernel_factors).
+
+    Raises NumericalError naming d and the first x with a non-finite value.
+    """
     M = table.cutoff
     if not 0 <= d <= M - 1:
         raise ValueError(f"diagonal d must be in 0..{M - 1}, got {d}")
     A, U, V, W = kernel_factors(table)
     with np.errstate(over="ignore", invalid="ignore"):
-        return A[:M - d] * V[d:] - U[:M - d] * W[d:]
+        rows = A[:M - d] * V[d:] - U[:M - d] * W[d:]
+    finite = np.isfinite(rows).all(axis=0)
+    if not finite.all():
+        x_bad = table.x[np.argmin(finite)]
+        raise NumericalError(f"pattern row d={d} is not finite at x={x_bad:.6g}")
+    return rows
 
 
-def _column(ws: PatternWorkspace) -> PatternTable:
-    """A workspace as a one-column pattern table."""
-    u, ut, v, vt = (a[:, None] for a in (ws.u, ws.u_tilde, ws.v, ws.v_tilde))
-    return PatternTable(np.array([ws.x]), u, ut, v, vt,
-                        np.array([ws.region == "backward"]), ws.cutoff, ws.beta)
-
-
-def pattern_row(ws: PatternWorkspace, d: int) -> np.ndarray:
-    """Pattern-function values f_{n,n+d}(x) for n = 0..M-d-1 at one x."""
-    row = pattern_row_grid(_column(ws), d)[:, 0]
-    if not np.all(np.isfinite(row)):
-        raise NumericalError(f"pattern row d={d} is not finite at x={ws.x:.6g}")
-    return row
-
-
-def pattern_value(ws: PatternWorkspace, n: int, m: int) -> float:
-    """Single kernel value f_{n,m}(x); f_{m,n} is served by symmetry."""
-    M = ws.cutoff
+def pattern_value(table: PatternTable, n: int, m: int) -> np.ndarray:
+    """Kernel values f_{n,m}(x) over the table's grid, shape (len(x),);
+    f_{m,n} is served by symmetry."""
+    M = table.cutoff
     if not (0 <= n <= M - 1 and 0 <= m <= M - 1):
         raise ValueError(f"indices must be in 0..{M - 1}, got ({n}, {m})")
     if n > m:
         n, m = m, n
-    val = pattern_row_grid(_column(ws), m - n)[n, 0]
-    if not math.isfinite(val):
-        raise NumericalError(f"pattern value ({n},{m}) is not finite at x={ws.x:.6g}")
-    return float(val)
+    return pattern_row_grid(table, m - n)[n]

@@ -65,6 +65,13 @@ _SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
 
 
+def _check_count(name: str, value, low: int = 1):
+    """Raise ValueError unless value is an integer >= low; a bool or a
+    float with an integer value is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass
 class QuadratureDataset:
     """Measurement record (phases, values) split into statistical blocks.
@@ -87,8 +94,7 @@ class QuadratureDataset:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.phases.shape != self.values.shape or self.phases.ndim != 1:
             raise ValueError("phases and values must be 1-d arrays of equal length")
-        if self.n_phi < 1:
-            raise ValueError(f"n_phi must be >= 1, got {self.n_phi}")
+        _check_count("n_phi", self.n_phi)
         if not np.all(np.isfinite(self.values)):
             raise DataError("quadrature values contain NaN or Inf")
         if self.phases.size and not (
@@ -104,8 +110,7 @@ class QuadratureDataset:
             raise ValueError("block labels must match the sample count")
         if not np.issubdtype(self.block.dtype, np.integer):
             raise ValueError(f"block labels must be integers, got {self.block.dtype}")
-        if not isinstance(self.nblks, (int, np.integer)) or self.nblks < 1:
-            raise ValueError(f"block labels need an integer nblks >= 1, got {self.nblks!r}")
+        _check_count("nblks", self.nblks)
         if self.block.size and not 0 <= self.block.min() <= self.block.max() < self.nblks:
             raise DataError(f"block labels must lie in 0..{self.nblks - 1}")
 

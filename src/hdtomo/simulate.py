@@ -26,6 +26,7 @@ from .errors import DataError
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
 from .reconstruct import (
     QuadratureDataset,
+    _check_count,
     bin as bin_dataset,
     block_statistics,
     check_normalization,
@@ -241,12 +242,11 @@ class SimulationPlan:
     grid_points: int = 4096
 
     def __post_init__(self):
-        if min(self.nsamples, self.nblks, self.n_phi) < 1:
-            raise ValueError("nsamples, nblks and n_phi must all be >= 1")
+        for name in ("nsamples", "nblks", "n_phi"):
+            _check_count(name, getattr(self, name))
+        _check_count("grid_points", self.grid_points, 16)
         if self.nblks > 65535:
             raise ValueError(f"nblks must be <= 65535 (uint16 labels), got {self.nblks}")
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be >= 16")
 
     @property
     def total_samples(self) -> int:

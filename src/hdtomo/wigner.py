@@ -312,13 +312,15 @@ def cartesian_resample(grid: WignerGrid, n: int = 201):
     y = np.linspace(-rmax, rmax, n)
     xg, yg = np.meshgrid(x, y, indexing="ij")
     rad = np.hypot(xg, yg)
-    ang = np.mod(np.arctan2(yg, xg), 2.0 * math.pi)
+    # angles measured from the grid's first angle, so every one falls in
+    # [theta[0], theta[0] + 2 pi) and no wedge is left outside the wrap
+    ang = np.mod(np.arctan2(yg, xg) - theta[0], 2.0 * math.pi) + theta[0]
     i = np.clip(np.searchsorted(r, rad, side="right") - 1, 0, r.size - 2)
     j = np.clip(np.searchsorted(theta_w, ang, side="right") - 1, 0, theta.size - 1)
     t = (rad - r[i]) / (r[i + 1] - r[i])
     u = (ang - theta_w[j]) / (theta_w[j + 1] - theta_w[j])
     W_xy = ((1.0 - t) * ((1.0 - u) * W_w[i, j] + u * W_w[i, j + 1])
             + t * ((1.0 - u) * W_w[i + 1, j] + u * W_w[i + 1, j + 1]))
-    outside = (rad < r[0]) | (rad > rmax) | (ang < theta_w[0]) | (ang > theta_w[-1])
+    outside = (rad < r[0]) | (rad > rmax)
     W_xy[outside] = 0.0
     return x, y, W_xy

@@ -19,7 +19,6 @@ from hdtomo.patterns import (
     PatternConfig,
     balanced_beta,
     build_table,
-    build_workspace,
     choose_beta,
     pattern_row_grid,
     safe_region_bound,
@@ -208,7 +207,7 @@ def test_large_cutoff_stability_and_failure_modes(acceptance, tmp_path, capsys):
     # beyond the double-precision dynamic range the builders must raise,
     # never hand back a table with overflowed entries
     with pytest.raises(NumericalError):
-        build_workspace(38.0, PatternConfig(cutoff=M, beta=balanced_beta([38.0])))
+        build_table(38.0, PatternConfig(cutoff=M, beta=balanced_beta([38.0])))
     with pytest.raises(NumericalError):
         build_table(x, PatternConfig(cutoff=M, beta=balanced_beta(x),
                                      precision="single"))

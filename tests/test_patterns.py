@@ -10,18 +10,15 @@ from hdtomo.patterns import (
     PatternConfig,
     balanced_beta,
     build_table,
-    build_workspace,
     choose_beta,
     in_safe_region,
     irregular_sequence,
     kernel_factors,
-    pattern_row,
     pattern_row_grid,
     pattern_value,
     regular_sequence,
     safe_region_bound,
     semiclassical_kappa,
-    semiclassical_seed,
 )
 
 
@@ -120,8 +117,8 @@ def test_irregular_backward_matches_exact_m16():
     beta = math.exp(-12.0)
     cfg = PatternConfig(cutoff=16, beta=beta)
     for x in (0.3, 2.1, 4.0):
-        v, _, region = irregular_sequence(x, cfg)
-        assert region == "backward"
+        v, _, backward = irregular_sequence(x, cfg)
+        assert backward is True
         exact = oracles.v_exact(x, 17, beta)
         assert np.max(np.abs(v - exact)) <= 1e-6 * np.max(np.abs(exact))
 
@@ -130,16 +127,16 @@ def test_irregular_backward_matches_exact_m64():
     beta = math.exp(-3.0 * 7.9)
     cfg = PatternConfig(cutoff=64, beta=beta)
     for x in (0.5, 3.7, 7.9):
-        v, _, region = irregular_sequence(x, cfg)
-        assert region == "backward"
+        v, _, backward = irregular_sequence(x, cfg)
+        assert backward is True
         exact = oracles.v_exact(x, 65, beta)
         assert np.max(np.abs(v - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 def test_irregular_at_zero_parity():
     cfg = PatternConfig(cutoff=10, beta=1.0)
-    v, vt, region = irregular_sequence(0.0, cfg)
-    assert region == "backward"
+    v, vt, backward = irregular_sequence(0.0, cfg)
+    assert backward is True
     top = np.max(np.abs(v))
     # even orders vanish at the origin; v_1 = -2 / beta there
     assert abs(v[0]) <= 1e-10 * top
@@ -152,8 +149,8 @@ def test_irregular_forward_branch():
     cfg = PatternConfig(cutoff=4, beta=1.0)
     x = 20.0
     assert not in_safe_region(x, 4)
-    v, vt, region = irregular_sequence(x, cfg)
-    assert region == "forward"
+    v, vt, backward = irregular_sequence(x, cfg)
+    assert backward is False
     assert v[0] == 1.0 / x
     assert v[1] == math.sqrt(1.0) * (0.5 / x) * v[0]
     assert v[3] == math.sqrt(3.0) * (0.5 / x) * v[2]
@@ -162,10 +159,19 @@ def test_irregular_forward_branch():
     assert np.all(vt == scale * v)
 
 
-def test_irregular_mixed_regions_rejected():
-    cfg = PatternConfig(cutoff=4, beta=1.0)
-    with pytest.raises(ValueError, match="both regions"):
-        irregular_sequence([0.5, 100.0], cfg)
+def test_irregular_mixed_grid_matches_region_subgrids():
+    xs = np.array([0.5, 100.0, -9.0, -1.8, 0.0, 7.0])
+    for precision in ("double", "single"):
+        cfg = PatternConfig(cutoff=4, beta=math.exp(-3.0), precision=precision)
+        v, vt, backward = irregular_sequence(xs, cfg)
+        assert np.array_equal(backward, np.abs(xs) < safe_region_bound(4))
+        assert backward.any() and not backward.all()
+        for mask in (backward, ~backward):
+            v_sub, vt_sub, back_sub = irregular_sequence(xs[mask], cfg)
+            assert v.dtype == v_sub.dtype == cfg.dtype
+            assert np.array_equal(v[:, mask], v_sub)
+            assert np.array_equal(vt[:, mask], vt_sub)
+            assert np.array_equal(back_sub, backward[mask])
 
 
 def test_irregular_scaling_underflow_raises():
@@ -230,26 +236,17 @@ def test_kappa_amplitude_grows_near_turning_point():
     assert np.max(vals) > 10.0 * base
 
 
-def test_seed_bundle_fields():
-    s = semiclassical_seed(256, 0.7)
-    assert s.m == 256
-    assert s.alpha_m == math.sqrt(256.5)
-    assert s.tau_m == pytest.approx(math.acos(0.7 / s.alpha_m), rel=1e-15)
-    assert s.chi_m == pytest.approx(math.sin(2 * s.tau_m) - 2 * s.tau_m, rel=1e-15)
-    assert s.kappa_m == semiclassical_kappa(256, 0.7)
-
-
 def test_pattern_parity():
     beta = math.exp(-3.0 * 1.3)
     cfg = PatternConfig(cutoff=12, beta=beta)
-    wp = build_workspace(1.3, cfg)
-    wm = build_workspace(-1.3, cfg)
+    wp = build_table(1.3, cfg)
+    wm = build_table(-1.3, cfg)
     top = 0.0
     worst = 0.0
     for n in range(12):
         for m in range(12):
-            fp = pattern_value(wp, n, m)
-            fm = pattern_value(wm, n, m)
+            fp = pattern_value(wp, n, m)[0]
+            fm = pattern_value(wm, n, m)[0]
             top = max(top, abs(fp))
             worst = max(worst, abs(fm - (-1.0) ** (n + m) * fp))
     assert worst <= 1e-10 * top
@@ -257,10 +254,10 @@ def test_pattern_parity():
 
 def test_pattern_index_symmetry():
     cfg = PatternConfig(cutoff=6, beta=math.exp(-2.0))
-    ws = build_workspace(0.8, cfg)
+    table = build_table([0.8, -2.1, 3.0], cfg)
     for n in range(6):
         for m in range(6):
-            assert pattern_value(ws, n, m) == pattern_value(ws, m, n)
+            assert np.array_equal(pattern_value(table, n, m), pattern_value(table, m, n))
 
 
 def test_pattern_beta_invariance():
@@ -268,8 +265,8 @@ def test_pattern_beta_invariance():
     ref = None
     for k in range(7):
         cfg = PatternConfig(cutoff=10, beta=1e-3 * 10.0**k)
-        ws = build_workspace(x, cfg)
-        vals = np.array([[pattern_value(ws, n, m) for m in range(10)] for n in range(10)])
+        table = build_table(x, cfg)
+        vals = np.array([[pattern_value(table, n, m)[0] for m in range(10)] for n in range(10)])
         if ref is None:
             ref = vals
         else:
@@ -288,8 +285,8 @@ def test_pattern_derivative_relation():
         return u[:8, None] * v[None, :8]
 
     cd = (product(x + h) - product(x - h)) / (2.0 * h)
-    ws = build_workspace(x, cfg)
-    f = np.array([[pattern_value(ws, n, m) for m in range(8)] for n in range(8)])
+    table = build_table(x, cfg)
+    f = np.array([[pattern_value(table, n, m)[0] for m in range(8)] for n in range(8)])
     # the identity pairs the regular solution with the larger index on the
     # irregular side, so it applies to the upper triangle n <= m
     n_idx, m_idx = np.triu_indices(8)
@@ -302,8 +299,8 @@ def test_casoratian_backward():
     cfg = PatternConfig(cutoff=20, beta=beta)
     for x in (0.0, 1.2, 2.5):
         u, _ = regular_sequence(x, cfg)
-        v, _, region = irregular_sequence(x, cfg)
-        assert region == "backward"
+        v, _, backward = irregular_sequence(x, cfg)
+        assert backward is True
         m = np.arange(20)
         cas = u[m + 1] * v[m] - u[m] * v[m + 1]
         assert np.max(np.abs(cas - 2.0 / np.sqrt(m + 1.0))) <= 1e-7 * 2.0
@@ -318,12 +315,14 @@ def test_pattern_rows_match_pattern_values():
         rows = pattern_row_grid(table, d)
         assert np.array_equal(rows, A[:9 - d] * V[d:] - U[:9 - d] * W[d:])
         assert np.array_equal(rows, oracles.kernel_rows(table, d))
+        for n in range(9 - d):
+            assert np.array_equal(pattern_value(table, n, n + d), rows[n])
         for i, x in enumerate(xs):
-            ws = build_workspace(x, cfg)
-            row = pattern_row(ws, d)
+            one = build_table(x, cfg)
+            row = pattern_row_grid(one, d)[:, 0]
             assert np.array_equal(rows[:, i], row)
             for n in range(9 - d):
-                assert row[n] == pattern_value(ws, n, n + d)
+                assert row[n] == pattern_value(one, n, n + d)[0]
 
 
 def test_build_table_mixed_regions():
@@ -333,21 +332,37 @@ def test_build_table_mixed_regions():
     expect = np.array([in_safe_region(x, 4) for x in xs])
     assert np.array_equal(table.backward, expect)
     for i, x in enumerate(xs):
-        ws = build_workspace(x, cfg)
-        assert np.array_equal(table.u[:, i], ws.u)
-        assert np.array_equal(table.v[:, i], ws.v)
-        assert ws.region == ("backward" if expect[i] else "forward")
+        one = build_table(x, cfg)
+        assert one.x.shape == one.backward.shape == (1,)
+        for name in ("u", "u_tilde", "v", "v_tilde"):
+            assert getattr(one, name).shape == (6, 1)
+            assert np.array_equal(getattr(table, name)[:, i], getattr(one, name)[:, 0])
+        assert one.backward[0] == expect[i]
+
+
+def test_pattern_row_grid_rejects_nonfinite():
+    cfg = PatternConfig(cutoff=4, beta=math.exp(-3.0))
+    table = build_table(np.array([-0.7, 0.2, 1.1]), cfg)
+    table.u[2, 2] = np.inf
+    table.u[2, 1] = np.inf
+    for d in (0, 1):
+        with pytest.raises(NumericalError, match=rf"row d={d} is not finite at x=0\.2\b"):
+            pattern_row_grid(table, d)
+    with pytest.raises(NumericalError, match="not finite"):
+        pattern_value(table, 2, 3)
+    # rows that never read u_2 stay available
+    assert np.all(np.isfinite(pattern_row_grid(table, 3)))
 
 
 def test_pattern_row_bounds():
     cfg = PatternConfig(cutoff=5, beta=math.exp(-3.0))
-    ws = build_workspace(0.5, cfg)
+    table = build_table(0.5, cfg)
     with pytest.raises(ValueError):
-        pattern_row(ws, 5)
+        pattern_row_grid(table, 5)
     with pytest.raises(ValueError):
-        pattern_row(ws, -1)
+        pattern_row_grid(table, -1)
     with pytest.raises(ValueError):
-        pattern_value(ws, 0, 5)
+        pattern_value(table, 0, 5)
 
 
 def test_config_validation():

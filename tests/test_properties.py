@@ -12,12 +12,21 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from hdtomo import formats, simulate
-from hdtomo.patterns import PatternConfig, choose_beta
+from hdtomo.patterns import (
+    PatternConfig,
+    build_table,
+    choose_beta,
+    kernel_factors,
+    pattern_row_grid,
+)
 from hdtomo.reconstruct import (
     QuadratureDataset,
     _bin_index,
+    bin,
     block_statistics,
+    estimate_binned,
     estimate_unbinned,
+    phase_dft,
 )
 from hdtomo.simulate import FockVector, MarginalTable, SimulationPlan
 
@@ -45,6 +54,49 @@ def test_unbinned_matches_loop_and_is_hermitian(data):
     assert np.all(np.diagonal(est.err_im) == 0.0)
     assert np.array_equal(est.err_re, est.err_re.T)
     assert np.array_equal(est.err_im, est.err_im.T)
+
+
+def _kernel_and_scale(x, cfg):
+    """f_{n,m}(x_k) as an (M, M, len(x)) array from pattern_row_grid, and
+    the rounding scale |A_n v_m| + |u_n v~_{m+1}| of each value."""
+    M = cfg.cutoff
+    table = build_table(x, cfg)
+    A, U, V, W = kernel_factors(table)
+    f, g = np.zeros((2, M, M, x.size))
+    for d in range(M):
+        n = np.arange(M - d)
+        f[n, n + d] = f[n + d, n] = pattern_row_grid(table, d)
+        g[n, n + d] = g[n + d, n] = np.abs(A[:M - d] * V[d:]) + np.abs(U[:M - d] * W[d:])
+    return f, g
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_binned_and_unbinned_agree_on_fine_bins(data):
+    # With equal per-phase counts both estimates are equal-weight means over
+    # the samples, of f(c_k) e^{-i d phi_k} and f(x_k) e^{-i d phi_k} with
+    # c_k sample k's bin centre, so they differ by at most max_k
+    # |f(c_k) - f(x_k)| per element, plus rounding.
+    M = data.draw(st.integers(1, 8), label="M")
+    n_phi = data.draw(st.integers(M, 2 * M + 3), label="n_phi")
+    per = data.draw(st.integers(2, 5), label="samples per phase")
+    n_bin = data.draw(st.integers(200, 4000), label="n_bin")
+    j = np.repeat(np.arange(n_phi), per)
+    x = np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        min_size=j.size, max_size=j.size)))
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi, x, n_phi=n_phi)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+    sino = bin(ds, n_bin)
+    binned = estimate_binned(phase_dft(sino), cfg)
+    unbinned = estimate_unbinned(ds, cfg)
+    centers = sino.bin_centers[_bin_index(x, sino.bin_edges)]
+    f_x, g_x = _kernel_and_scale(x, cfg)
+    f_c, g_c = _kernel_and_scale(centers, cfg)
+    bound = np.max(np.abs(f_c - f_x), axis=2)
+    rounding = 8 * np.finfo(np.float64).eps * (j.size + n_bin) * np.maximum(
+        g_x.max(axis=2), g_c.max(axis=2))
+    assert np.all(np.abs(binned.rho - unbinned.rho) <= bound + rounding)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

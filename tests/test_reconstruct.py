@@ -9,7 +9,7 @@ import pytest
 import oracles
 from hdtomo import reconstruct
 from hdtomo.errors import DataError, NumericalError, UsageError
-from hdtomo.patterns import PatternConfig, build_workspace, choose_beta, pattern_value
+from hdtomo.patterns import PatternConfig, build_table, choose_beta, pattern_value
 from hdtomo.reconstruct import (
     DensityMatrixEstimate,
     QuadratureDataset,
@@ -59,6 +59,16 @@ def test_dataset_rejects_out_of_range_phases():
         QuadratureDataset(np.array([2.0 * math.pi]), np.array([0.1]), n_phi=4)
     with pytest.raises(DataError):
         QuadratureDataset(np.array([-0.1]), np.array([0.1]), n_phi=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_phi", 4.0), ("n_phi", True), ("n_phi", 0), ("n_phi", "4"),
+    ("nblks", 2.0), ("nblks", True), ("nblks", None),
+])
+def test_dataset_counts_must_be_integers(field, value):
+    args = {"n_phi": 4, "block": np.array([0, 1]), "nblks": 2, field: value}
+    with pytest.raises(ValueError, match=rf"{field} must be an integer >= 1"):
+        QuadratureDataset(np.zeros(2), np.zeros(2), **args)
 
 
 def test_dataset_block_label_validation():
@@ -276,9 +286,9 @@ def test_binned_single_sample_point_formula():
     k = np.nonzero(sino.freq[0])[0][0]
     xc = sino.bin_centers[k]
     assert abs(xc - x0) <= 0.5 * (sino.bin_edges[1] - sino.bin_edges[0])
-    ws = build_workspace(float(xc), cfg)
+    table = build_table(float(xc), cfg)
     for n in range(3):
-        assert est.rho[n, n].real == pattern_value(ws, n, n)
+        assert est.rho[n, n].real == pattern_value(table, n, n)[0]
     # a single sample carries no spread, so every error bar is exactly zero
     assert np.all(est.err_re == 0.0)
     assert np.all(est.err_im == 0.0)

@@ -361,6 +361,21 @@ def test_plan_validation():
         sample(table, SimulationPlan(nsamples=5, nblks=1, n_phi=3, seed=0))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nsamples", 2.5), ("nsamples", 3.0), ("nsamples", True), ("nblks", 2.0),
+    ("nblks", False), ("n_phi", 4.0), ("n_phi", np.float64(4.0)), ("grid_points", 512.0),
+    ("grid_points", True),
+])
+def test_plan_counts_must_be_integers(field, value):
+    args = {"nsamples": 3, "nblks": 2, "n_phi": 4, "seed": 0, "grid_points": 512,
+            field: value}
+    with pytest.raises(ValueError, match=rf"{field} must be an integer >= "):
+        SimulationPlan(**args)
+    # numpy integers are counts
+    args[field] = np.int64(16)
+    assert SimulationPlan(**args).total_samples > 0
+
+
 def test_run_experiment_vacuum_trace_compatible():
     state = make_state("coherent", 0.0, 8)
     plan = SimulationPlan(nsamples=500, nblks=4, n_phi=8, seed=3)

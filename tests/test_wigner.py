@@ -286,6 +286,19 @@ def _random_rho(rng, M):
     return DiagonalDensityMatrix.from_matrix((a + a.conj().T) / 2.0)
 
 
+def test_cartesian_resample_wraps_grids_not_starting_at_zero():
+    r, theta = polar_grid(24, n_r=61, n_theta=16)
+    vacuum = DiagonalDensityMatrix.from_matrix(np.eye(1))
+    for rho in (vacuum, _random_rho(np.random.default_rng(24), 24)):
+        x, y, Wxy = cartesian_resample(wigner_polar(rho, r, theta + 0.5), n=81)
+        inside = np.hypot(*np.meshgrid(x, y, indexing="ij")) <= r[-1]
+        assert np.all(Wxy[inside] != 0.0)
+    # the vacuum is rotation invariant, so the start angle cannot matter
+    ref = cartesian_resample(wigner_polar(vacuum, r, theta), n=81)[2]
+    got = cartesian_resample(wigner_polar(vacuum, r, theta + 0.5), n=81)[2]
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
 @pytest.mark.parametrize("method", ["direct", "recurrence1", "recurrence2"])
 @pytest.mark.parametrize("M", [1, 2, 3, 24, 64])
 def test_wigner_polar_matches_per_radius_oracle(method, M):
