@@ -106,8 +106,6 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON run configuration; overrides flags")
     sub.add_argument("--threads", type=int, default=None,
                      help="cap numeric worker threads")
-    sub.add_argument("--precision", choices=("single", "double"), default="double",
-                     help="floating-point precision for pattern recursions")
 
 
 def _collect_flags(sub: argparse.ArgumentParser):
@@ -162,6 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="remove the midpoint-rule bias of wide bins")
     p.add_argument("--symmetrize", action="store_true",
                    help="double half-circle data via X_{phi+pi} = -X_phi")
+    p.add_argument("--precision", choices=("single", "double"), default="double",
+                   help="floating-point precision for pattern recursions")
     p.add_argument("--out-dir", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)

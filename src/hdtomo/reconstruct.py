@@ -12,6 +12,8 @@ kernel rows at the bin centers, all read from one set of kernel factors
 whose finiteness is checked once per table (_kernel_rows).  Error bars come
 either from the per-sample variance (real and imaginary parts separately)
 or from the scatter of estimates over independent statistical blocks.
+Every estimator hands over its values along the upper band, diagonal by
+diagonal (_band), and _assemble alone builds the Hermitian matrices.
 
 The unbinned sums are matrix products.  The kernel is a rank-2 product,
 f_{n,m} = A_n v_m - u_n v~_{m+1} with A_n = 2x u_n - u~_{n+1}, and the
@@ -331,25 +333,40 @@ def phase_dft(s: Sinogram) -> PhaseSpectrum:
     )
 
 
-def _resolve_max_diag(M: int, max_diag) -> int:
+def _band(M: int, dmax: int):
+    """Index pair (n, n + d) of the upper band 0 <= d <= dmax of an M x M
+    matrix, diagonal by diagonal as _kernel_rows yields its rows; the
+    first M pairs are the main diagonal."""
+    n = [np.arange(M - d) for d in range(dmax + 1)]
+    return np.concatenate(n), np.concatenate([k + d for d, k in enumerate(n)])
+
+
+def _diagonals(M: int, max_diag, n_phi: int):
+    """(dmax, _band(M, dmax)): diagonals 0..max_diag, all of them for None,
+    after checking that n_phi phases resolve them."""
     if max_diag is None:
-        return M - 1
-    if not 0 <= max_diag <= M - 1:
+        max_diag = M - 1
+    elif not 0 <= max_diag <= M - 1:
         raise ValueError(f"max_diag must be in 0..{M - 1}, got {max_diag}")
-    return int(max_diag)
-
-
-def _require_phases(n_phi: int, M: int, dmax: int):
+    dmax = int(max_diag)
     needed = M if dmax == M - 1 else dmax + 1
     if n_phi < needed:
         raise UsageError(
             f"phase count insufficient for cutoff M: n_phi={n_phi} cannot "
             f"resolve diagonals up to d={dmax} (need n_phi >= {needed})"
         )
+    return dmax, _band(M, dmax)
 
 
-def _assemble(rho_u, err_re_u, err_im_u, meta) -> DensityMatrixEstimate:
-    """Mirror the upper triangle into an exactly Hermitian estimate."""
+def _assemble(M, band, mean, err_re, err_im, meta) -> DensityMatrixEstimate:
+    """The estimate whose upper band holds mean, err_re and err_im in _band
+    order, mirrored to be exactly Hermitian and 0 off the band."""
+    rho_u = np.zeros((M, M), dtype=np.complex128)
+    err_re_u = np.zeros((M, M))
+    err_im_u = np.zeros((M, M))
+    rho_u[band] = mean
+    err_re_u[band] = err_re
+    err_im_u[band] = err_im
     rho = rho_u + rho_u.conj().T
     np.fill_diagonal(rho, np.real(np.diagonal(rho_u)))
     err_re = err_re_u + err_re_u.T
@@ -374,9 +391,10 @@ def _midpoint_corrected(f: np.ndarray) -> np.ndarray:
 
 def _kernel_rows(centers, cfg: PatternConfig, dmax: int, bin_correction: bool):
     """Yield f_d[n, i] = f_{n,n+d}(centers[i]) = A_n V_{n+d} - U_n W_{n+d}
-    for d = 0..dmax, _midpoint_corrected if bin_correction.  Only the
-    factors are kept, so the table's u~ is freed as A is formed.  Every
-    factor entry enters row 0, so its finiteness is checked on row 0 only.
+    for d = 0..dmax, _midpoint_corrected if bin_correction: the band in
+    _band order.  Only the factors are kept, so the table's u~ is freed as
+    A is formed.  Every factor entry enters row 0, so its finiteness is
+    checked on row 0 only.
     """
     M = cfg.cutoff
     A, U, V, W = kernel_factors(build_table(centers, cfg))
@@ -410,40 +428,25 @@ def estimate_binned(
     second-difference refinement; see _midpoint_corrected.
     """
     M = cfg.cutoff
-    dmax = _resolve_max_diag(M, max_diag)
-    _require_phases(spec.n_phi, M, dmax)
+    dmax, band = _diagonals(M, max_diag, spec.n_phi)
     N = int(spec.n_per_phase.sum())
-    rho_u = np.zeros((M, M), dtype=np.complex128)
-    err_re_u = np.zeros((M, M))
-    err_im_u = np.zeros((M, M))
+    s0 = spec.shat[0].real
+    cols = []
     for d, f in enumerate(_kernel_rows(spec.bin_centers, cfg, dmax, bin_correction)):
-        row = spec.shat[d]
-        mean_re = f @ row.real
-        mean_im = f @ row.imag
+        row, s2d = spec.shat[d], spec.shat[(2 * d) % spec.n_phi].real
         f2 = f * f
-        even = spec.shat[0].real + spec.shat[(2 * d) % spec.n_phi].real
-        odd = spec.shat[0].real - spec.shat[(2 * d) % spec.n_phi].real
-        sum_re2 = 0.5 * N * (f2 @ even)
-        sum_im2 = 0.5 * N * (f2 @ odd)
-        denom = max(N - 1, 1)  # a single sample gives a zero numerator too
-        var_re = np.maximum(sum_re2 - N * mean_re**2, 0.0) / denom
-        var_im = np.maximum(sum_im2 - N * mean_im**2, 0.0) / denom
-        rows = np.arange(M - d)
-        rho_u[rows, rows + d] = mean_re + 1j * mean_im
-        err_re_u[rows, rows + d] = np.sqrt(var_re / N)
-        err_im_u[rows, rows + d] = np.sqrt(var_im / N)
+        cols.append((f @ row.real, f @ row.imag, f2 @ (s0 + s2d), f2 @ (s0 - s2d)))
+    mean_re, mean_im, f2_even, f2_odd = map(np.concatenate, zip(*cols))
+    denom = max(N - 1, 1)  # a single sample gives a zero numerator too
+    var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
+    var_im = np.maximum(0.5 * N * f2_odd - N * mean_im**2, 0.0) / denom
     meta = {
         "estimator": "binned", "N": N, "n_bin": spec.n_bin,
         "n_phi": spec.n_phi, "beta": cfg.beta, "max_diag": dmax,
         "bin_correction": bool(bin_correction),
     }
-    return _assemble(rho_u, err_re_u, err_im_u, meta)
-
-
-def _band(M: int, dmax: int) -> np.ndarray:
-    """Mask of the estimated upper band 0 <= m - n <= dmax of an M x M matrix."""
-    d = np.arange(M)[None, :] - np.arange(M)[:, None]
-    return (d >= 0) & (d <= dmax)
+    return _assemble(M, band, mean_re + 1j * mean_im,
+                     np.sqrt(var_re / N), np.sqrt(var_im / N), meta)
 
 
 def _add_chunk(sums, sq, tile, dmax, A, U, V, W, Ebar, C2, S2):
@@ -510,8 +513,8 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     built for slabs of _SLAB_ELEMENTS / (M + 2) samples and contracted in
     chunks of _CHUNK_ELEMENTS / M.
 
-    Returns (sums, sq).  sums is complex M x M, valid on _band(M, dmax),
-    with a real diagonal.  sq is None unless want_var; otherwise it stacks
+    Returns (sums, sq) over _band(M, dmax), in its order.  sums is complex,
+    real on the diagonal.  sq is None unless want_var; otherwise it stacks
     sum (Re F)^2, sum (Im F)^2 (exactly 0 on the diagonal, as sin 0 = 0)
     and bounds on the rounding of those two and of each part of sums.
     Non-finite sums raise NumericalError.
@@ -550,18 +553,20 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
                 _add_chunk(sums, sq, tile, dmax,
                            *(f[:, cols] for f in factors),
                            *(g[:, inv[cols]] for g in phase))
-    band = _band(M, dmax)
-    if not (np.all(np.isfinite(sums[band]))
-            and (sq is None or np.all(np.isfinite(sq[:, band])))):
+    n, m = _band(M, dmax)
+    sums = sums[n, m]
+    if want_var:
+        sq = sq[:, n, m]
+    if not (np.all(np.isfinite(sums)) and (sq is None or np.all(np.isfinite(sq)))):
         raise NumericalError(
             "unbinned moment sums are not finite; "
             "try a different beta or double precision"
         )
-    diag = np.arange(M)
-    sums[diag, diag] = sums[diag, diag].real
+    # the band opens with the main diagonal
+    sums[:M] = sums[:M].real
     if want_var:
         sq[:2] *= 0.5
-        sq[1][diag, diag] = 0.0
+        sq[1, :M] = 0.0
         k = min(chunk, values.size)
         half_eps = np.finfo(np.float64).eps / 2
         np.multiply(np.sqrt(values.size * sq[2]), half_eps * (4 * k + 4 + n_chunks),
@@ -584,8 +589,7 @@ def estimate_unbinned(
     identical samples does.
     """
     M = cfg.cutoff
-    dmax = _resolve_max_diag(M, max_diag)
-    _require_phases(ds.n_phi, M, dmax)
+    dmax, band = _diagonals(M, max_diag, ds.n_phi)
     N = ds.N
     if N < 2:
         raise DataError(
@@ -593,24 +597,18 @@ def estimate_unbinned(
             "the sample variance is undefined"
         )
     sums, sq = _moment_sums(ds.phases, ds.values, cfg, dmax, want_var=True)
-    band = _band(M, dmax)
-    mean = sums[band] / N
-    sum_re2, sum_im2, round2, round1 = sq[:, band]
+    mean = sums / N
+    sum_re2, sum_im2, round2, round1 = sq
     var_re = sum_re2 - N * mean.real**2
     var_im = sum_im2 - N * mean.imag**2
     var_re[var_re <= round2 + 2.0 * np.abs(mean.real) * round1] = 0.0
     var_im[var_im <= round2 + 2.0 * np.abs(mean.imag) * round1] = 0.0
-    rho_u = np.zeros((M, M), dtype=np.complex128)
-    err_re_u = np.zeros((M, M))
-    err_im_u = np.zeros((M, M))
-    rho_u[band] = mean
-    err_re_u[band] = np.sqrt(var_re / (N - 1) / N)
-    err_im_u[band] = np.sqrt(var_im / (N - 1) / N)
     meta = {
         "estimator": "unbinned", "N": N, "n_bin": None,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,
     }
-    return _assemble(rho_u, err_re_u, err_im_u, meta)
+    return _assemble(M, band, mean, np.sqrt(var_re / (N - 1) / N),
+                     np.sqrt(var_im / (N - 1) / N), meta)
 
 
 def _block_slices(ds: QuadratureDataset):
@@ -685,42 +683,30 @@ def block_statistics(
     is summed unbinned.
     """
     M = cfg.cutoff
-    dmax = _resolve_max_diag(M, max_diag)
-    _require_phases(ds.n_phi, M, dmax)
+    dmax, band = _diagonals(M, max_diag, ds.n_phi)
     picks = _block_slices(ds)
     nblks = ds.nblks
-    if n_bin is not None:
-        spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
-    else:
-        band = _band(M, dmax)
+    # G[k, b]: band entry k of block b's estimate
+    if n_bin is None:
         G = np.stack([
             _moment_sums(ds.phases[pick], ds.values[pick], cfg, dmax,
-                         want_var=False)[0][band] / pick.size
+                         want_var=False)[0] / pick.size
             for pick in picks
         ], axis=1)
-    rho_u = np.zeros((M, M), dtype=np.complex128)
-    err_re_u = np.zeros((M, M))
-    err_im_u = np.zeros((M, M))
-
-    def put(idx, G):
-        """Mean and standard error over the block axis of G."""
-        rho_u[idx] = G.mean(axis=1)
-        err_re_u[idx] = G.real.std(axis=1, ddof=1) / math.sqrt(nblks)
-        err_im_u[idx] = G.imag.std(axis=1, ddof=1) / math.sqrt(nblks)
-
-    if n_bin is None:
-        put(band, G)
     else:
-        for d, f in enumerate(_kernel_rows(centers, cfg, dmax, bin_correction)):
-            G = (f @ spectra[d].real.T) + 1j * (f @ spectra[d].imag.T)
-            rows = np.arange(M - d)
-            put((rows, rows + d), G)
+        spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
+        G = np.concatenate([
+            (f @ spectra[d].real.T) + 1j * (f @ spectra[d].imag.T)
+            for d, f in enumerate(_kernel_rows(centers, cfg, dmax, bin_correction))
+        ])
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax, "nblks": nblks,
         "bin_correction": bool(bin_correction and n_bin is not None),
     }
-    return _assemble(rho_u, err_re_u, err_im_u, meta)
+    return _assemble(M, band, G.mean(axis=1),
+                     G.real.std(axis=1, ddof=1) / math.sqrt(nblks),
+                     G.imag.std(axis=1, ddof=1) / math.sqrt(nblks), meta)
 
 
 def check_normalization(est: DensityMatrixEstimate) -> dict:

@@ -245,6 +245,7 @@ class SimulationPlan:
         for name in ("nsamples", "nblks", "n_phi"):
             _check_count(name, getattr(self, name))
         _check_count("grid_points", self.grid_points, 16)
+        _check_count("seed", self.seed, 0)
         if self.nblks > 65535:
             raise ValueError(f"nblks must be <= 65535 (uint16 labels), got {self.nblks}")
 

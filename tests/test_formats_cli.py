@@ -382,6 +382,15 @@ def test_cli_simulate_block_sizes(tmp_path):
     assert np.all(counts == 4000)
 
 
+def test_cli_simulate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "neg"
+    rc = _run("simulate", "--state", "vacuum", "-M", "4", "--n-phi", "4",
+              "--nsamples", "2", "--seed", "-1", "--out-dir", out)
+    assert rc == 1
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cmd_reconstruct
 
@@ -717,6 +726,21 @@ def test_cli_bad_flag_is_usage_error(capsys):
     rc = _run("reconstruct", "--no-such-flag")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["-M", "2", "--n-phi", "2", "--nsamples", "4", "--out-dir", "s"]),
+    ("wigner", ["--rho-re", "re.csv", "--rho-im", "im.csv", "--out", "w.csv"]),
+    ("report", ["--rho-re", "re.csv", "--err-re", "err.csv"]),
+])
+def test_cli_precision_is_a_reconstruct_flag(tmp_path, capsys, monkeypatch,
+                                            command, flags):
+    # only reconstruct builds pattern tables; elsewhere the flag is unknown
+    monkeypatch.chdir(tmp_path)
+    rc = _run(command, *flags, "--precision", "single")
+    assert rc == 1
+    assert "--precision" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_threads_flag_sets_env(tmp_path):

@@ -31,6 +31,19 @@ from hdtomo.reconstruct import (
 from hdtomo.simulate import FockVector, MarginalTable, SimulationPlan
 
 
+def _check_band_hermitian(est, max_diag):
+    """rho exactly Hermitian with a real diagonal, both error matrices
+    exactly symmetric, and all three exactly 0 off the estimated band."""
+    assert np.array_equal(est.rho, est.rho.conj().T)
+    assert np.all(np.diagonal(est.rho).imag == 0.0)
+    assert np.array_equal(est.err_re, est.err_re.T)
+    assert np.array_equal(est.err_im, est.err_im.T)
+    n = np.arange(est.M)
+    off = np.abs(n[:, None] - n[None, :]) > (est.M - 1 if max_diag is None else max_diag)
+    for a in (est.rho, est.err_re, est.err_im):
+        assert np.all(a[off] == 0.0)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_unbinned_matches_loop_and_is_hermitian(data):
@@ -49,11 +62,8 @@ def test_unbinned_matches_loop_and_is_hermitian(data):
     est = estimate_unbinned(ds, cfg, max_diag=max_diag)
     ref = oracles.estimate_unbinned_loop(ds, cfg, max_diag=max_diag)
     oracles.check_close_to_loop(est, ref, N, M)
-    assert np.array_equal(est.rho, est.rho.conj().T)
-    assert np.all(np.diagonal(est.rho).imag == 0.0)
+    _check_band_hermitian(est, max_diag)
     assert np.all(np.diagonal(est.err_im) == 0.0)
-    assert np.array_equal(est.err_re, est.err_re.T)
-    assert np.array_equal(est.err_im, est.err_im.T)
 
 
 def _kernel_and_scale(x, cfg):
@@ -89,6 +99,7 @@ def test_binned_and_unbinned_agree_on_fine_bins(data):
     cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
     sino = bin(ds, n_bin)
     binned = estimate_binned(phase_dft(sino), cfg)
+    _check_band_hermitian(binned, None)
     unbinned = estimate_unbinned(ds, cfg)
     centers = sino.bin_centers[_bin_index(x, sino.bin_edges)]
     f_x, g_x = _kernel_and_scale(x, cfg)
@@ -135,6 +146,7 @@ def test_block_statistics_ignore_sample_order_and_block_names(data):
         ds = QuadratureDataset(2.0 * math.pi * j[order] / n_phi, x[order], n_phi,
                                labels[order], nblks)
         est = block_statistics(ds, cfg, n_bin=bins, max_diag=max_diag)
+        _check_band_hermitian(est, max_diag)
         return est.rho, est.err_re, est.err_im
 
     for bins in (n_bin, None):

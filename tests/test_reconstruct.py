@@ -22,6 +22,7 @@ from hdtomo.reconstruct import (
     phase_dft,
 )
 from hdtomo.simulate import (
+    FockVector,
     SimulationPlan,
     make_state,
     marginals,
@@ -556,6 +557,43 @@ def test_bin_correction_removes_midpoint_bias():
     spec4 = phase_dft(_exact_fock_sinogram(12, 400))
     fixed4 = estimate_binned(spec4, cfg, bin_correction=True)
     assert abs(fixed4.rho[12, 12].real - 1.0) < 1e-4
+
+
+def _exact_sinogram(state, n_phi, n_bin):
+    """Sinogram of the exact bin masses of the state's marginals, each bin
+    integrated by 3-point Gauss-Legendre on the quadrature_grid span."""
+    from hdtomo.reconstruct import Sinogram
+
+    edges = quadrature_grid(state.M, n_bin + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    t, w = np.polynomial.legendre.leggauss(3)
+    half = 0.5 * (edges[1] - edges[0])
+    x = (centers[:, None] + half * t).ravel()
+    p = marginals(state, phase_grid(n_phi), x).p.reshape(n_phi, n_bin, 3)
+    return Sinogram(n_phi=n_phi, n_bin=n_bin, freq=p @ (half * w), bin_edges=edges,
+                    bin_centers=centers, n_per_phase=np.full(n_phi, 10**6))
+
+
+@pytest.mark.parametrize("M, n_phi, max_diag, aliased", [
+    (24, 24, None, True), (24, 25, None, False), (24, 48, None, False),
+    (32, 32, None, True), (32, 33, None, False),
+    (24, 46, 22, False), (24, 46, 23, True),
+])
+def test_phase_aliasing_rule(M, n_phi, max_diag, aliased):
+    # Spectrum row d also collects diagonal n_phi - d of the state, when
+    # that is below M.  Its x dependence has parity (-1)^(n_phi - d) and
+    # the kernel f_{n,n+d} parity (-1)^d, so an odd n_phi >= M is clean on
+    # every diagonal, an even n_phi only on d <= n_phi - M.
+    rng = np.random.default_rng(M + n_phi)
+    c = rng.normal(size=M) + 1j * rng.normal(size=M)
+    state = FockVector(M, c / np.linalg.norm(c))
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(quadrature_grid(M, 2)))
+    spec = phase_dft(_exact_sinogram(state, n_phi, 3000))
+    est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=True)
+    d = np.abs(np.subtract.outer(np.arange(M), np.arange(M)))
+    band = d <= (M - 1 if max_diag is None else max_diag)
+    dev = np.max(np.abs(est.rho - state.density_matrix())[band])
+    assert (dev > 1e-3) if aliased else (dev < 1e-5)
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,10 @@ def test_plan_validation():
     # block labels are uint16; more blocks would wrap them
     with pytest.raises(ValueError, match="65535"):
         SimulationPlan(nsamples=1, nblks=70000, n_phi=1, seed=0)
+    # the seed feeds SeedSequence: a non-negative integer, not a bool
+    for seed in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SimulationPlan(nsamples=1, nblks=1, n_phi=1, seed=seed)
     state = make_state("coherent", 0.0, 2)
     x = quadrature_grid(2, 512)
     table = marginals(state, phase_grid(2), x)
