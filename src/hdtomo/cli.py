@@ -25,39 +25,30 @@ import time
 from .errors import DataError, NumericalError, UsageError
 
 
-class RunConfig:
-    """Parsed JSON run configuration: a flat key/value document."""
-
-    def __init__(self, version: int, options: dict):
-        self.version = version
-        self.options = options
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-        if not isinstance(doc, dict):
-            raise UsageError(f"{path}: config must be a JSON object")
-        version = doc.pop("version", None)
-        if version != 1:
-            raise UsageError(f"{path}: config 'version' must be 1, got {version!r}")
-        return cls(version=1, options=doc)
-
-    def apply(self, args: argparse.Namespace):
-        flags = args._flags
-        unknown = sorted(set(self.options) - set(flags))
-        if unknown:
-            raise UsageError(
-                f"unknown config keys: {', '.join(unknown)} "
-                f"(allowed: {', '.join(sorted(flags))})"
-            )
-        for key, val in self.options.items():
-            setattr(args, key, _config_value(key, val, flags[key]))
+def _apply_config(path, args: argparse.Namespace):
+    """Override args with a flat JSON object from path ("version": 1 plus
+    one key per flag, each checked by _config_value)."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{path}: config must be a JSON object")
+    version = doc.pop("version", None)
+    if version != 1:
+        raise UsageError(f"{path}: config 'version' must be 1, got {version!r}")
+    flags = args._flags
+    unknown = sorted(set(doc) - set(flags))
+    if unknown:
+        raise UsageError(
+            f"unknown config keys: {', '.join(unknown)} "
+            f"(allowed: {', '.join(sorted(flags))})"
+        )
+    for key, val in doc.items():
+        setattr(args, key, _config_value(key, val, flags[key]))
 
 
 def _config_value(key: str, val, action: argparse.Action):
@@ -133,7 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default="0",
                    help="comma-separated Fock levels for --state fock")
     p.add_argument("--cutoff", "-M", dest="cutoff", type=int, required=True)
-    p.add_argument("--n-phi", type=int, required=True, help="number of phases")
+    p.add_argument("--n-phi", type=int, required=True,
+                   help="number of phases; odd is recommended: an odd n_phi >= M "
+                        "is alias-free for every diagonal, an even one only for "
+                        "d <= n_phi - M")
     p.add_argument("--nsamples", type=int, required=True, help="samples per block")
     p.add_argument("--nblks", type=int, default=1, help="statistical blocks")
     p.add_argument("--seed", type=int, default=0)
@@ -170,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="synthesize a Wigner function grid")
     p.add_argument("--rho-re", required=True, help="real-part matrix CSV")
     p.add_argument("--rho-im", required=True, help="imaginary-part matrix CSV")
-    p.add_argument("--method", choices=("direct", "recurrence1", "recurrence2"),
-                   default="recurrence1")
     p.add_argument("--n-r", type=int, default=121)
     p.add_argument("--n-theta", type=int, default=64)
     p.add_argument("--r-max", type=float, default=None)
@@ -321,14 +313,15 @@ def cmd_wigner(args) -> int:
     dm = wigner.DiagonalDensityMatrix.from_matrix(re_mat + 1j * im_mat)
     r, theta = wigner.polar_grid(dm.M, n_r=args.n_r, n_theta=args.n_theta,
                                  r_max=args.r_max)
-    grid = wigner.wigner_polar(dm, r, theta, method=args.method)
+    grid = wigner.wigner_polar(dm, r, theta)
+    # the method key names the lambda recurrence wigner_polar runs
+    meta = {"M": dm.M, "method": "recurrence1"}
     formats.write_wigner(args.out, grid.r, grid.theta, grid.W,
-                         meta={"M": dm.M, "method": args.method, "coords": "polar"})
+                         meta={**meta, "coords": "polar"})
     if args.cartesian:
         x, y, W_xy = wigner.cartesian_resample(grid, n=args.n_xy)
         formats.write_wigner(args.cartesian, y, x, W_xy.T,
-                             meta={"M": dm.M, "method": args.method,
-                                   "coords": "cartesian"})
+                             meta={**meta, "coords": "cartesian"})
     print(f"wrote Wigner grid ({grid.r.size} x {grid.theta.size}) to {args.out}")
     return 0
 
@@ -361,7 +354,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            RunConfig.load(args.config).apply(args)
+            _apply_config(args.config, args)
         if getattr(args, "threads", None) is not None:
             _set_thread_env(int(args.threads))
         return args.func(args)

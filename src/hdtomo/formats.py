@@ -229,10 +229,13 @@ def read_samples(path):
 
 
 def write_state(path, state, meta: dict | None = None):
-    """Fock coefficient CSV with columns n, re, im."""
+    """Fock coefficient CSV with columns n, re, im; the state's deficit must
+    lie in [0, 1], as read_state requires."""
     header = dict(meta or {})
     header["M"] = state.M
     header["deficit"] = float(state.deficit)
+    if not 0.0 <= header["deficit"] <= 1.0:
+        raise ValueError(f"state deficit must be a number in [0, 1], got {state.deficit}")
     c = state.c
     _write_table(path, "state", header, "n,re,im", [np.arange(c.size), c.real, c.imag])
 
@@ -259,7 +262,13 @@ def read_state(path):
     c = np.zeros(M, dtype=np.complex128)
     c.real[n] = re
     c.imag[n] = im
-    deficit = float(meta.get("deficit", 0.0))
+    text = meta.get("deficit", "0.0")
+    try:
+        deficit = float(text)
+    except ValueError:
+        deficit = math.nan
+    if not 0.0 <= deficit <= 1.0:
+        raise DataError(f"{path}: metadata key deficit={text!r} is not a number in [0, 1]")
     return FockVector(M=M, c=c, deficit=deficit), meta
 
 

@@ -16,6 +16,7 @@ seed: phase j's draws depend only on (seed, j) and table row j.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class FockVector:
 
 
 def _coherent_coefficients(alpha: complex, M: int) -> np.ndarray:
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 0:
         c = np.zeros(M, dtype=np.complex128)
         c[0] = 1.0
@@ -200,6 +203,8 @@ def marginals(state: FockVector, phases, x) -> MarginalTable:
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     support = np.flatnonzero(np.abs(state.c) > 0.0)
+    if support.size == 0:
+        raise ValueError("the state has no nonzero Fock coefficient")
     psi = _wavefunction_rows(x, support).astype(np.complex128)
     rot = np.exp(-1j * np.outer(phases, support)) * state.c[support]
     n_phi = phases.size

@@ -16,12 +16,13 @@ alternating sign lives in rho~, never in lambda).  Two recursive builders
 fill the lambda table in O(M^2); a closed-form log-factorial evaluation
 serves as the reference for both.
 
-wigner_polar's default path runs the three-term recurrence once for all
-radii together: M array steps, each making row n of every radius's table,
-which is folded into the diagonal sums as it comes.  Its memory is
-O(n_r M) for n_r radii; no M x M table is kept.  A polar grid needs at
-least one radius and one angle, and its Cartesian resample at least two
-radii and two points a side.
+wigner_polar runs the three-term recurrence once for all radii together:
+M array steps, each making row n of every radius's table, which is folded
+into the diagonal sums as it comes.  Its memory is O(n_r M) for n_r radii;
+no M x M table is kept.  The three table builders are the checks on it.
+A polar grid needs at least one radius and one angle and a finite
+r_max >= 0, and its Cartesian resample at least two radii and two points
+a side.
 """
 
 from __future__ import annotations
@@ -36,36 +37,40 @@ from .errors import NumericalError
 LAMBDA_0 = 4.0 / math.pi
 
 
+def _upper(M: int):
+    """Upper-triangle indices (n, m), m >= n, and the sign (-1)^n of each."""
+    n, m = np.triu_indices(M)
+    return n, m, np.where(n % 2 == 0, 1.0, -1.0)
+
+
 @dataclass
 class DiagonalDensityMatrix:
-    """Density matrix stored by diagonals: diagonals[d][n] = (-1)^n rho_{n,n+d}."""
+    """Density matrix stored by diagonals as one (M, M) array:
+    rho_tilde[n, d] = (-1)^n rho_{n,n+d} for n + d < M, and 0 elsewhere."""
 
-    M: int
-    diagonals: list
+    rho_tilde: np.ndarray
+
+    @property
+    def M(self) -> int:
+        return self.rho_tilde.shape[0]
 
     @classmethod
     def from_matrix(cls, rho) -> "DiagonalDensityMatrix":
         rho = np.asarray(rho, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-        M = rho.shape[0]
-        diags = []
-        for d in range(M):
-            signs = np.where(np.arange(M - d) % 2 == 0, 1.0, -1.0)
-            diags.append(signs * np.diagonal(rho, offset=d))
-        return cls(M=M, diagonals=diags)
+        n, m, sign = _upper(rho.shape[0])
+        rho_tilde = np.zeros_like(rho)
+        rho_tilde[n, m - n] = sign * rho[n, m]
+        return cls(rho_tilde=rho_tilde)
 
     def to_matrix(self) -> np.ndarray:
         """Rebuild the Hermitian square form (lower triangle by conjugation)."""
-        M = self.M
-        out = np.zeros((M, M), dtype=np.complex128)
-        for d in range(M):
-            n = np.arange(M - d)
-            signs = np.where(n % 2 == 0, 1.0, -1.0)
-            vals = signs * self.diagonals[d]
-            out[n, n + d] = vals
-            if d > 0:
-                out[n + d, n] = np.conj(vals)
+        n, m, sign = _upper(self.M)
+        upper = sign * self.rho_tilde[n, m - n]
+        out = np.zeros_like(self.rho_tilde)
+        out[m, n] = np.conj(upper)
+        out[n, m] = upper  # the main diagonal keeps its own value
         return out
 
 
@@ -81,9 +86,6 @@ class LambdaTable:
     M: int
     method: str
     values: np.ndarray
-
-    def diagonal(self, d: int) -> np.ndarray:
-        return self.values[: self.M - d, d]
 
 
 def _not_finite(method: str, n: int, d: int, x: float) -> NumericalError:
@@ -165,15 +167,21 @@ def lambda_direct(x: float, M: int) -> LambdaTable:
     return LambdaTable(x=x, M=M, method="direct", values=vals)
 
 
+def _recurrence_table(x: float, M: int, method: str) -> LambdaTable:
+    """The whole table at one argument, row by row from _lambda_rows; method
+    names the builder in the table and in its error messages."""
+    vals = np.zeros((M, M))
+    for n, row in enumerate(_lambda_rows(np.array([x], dtype=np.float64), M, method)):
+        vals[n, : M - n] = row[0]
+    return LambdaTable(x=x, M=M, method=method, values=vals)
+
+
 def lambda_method1(x: float, M: int) -> LambdaTable:
     """Row-by-row builder: seed rows 0 and 1, then the three-term recurrence
     in n for every column at once (see _lambda_rows)."""
     if x < 0:
         raise ValueError(f"radial argument must be >= 0, got {x}")
-    vals = np.zeros((M, M))
-    for n, row in enumerate(_lambda_rows(np.array([x], dtype=np.float64), M, "recurrence1")):
-        vals[n, : M - n] = row[0]
-    return LambdaTable(x=x, M=M, method="recurrence1", values=vals)
+    return _recurrence_table(x, M, "recurrence1")
 
 
 def _wavefront_stable(x: float, M: int) -> bool:
@@ -205,13 +213,10 @@ def lambda_method2(x: float, M: int) -> LambdaTable:
     """
     if x < 0:
         raise ValueError(f"radial argument must be >= 0, got {x}")
-    vals = np.zeros((M, M))
-    rows = _lambda_rows(np.array([x], dtype=np.float64), M, "recurrence2")
     if not _wavefront_stable(x, M):
-        for n, row in enumerate(rows):
-            vals[n, : M - n] = row[0]
-        return LambdaTable(x=x, M=M, method="recurrence2", values=vals)
-    vals[0] = next(rows)[0]
+        return _recurrence_table(x, M, "recurrence2")
+    vals = np.zeros((M, M))
+    vals[0] = next(_lambda_rows(np.array([x], dtype=np.float64), M, "recurrence2"))[0]
     for n in range(1, M):
         if n == 1:
             vals[1, 0] = (1.0 - x) * vals[0, 0]
@@ -229,13 +234,6 @@ def lambda_method2(x: float, M: int) -> LambdaTable:
     return LambdaTable(x=x, M=M, method="recurrence2", values=vals)
 
 
-_BUILDERS = {
-    "direct": lambda_direct,
-    "recurrence1": lambda_method1,
-    "recurrence2": lambda_method2,
-}
-
-
 @dataclass
 class WignerGrid:
     """Wigner values W[i, j] = W(r[i], theta[j]) on a polar grid."""
@@ -251,38 +249,29 @@ def polar_grid(M: int, n_r: int = 121, n_theta: int = 64, r_max: float | None = 
         raise ValueError(f"polar grid needs n_r >= 1 and n_theta >= 1, got {n_r} and {n_theta}")
     if r_max is None:
         r_max = math.sqrt(M)
+    elif not (math.isfinite(r_max) and r_max >= 0):
+        raise ValueError(f"polar grid needs a finite r_max >= 0, got {r_max}")
     r = np.linspace(0.0, r_max, n_r)
     theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     return r, theta
 
 
-def wigner_polar(rho: DiagonalDensityMatrix, r, theta, method: str = "recurrence1") -> WignerGrid:
+def wigner_polar(rho: DiagonalDensityMatrix, r, theta) -> WignerGrid:
     """Synthesize W(r, theta) by one pass over all radii.
 
-    recurrence1 accumulates the diagonal coefficients row by row as the
-    batched recurrence makes them, so it keeps O(len(r) M) values and no
-    lambda table; direct and recurrence2 build one table per radius.  One
-    matrix product against the angle phases then gives every W(r, theta).
+    The diagonal coefficients sum_n lambda_{n,d} rho~_{n,d} are accumulated
+    row by row as the batched recurrence makes them, so O(len(r) M) values
+    are kept and no lambda table.  One matrix product against the angle
+    phases then gives every W(r, theta).
     """
-    if method not in _BUILDERS:
-        raise ValueError(f"method must be one of {sorted(_BUILDERS)}, got {method!r}")
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     if np.any(r < 0):
         raise ValueError("radii must be >= 0")
-    M = rho.M
-    x = 4.0 * r * r
-    rhot = np.zeros((M, M), dtype=np.complex128)  # rhot[n, d] = rho~_{n,d}
-    for d in range(M):
-        rhot[: M - d, d] = rho.diagonals[d]
-    if method == "recurrence1":
-        coeff = np.zeros((r.size, M), dtype=np.complex128)
-        for n, row in enumerate(_lambda_rows(x, M, method)):
-            coeff[:, : M - n] += row * rhot[n, : M - n]
-    else:
-        build = _BUILDERS[method]
-        coeff = np.array([np.einsum("nd,nd->d", build(xv, M).values, rhot) for xv in x],
-                         dtype=np.complex128).reshape(r.size, M)
+    M, rhot = rho.M, rho.rho_tilde
+    coeff = np.zeros((r.size, M), dtype=np.complex128)
+    for n, row in enumerate(_lambda_rows(4.0 * r * r, M, "recurrence1")):
+        coeff[:, : M - n] += row * rhot[n, : M - n]
     phases = np.exp(1j * np.outer(np.arange(M), theta))
     phases[0] *= 0.5  # the 1/(1 + delta_{d,0}) regrouping
     return WignerGrid(r=r, theta=theta, W=(coeff @ phases).real)

@@ -179,11 +179,12 @@ def fock_wigner(n: int, r: float) -> float:
 
 
 def wigner_polar_per_radius(rho, r, theta, method="recurrence1"):
-    """The library's earlier wigner_polar: one lambda table per radius and a
-    dot product per diagonal."""
-    from hdtomo.wigner import _BUILDERS, WignerGrid
+    """The library's earlier wigner_polar: one lambda table per radius from
+    the builder that method names, and a dot product per diagonal."""
+    from hdtomo.wigner import WignerGrid, lambda_direct, lambda_method1, lambda_method2
 
-    build = _BUILDERS[method]
+    build = {"direct": lambda_direct, "recurrence1": lambda_method1,
+             "recurrence2": lambda_method2}[method]
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     M = rho.M
@@ -194,7 +195,7 @@ def wigner_polar_per_radius(rho, r, theta, method="recurrence1"):
     for i, rv in enumerate(r):
         table = build(4.0 * rv * rv, M)
         for d in range(M):
-            coeff[d] = table.values[: M - d, d] @ rho.diagonals[d]
+            coeff[d] = table.values[: M - d, d] @ rho.rho_tilde[: M - d, d]
         W[i] = (coeff @ phases).real
     return WignerGrid(r=r, theta=theta, W=W)
 

@@ -24,6 +24,7 @@ from hdtomo.simulate import (
     quadrature_grid,
     sample,
 )
+from hdtomo.wigner import DiagonalDensityMatrix
 
 
 def _small_dataset(seed=0, n_phi=4, nsamples=25, nblks=1, M=4):
@@ -131,6 +132,23 @@ def test_read_state_rejects_bad_indices(tmp_path, index, message):
                  f"0,0.6,0.0\n{index},0.0,0.8\n1,0.0,0.0\n")
     with pytest.raises(DataError, match=re.escape(message)):
         formats.read_state(p)
+
+
+@pytest.mark.parametrize("deficit", ["abc", "nan", "-3", "inf", "1.5"])
+def test_read_state_checks_deficit(tmp_path, deficit):
+    p = tmp_path / "state.csv"
+    p.write_text(f"# hdtomo-csv v1 kind=state M=2 deficit={deficit}\nn,re,im\n"
+                 "0,0.6,0.0\n1,0.0,0.8\n")
+    message = f"{p}: metadata key deficit='{deficit}' is not a number in [0, 1]"
+    with pytest.raises(DataError, match=re.escape(message)):
+        formats.read_state(p)
+
+
+def test_write_state_checks_deficit(tmp_path):
+    for deficit in (math.nan, -3.0, 1.5):
+        with pytest.raises(ValueError, match=r"deficit must be a number in \[0, 1\]"):
+            formats.write_state(tmp_path / "s.csv", FockVector(1, np.ones(1), deficit))
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_matrix_roundtrip_byte_identical(tmp_path):
@@ -369,6 +387,17 @@ def test_cli_simulate_deterministic(tmp_path):
         assert a == b
 
 
+@pytest.mark.parametrize("state, alpha", [("coherent", "nan"), ("cat", "inf"),
+                                          ("cat", "nan"), ("coherent", "-inf")])
+def test_cli_simulate_rejects_non_finite_alpha(tmp_path, capsys, state, alpha):
+    out = tmp_path / "run"
+    rc = _run("simulate", "--state", state, f"--alpha={alpha}", "-M", "8",
+              "--n-phi", "9", "--nsamples", "10", "--out-dir", out)
+    assert rc == 1
+    assert "error: alpha must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_block_sizes(tmp_path):
     out = tmp_path / "cat"
     rc = _run("simulate", "--state", "cat", "--alpha", "3", "-M", "64",
@@ -578,19 +607,35 @@ def test_cli_wigner_vacuum_center(tmp_path):
     assert np.all(np.isfinite(W))
 
 
-def test_cli_wigner_methods_agree(tmp_path):
+def test_cli_wigner_methods_agree(tmp_path, capsys):
+    # one synthesis path: --method is gone, and the grid matches one lambda
+    # table per radius from the wavefront builder
     state = make_state("cat", 2.0, 20)
-    re, im = _write_rho(tmp_path, np.outer(state.c, state.c.conj()))
-    outs = []
-    for method in ("recurrence1", "recurrence2"):
-        out = tmp_path / f"{method}.csv"
-        rc = _run("wigner", "--rho-re", re, "--rho-im", im,
-                  "--method", method, "--n-r", "61", "--n-theta", "16",
-                  "--out", out)
-        assert rc == 0
-        outs.append(formats.read_wigner(out)[2])
-    top = np.max(np.abs(outs[0]))
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-8 * top
+    rho = np.outer(state.c, state.c.conj())
+    re, im = _write_rho(tmp_path, rho)
+    out = tmp_path / "w.csv"
+    flags = ["--n-r", "61", "--n-theta", "16", "--out", out]
+    assert _run("wigner", "--rho-re", re, "--rho-im", im,
+                "--method", "recurrence2", *flags) == 1
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
+    assert not out.exists()
+    assert _run("wigner", "--rho-re", re, "--rho-im", im, *flags) == 0
+    r, theta, W, meta = formats.read_wigner(out)
+    assert meta["method"] == "recurrence1"
+    ref = oracles.wigner_polar_per_radius(DiagonalDensityMatrix.from_matrix(rho), r, theta,
+                                          method="recurrence2").W
+    assert np.max(np.abs(W - ref)) < 1e-8 * np.max(np.abs(ref))
+
+
+def test_cli_wigner_config_rejects_method(tmp_path, capsys):
+    re, im = _write_rho(tmp_path, np.diag([1.0, 0.0]))
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"version": 1, "method": "direct"}))
+    rc = _run("wigner", "--rho-re", re, "--rho-im", im, "--config", cfgp,
+              "--out", tmp_path / "w.csv")
+    assert rc == 1
+    assert "unknown config keys: method" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
 
 
 def test_cli_wigner_cat_interference_fringes(tmp_path):
@@ -598,7 +643,7 @@ def test_cli_wigner_cat_interference_fringes(tmp_path):
     re, im = _write_rho(tmp_path, np.outer(state.c, state.c.conj()))
     out = tmp_path / "cat13.csv"
     rc = _run("wigner", "--rho-re", re, "--rho-im", im,
-              "--method", "recurrence1", "--n-r", "900", "--n-theta", "4",
+              "--n-r", "900", "--n-theta", "4",
               "--out", out)
     assert rc == 0
     r, theta, W, _ = formats.read_wigner(out)
@@ -627,7 +672,9 @@ def test_cli_wigner_cartesian_resample(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--n-r", "0"], ["--n-theta", "0"],
                                    ["--n-r", "1", "--cartesian", "xy.csv"],
-                                   ["--cartesian", "xy.csv", "--n-xy", "1"]])
+                                   ["--cartesian", "xy.csv", "--n-xy", "1"],
+                                   ["--r-max", "nan"], ["--r-max", "inf"],
+                                   ["--r-max", "-1"]])
 def test_cli_wigner_rejects_degenerate_grids(tmp_path, capsys, flags):
     re, im = _write_rho(tmp_path, np.diag([1.0, 0.0]))
     rc = _run("wigner", "--rho-re", re, "--rho-im", im, "--out", tmp_path / "w.csv",

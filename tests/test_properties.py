@@ -219,7 +219,9 @@ def _draw_state(data):
     M = data.draw(st.integers(1, 6))
     c = np.empty(M, dtype=np.complex128)
     c.real, c.imag = _doubles(data, M), _doubles(data, M)
-    return (FockVector(M, c, data.draw(_DOUBLES)),)
+    # a deficit is a probability mass: write_state and read_state hold it to [0, 1]
+    deficit = data.draw(st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0]))
+    return (FockVector(M, c, deficit),)
 
 
 def _draw_matrix(data):

@@ -789,3 +789,39 @@ def test_check_normalization_flags_undersized_cutoff():
     rep = check_normalization(est)
     assert rep["compatible"] is False
     assert rep["trace"] < 0.5
+
+
+def test_error_bars_match_the_scatter_about_the_truth():
+    # Pulls (rho - rho_true) / err over the upper triangle, real and
+    # imaginary parts (the imaginary diagonal has no error), pooled over 20
+    # seeds.  Per-sample errors give pulls of std 1; block errors are the
+    # scatter of nblks block means, so a pull is Student-t with nblks - 1
+    # degrees of freedom, std sqrt((nblks - 1)/(nblks - 3)).  Over 1000
+    # seeds the pooled std read 0.993 (binned, unbinned) and 1.136 (block,
+    # against 1.134); pools of 20 seeds scatter by 0.024 and 0.032, so the
+    # +-15% band is about 5 of those wide, and error bars scaled by 0.7 or
+    # 1.4 land far outside it.  The odd n_phi keeps phase aliasing out.
+    M, n_phi, nblks, per_phase = 12, 25, 10, 400
+    state = make_state("coherent", 1.2 + 0.6j, M)
+    truth = state.density_matrix()
+    table = marginals(state, phase_grid(n_phi), quadrature_grid(M, 4096))
+    n, m = np.triu_indices(M)
+    pulls = {"binned": [], "unbinned": [], "block": []}
+    for seed in range(20):
+        plan = SimulationPlan(nsamples=per_phase // nblks, nblks=nblks, n_phi=n_phi,
+                              seed=seed)
+        ds = sample(table, plan)
+        cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+        for name, est in (("binned", estimate_binned(phase_dft(bin(ds, 400)), cfg)),
+                          ("unbinned", estimate_unbinned(ds, cfg)),
+                          ("block", block_statistics(ds, cfg, n_bin=400))):
+            delta = (est.rho - truth)[n, m]
+            im = n < m
+            pulls[name] += [delta.real / est.err_re[n, m],
+                            delta.imag[im] / est.err_im[n, m][im]]
+    for name, parts in pulls.items():
+        p = np.concatenate(parts)
+        target = math.sqrt((nblks - 1) / (nblks - 3)) if name == "block" else 1.0
+        assert p.size == 20 * M * M
+        assert 0.85 < np.std(p) / target < 1.15, (name, np.std(p))
+        assert abs(np.mean(p)) < 0.1, (name, np.mean(p))

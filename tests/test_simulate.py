@@ -82,6 +82,16 @@ def test_make_state_validation():
         make_state("squeezed", 1.0, 4)
     with pytest.raises(ValueError, match="M"):
         make_state("coherent", 1.0, 0)
+    for kind in ("coherent", "cat"):
+        for alpha in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                make_state(kind, alpha, 8)
+
+
+def test_marginals_reject_a_state_without_coefficients():
+    empty = simulate.FockVector(M=4, c=np.zeros(4, dtype=np.complex128))
+    with pytest.raises(ValueError, match="no nonzero Fock coefficient"):
+        marginals(empty, phase_grid(3), quadrature_grid(4, 64))
 
 
 def test_wavefunction_convention_matches_patterns():

@@ -127,14 +127,6 @@ def test_lambda_zero_column_identical_across_methods():
     assert vals[0] == vals[1] == vals[2] == pytest.approx(_z(x), rel=1e-15)
 
 
-def test_lambda_table_diagonal_accessor():
-    table = lambda_direct(1.2, 6)
-    for d in range(6):
-        diag = table.diagonal(d)
-        assert diag.shape == (6 - d,)
-        assert np.array_equal(diag, table.values[: 6 - d, d])
-
-
 def test_lambda_rejects_negative_argument():
     for build in _BUILDERS:
         with pytest.raises(ValueError):
@@ -143,9 +135,8 @@ def test_lambda_rejects_negative_argument():
 
 def test_vacuum_wigner_peak():
     rho = DiagonalDensityMatrix.from_matrix(np.array([[1.0]]))
-    for method in ("direct", "recurrence1", "recurrence2"):
-        grid = wigner_polar(rho, [0.0], [0.0, 1.0], method=method)
-        assert np.all(grid.W == 2.0 / math.pi)
+    grid = wigner_polar(rho, [0.0], [0.0, 1.0])
+    assert np.all(grid.W == 2.0 / math.pi)
 
 
 def test_fock_state_radial_profiles():
@@ -155,7 +146,7 @@ def test_fock_state_radial_profiles():
         mat[n, n] = 1.0
         rho = DiagonalDensityMatrix.from_matrix(mat)
         r = np.array([0.0, 0.5, 1.0, 2.0])
-        grid = wigner_polar(rho, r, [0.0], method="recurrence2")
+        grid = wigner_polar(rho, r, [0.0])
         exact = np.array([oracles.fock_wigner(n, rv) for rv in r])
         assert np.max(np.abs(grid.W[:, 0] - exact)) <= 1e-8 * np.max(np.abs(exact))
 
@@ -181,13 +172,13 @@ def test_wigner_matches_explicit_sum():
     rho = DiagonalDensityMatrix.from_matrix(mat)
     r = np.array([0.3, 1.2])
     theta = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    grid = wigner_polar(rho, r, theta, method="direct")
+    grid = wigner_polar(rho, r, theta)
     for i, rv in enumerate(r):
         table = lambda_direct(4.0 * rv * rv, 10)
         for j, th in enumerate(theta):
             total = 0.0 + 0.0j
             for d in range(10):
-                inner = table.values[: 10 - d, d] @ rho.diagonals[d]
+                inner = table.values[: 10 - d, d] @ rho.rho_tilde[: 10 - d, d]
                 total += np.exp(1j * d * th) * inner / (2.0 if d == 0 else 1.0)
             assert grid.W[i, j] == pytest.approx(total.real, rel=1e-10, abs=1e-12)
 
@@ -217,10 +208,14 @@ def test_diagonal_round_trip_exact():
     rho = DiagonalDensityMatrix.from_matrix(mat)
     assert np.array_equal(rho.to_matrix(), mat)
     assert rho.M == 9
-    # stored diagonals carry the alternating sign
-    assert np.array_equal(
-        rho.diagonals[0], np.where(np.arange(9) % 2 == 0, 1.0, -1.0) * np.diag(mat)
-    )
+    # rho_tilde[n, d] carries the alternating sign; entries past n + d = M - 1
+    # are zero
+    n, d = np.indices((9, 9))
+    sign = np.where(n % 2 == 0, 1.0, -1.0)
+    inside = n + d < 9
+    assert np.array_equal(rho.rho_tilde[inside], (sign * mat[n, (n + d) % 9])[inside])
+    assert np.all(rho.rho_tilde[~inside] == 0.0)
+    assert rho.rho_tilde.shape == (9, 9) and rho.rho_tilde.dtype == np.complex128
 
 
 def test_from_matrix_rejects_non_square():
@@ -240,12 +235,16 @@ def test_polar_grid_shapes():
     for n_r, n_theta in ((0, 64), (121, 0), (-1, 1)):
         with pytest.raises(ValueError, match="polar grid needs"):
             polar_grid(16, n_r=n_r, n_theta=n_theta)
+    for r_max in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match="polar grid needs a finite r_max >= 0"):
+            polar_grid(16, r_max=r_max)
 
 
 def test_wigner_polar_input_validation():
     rho = DiagonalDensityMatrix.from_matrix(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        wigner_polar(rho, [0.0], [0.0], method="nope")
+    # one synthesis path: there is no method to choose
+    with pytest.raises(TypeError):
+        wigner_polar(rho, [0.0], [0.0], method="direct")
     with pytest.raises(ValueError):
         wigner_polar(rho, [-0.1], [0.0])
     # the Cartesian square needs two radii and two points a side
@@ -299,16 +298,17 @@ def test_cartesian_resample_wraps_grids_not_starting_at_zero():
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["direct", "recurrence1", "recurrence2"])
+@pytest.mark.parametrize("builder", ["direct", "recurrence1", "recurrence2"])
 @pytest.mark.parametrize("M", [1, 2, 3, 24, 64])
-def test_wigner_polar_matches_per_radius_oracle(method, M):
+def test_wigner_polar_matches_per_radius_oracle(builder, M):
+    # the batched recurrence against one table per radius from each builder
     rho = _random_rho(np.random.default_rng(M), M)
     r_max = math.sqrt(M) + 1.0
     r = np.concatenate([[0.0], np.linspace(0.05, r_max, 12), [0.0, r_max]])
     for n_theta in (1, 64):
         theta = polar_grid(M, n_theta=n_theta)[1]
-        got = wigner_polar(rho, r, theta, method=method).W
-        ref = oracles.wigner_polar_per_radius(rho, r, theta, method=method).W
+        got = wigner_polar(rho, r, theta).W
+        ref = oracles.wigner_polar_per_radius(rho, r, theta, method=builder).W
         assert got.shape == ref.shape == (r.size, n_theta)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -330,11 +330,12 @@ def test_cartesian_resample_matches_scipy_oracle(n_theta):
 def test_wigner_polar_matches_oracle_on_random_states(data):
     M = data.draw(st.integers(1, 12), label="M")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    method = data.draw(st.sampled_from(["direct", "recurrence1", "recurrence2"]), label="method")
+    builder = data.draw(st.sampled_from(["direct", "recurrence1", "recurrence2"]),
+                        label="builder")
     r = data.draw(st.lists(st.floats(0.0, 2.0 * math.sqrt(M) + 2.0), min_size=1, max_size=8),
                   label="r")
     theta = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8), label="theta")
     rho = _random_rho(np.random.default_rng(seed), M)
-    got = wigner_polar(rho, r, theta, method=method).W
-    ref = oracles.wigner_polar_per_radius(rho, r, theta, method=method).W
+    got = wigner_polar(rho, r, theta).W
+    ref = oracles.wigner_polar_per_radius(rho, r, theta, method=builder).W
     assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
