@@ -19,6 +19,7 @@ _EXPORTS = {
     "DataError": "errors",
     "NumericalError": "errors",
     "PatternOverflowError": "errors",
+    "PhaseAliasingWarning": "errors",
     "PatternConfig": "patterns",
     "PatternTable": "patterns",
     "choose_beta": "patterns",
@@ -41,6 +42,7 @@ _EXPORTS = {
     "estimate_unbinned": "reconstruct",
     "block_statistics": "reconstruct",
     "check_normalization": "reconstruct",
+    "alias_free_max_diag": "reconstruct",
     "DiagonalDensityMatrix": "wigner",
     "LambdaTable": "wigner",
     "WignerGrid": "wigner",

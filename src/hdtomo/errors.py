@@ -24,3 +24,7 @@ class NumericalError(TomographyError):
 
 class PatternOverflowError(NumericalError):
     """A pattern recursion overflowed the floating-point range."""
+
+
+class PhaseAliasingWarning(UserWarning):
+    """The estimated band reaches diagonals that the phase grid aliases."""

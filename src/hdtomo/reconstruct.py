@@ -8,12 +8,22 @@ over measured pairs (phi, x).  Two evaluation paths give the same numbers
 on the same data: the unbinned path visits every sample, while the binned
 path compresses the data into a sinogram (per-phase histograms), takes a
 DFT along the phase axis, and contracts each matrix diagonal against
-kernel rows at the bin centers, all read from one set of kernel factors
-whose finiteness is checked once per table (_kernel_rows).  Error bars come
-either from the per-sample variance (real and imaginary parts separately)
-or from the scatter of estimates over independent statistical blocks.
-Every estimator hands over its values along the upper band, diagonal by
+kernel rows at the bin centers.  Error bars come either from the
+per-sample variance (real and imaginary parts separately) or from the
+scatter of estimates over independent statistical blocks.  Every
+estimator hands over its values along the upper band, diagonal by
 diagonal (_band), and _assemble alone builds the Hermitian matrices.
+
+On n_phi grid phases, spectrum row d also collects diagonal d + q n_phi
+of the state for q != 0; alias_free_max_diag is the band this leaves
+clean (all of it for an odd n_phi >= M).  Every estimator records it in
+its meta and warns with PhaseAliasingWarning when its band goes past it.
+
+The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M.  Per
+tile, the kernel rows of every diagonal are formed from one set of kernel
+factors while they are in cache and contracted at once against the
+tile's right-hand sides: spectrum rows (estimate_binned) or every
+block's row d (block_statistics).  The sums over bins add tile by tile.
 
 The unbinned sums are matrix products.  The kernel is a rank-2 product,
 f_{n,m} = A_n v_m - u_n v~_{m+1} with A_n = 2x u_n - u~_{n+1}, and the
@@ -51,11 +61,12 @@ the order of the samples within a block.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UsageError
+from .errors import DataError, NumericalError, PhaseAliasingWarning, UsageError
 from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
@@ -65,6 +76,8 @@ PHASE_GRID_TOL = 1e-8
 _TILE = 64
 _SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
+# Binned sums (_binned_sums): kernel entries per bin tile.
+_BIN_TILE_ELEMENTS = 2**16
 
 
 def _check_count(name: str, value, low: int = 1):
@@ -335,15 +348,37 @@ def phase_dft(s: Sinogram) -> PhaseSpectrum:
 
 def _band(M: int, dmax: int):
     """Index pair (n, n + d) of the upper band 0 <= d <= dmax of an M x M
-    matrix, diagonal by diagonal as _kernel_rows yields its rows; the
+    matrix, diagonal by diagonal as _binned_sums sums its rows; the
     first M pairs are the main diagonal."""
     n = [np.arange(M - d) for d in range(dmax + 1)]
     return np.concatenate(n), np.concatenate([k + d for d, k in enumerate(n)])
 
 
+def alias_free_max_diag(n_phi: int, M: int) -> int:
+    """The largest D such that n_phi grid phases alias no diagonal
+    d <= D of an M x M estimate, or -1 if they alias the main diagonal.
+
+    Spectrum row d also collects diagonal d + q n_phi of the state for
+    every nonzero q with |d + q n_phi| <= M - 1 (a negative one lies in the
+    lower triangle).  That alias has x parity (-1)^(d + q n_phi) and the
+    kernel f_{n,n+d} parity (-1)^d, so it cancels exactly when q n_phi is
+    odd.  For n_phi >= M this gives M - 1 for an odd n_phi and
+    min(M - 1, n_phi - M) for an even one.
+    """
+    _check_count("n_phi", n_phi)
+    _check_count("M", M)
+    for d in range(M):
+        q = range(-((M - 1 + d) // n_phi), (M - 1 - d) // n_phi + 1)
+        if any(k != 0 and k * n_phi % 2 == 0 for k in q):
+            return d - 1
+    return M - 1
+
+
 def _diagonals(M: int, max_diag, n_phi: int):
-    """(dmax, _band(M, dmax)): diagonals 0..max_diag, all of them for None,
-    after checking that n_phi phases resolve them."""
+    """(dmax, _band(M, dmax), alias_free_max_diag(n_phi, M)): diagonals
+    0..max_diag, all of them for None, after checking that n_phi phases
+    resolve them.  A band past the alias-free bound is estimated, with a
+    PhaseAliasingWarning."""
     if max_diag is None:
         max_diag = M - 1
     elif not 0 <= max_diag <= M - 1:
@@ -355,7 +390,14 @@ def _diagonals(M: int, max_diag, n_phi: int):
             f"phase count insufficient for cutoff M: n_phi={n_phi} cannot "
             f"resolve diagonals up to d={dmax} (need n_phi >= {needed})"
         )
-    return dmax, _band(M, dmax)
+    alias_free = alias_free_max_diag(n_phi, M)
+    if dmax > alias_free:
+        warnings.warn(
+            f"n_phi={n_phi} phases alias diagonals d={alias_free + 1}..{dmax} of "
+            f"the estimate at cutoff M={M}; an odd n_phi >= M aliases none",
+            PhaseAliasingWarning, stacklevel=3,
+        )
+    return dmax, _band(M, dmax), alias_free
 
 
 def _assemble(M, band, mean, err_re, err_im, meta) -> DensityMatrixEstimate:
@@ -376,38 +418,84 @@ def _assemble(M, band, mean, err_re, err_im, meta) -> DensityMatrixEstimate:
     return DensityMatrixEstimate.from_matrices(rho, err_re, err_im, meta)
 
 
-def _midpoint_corrected(f: np.ndarray) -> np.ndarray:
-    """Subtract the O(h^2) midpoint term from kernel rows on uniform bins.
+def _binned_sums(centers, cfg: PatternConfig, dmax: int, bin_correction: bool, rhs):
+    """Sums over the bins i of f_{n,n+d}(centers[i]) R1[i, :], and of
+    f_{n,n+d}(centers[i])^2 R2[i, :], along the band (n, n + d),
+    d = 0..dmax, in _band order.
 
-    Evaluating f at bin centers biases sums against oscillatory densities
-    by (h^2/24) int f p'' dx.  Replacing f(c) with f(c) - delta^2 f / 24
-    (second difference along the bin axis, so the h^2 factors cancel)
-    removes that term; end bins are left untouched.
+    rhs(d, tile) gives the right-hand sides of diagonal d over the bins of
+    the slice tile: (R1,) or (R1, R2), each a (w, k) float64 array.
+    Returns one (len(band), k) array per right-hand side.
+
+    The kernel f_{n,n+d} = A_n V_{n+d} - U_n W_{n+d} comes from one set of
+    kernel factors.  The bins go in tiles of _BIN_TILE_ELEMENTS / M; each
+    tile copies its factor columns once, then forms the rows of every
+    diagonal in reused contiguous buffers while they are in cache, so no
+    (M - d) x n_bin row block is ever held.  Every factor entry enters the
+    rows d = 0, so their finiteness is checked on those, tile by tile.
+
+    bin_correction replaces f(c) with f(c) - delta^2 f / 24, the second
+    difference along the bins (so the h^2 factors cancel).  Evaluating f
+    at the centres of uniform bins biases sums against an oscillatory
+    density by (h^2/24) int f p'' dx, and this removes that term; the end
+    bins are left as they are.  A tile reads one bin of halo on each side
+    for it, and the corrected values do not depend on the tiling.
     """
-    out = f.copy()
-    out[..., 1:-1] -= (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / 24.0
-    return out
-
-
-def _kernel_rows(centers, cfg: PatternConfig, dmax: int, bin_correction: bool):
-    """Yield f_d[n, i] = f_{n,n+d}(centers[i]) = A_n V_{n+d} - U_n W_{n+d}
-    for d = 0..dmax, _midpoint_corrected if bin_correction: the band in
-    _band order.  Only the factors are kept, so the table's u~ is freed as
-    A is formed.  Every factor entry enters row 0, so its finiteness is
-    checked on row 0 only.
-    """
-    M = cfg.cutoff
-    A, U, V, W = kernel_factors(build_table(centers, cfg))
-    for d in range(dmax + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f = A[:M - d] * V[d:]
-            f -= U[:M - d] * W[d:]
-        if d == 0 and not np.all(np.isfinite(f)):
-            raise NumericalError(
-                "pattern rows at the bin centers are not finite; "
-                "try a different beta or double precision"
-            )
-        yield _midpoint_corrected(f) if bin_correction else f
+    M, n_bin = cfg.cutoff, centers.size
+    factors = kernel_factors(build_table(centers, cfg))
+    width = max(1, _BIN_TILE_ELEMENTS // M)
+    size = M * (width + 2)
+    factor_tiles = [np.empty(size) for _ in factors]
+    rows, prod, square = np.empty(size), np.empty(size), np.empty(size)
+    n_band = (dmax + 1) * M - dmax * (dmax + 1) // 2
+    sums = None
+    for lo in range(0, n_bin, width):
+        hi = min(lo + width, n_bin)
+        # the tile's bins lo..hi-1, with one bin of halo for the correction
+        a, b = (max(lo - 1, 0), min(hi + 1, n_bin)) if bin_correction else (lo, hi)
+        A, U, V, W = (t[:M * (b - a)].reshape(M, b - a) for t in factor_tiles)
+        for t, full in zip((A, U, V, W), factors):
+            t[...] = full[:, a:b]
+        tile = slice(lo, hi)
+        off = 0
+        for d in range(dmax + 1):
+            r = M - d
+            f = rows[:r * (b - a)].reshape(r, b - a)
+            p = prod[:r * (b - a)].reshape(r, b - a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(A[:r], V[d:], out=f)
+                np.multiply(U[:r], W[d:], out=p)
+                f -= p
+            if d == 0 and not np.all(np.isfinite(f)):
+                raise NumericalError(
+                    "pattern rows at the bin centers are not finite; "
+                    "try a different beta or double precision"
+                )
+            if bin_correction:
+                g = prod[:r * (hi - lo)].reshape(r, hi - lo)
+                i0, i1 = max(lo, 1), min(hi, n_bin - 1)
+                if i1 > i0:
+                    # (f[i+1] - 2 f[i] + f[i-1]) / 24 in the whole-grid order
+                    mid, fix = f[:, i0 - a:i1 - a], g[:, i0 - lo:i1 - lo]
+                    np.multiply(mid, 2.0, out=fix)
+                    np.subtract(f[:, i0 - a + 1:i1 - a + 1], fix, out=fix)
+                    fix += f[:, i0 - a - 1:i1 - a - 1]
+                    fix /= 24.0
+                    np.subtract(mid, fix, out=fix)
+                if lo == 0:
+                    g[:, 0] = f[:, 0]
+                if hi == n_bin:
+                    g[:, -1] = f[:, -1]
+                f = g
+            R = rhs(d, tile)
+            if sums is None:
+                sums = [np.zeros((n_band, Rp.shape[1])) for Rp in R]
+            sums[0][off:off + r] += f @ R[0]
+            if len(R) == 2:
+                f2 = np.multiply(f, f, out=square[:f.size].reshape(f.shape))
+                sums[1][off:off + r] += f2 @ R[1]
+            off += r
+    return sums
 
 
 def estimate_binned(
@@ -425,24 +513,28 @@ def estimate_binned(
     acquisition); with mild imbalance the bars are approximate.
 
     bin_correction swaps the center-evaluated kernel for its
-    second-difference refinement; see _midpoint_corrected.
+    second-difference refinement; see _binned_sums.
     """
     M = cfg.cutoff
-    dmax, band = _diagonals(M, max_diag, spec.n_phi)
+    dmax, band, alias_free = _diagonals(M, max_diag, spec.n_phi)
     N = int(spec.n_per_phase.sum())
-    s0 = spec.shat[0].real
-    cols = []
-    for d, f in enumerate(_kernel_rows(spec.bin_centers, cfg, dmax, bin_correction)):
-        row, s2d = spec.shat[d], spec.shat[(2 * d) % spec.n_phi].real
-        f2 = f * f
-        cols.append((f @ row.real, f @ row.imag, f2 @ (s0 + s2d), f2 @ (s0 - s2d)))
-    mean_re, mean_im, f2_even, f2_odd = map(np.concatenate, zip(*cols))
+    shat = spec.shat
+
+    def rhs(d, tile):
+        # row d as (re, im) columns against f; rows 0 and 2d against f^2
+        s0, s2d = shat[0, tile].real, shat[(2 * d) % spec.n_phi, tile].real
+        row = np.ascontiguousarray(shat[d, tile], dtype=np.complex128)
+        return row.view(np.float64).reshape(-1, 2), np.stack((s0 + s2d, s0 - s2d), axis=1)
+
+    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, bin_correction, rhs)
+    (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
     denom = max(N - 1, 1)  # a single sample gives a zero numerator too
     var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
     var_im = np.maximum(0.5 * N * f2_odd - N * mean_im**2, 0.0) / denom
     meta = {
         "estimator": "binned", "N": N, "n_bin": spec.n_bin,
         "n_phi": spec.n_phi, "beta": cfg.beta, "max_diag": dmax,
+        "alias_free_max_diag": alias_free,
         "bin_correction": bool(bin_correction),
     }
     return _assemble(M, band, mean_re + 1j * mean_im,
@@ -589,7 +681,7 @@ def estimate_unbinned(
     identical samples does.
     """
     M = cfg.cutoff
-    dmax, band = _diagonals(M, max_diag, ds.n_phi)
+    dmax, band, alias_free = _diagonals(M, max_diag, ds.n_phi)
     N = ds.N
     if N < 2:
         raise DataError(
@@ -606,6 +698,7 @@ def estimate_unbinned(
     meta = {
         "estimator": "unbinned", "N": N, "n_bin": None,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,
+        "alias_free_max_diag": alias_free,
     }
     return _assemble(M, band, mean, np.sqrt(var_re / (N - 1) / N),
                      np.sqrt(var_im / (N - 1) / N), meta)
@@ -683,7 +776,7 @@ def block_statistics(
     is summed unbinned.
     """
     M = cfg.cutoff
-    dmax, band = _diagonals(M, max_diag, ds.n_phi)
+    dmax, band, alias_free = _diagonals(M, max_diag, ds.n_phi)
     picks = _block_slices(ds)
     nblks = ds.nblks
     # G[k, b]: band entry k of block b's estimate
@@ -695,13 +788,16 @@ def block_statistics(
         ], axis=1)
     else:
         spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
-        G = np.concatenate([
-            (f @ spectra[d].real.T) + 1j * (f @ spectra[d].imag.T)
-            for d, f in enumerate(_kernel_rows(centers, cfg, dmax, bin_correction))
-        ])
+
+        def rhs(d, tile):
+            # (w, 2 nblks): each block's real and imaginary part, side by side
+            return (np.ascontiguousarray(spectra[d, :, tile].T).view(np.float64),)
+
+        G = _binned_sums(centers, cfg, dmax, bin_correction, rhs)[0].view(np.complex128)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
-        "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax, "nblks": nblks,
+        "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,
+        "alias_free_max_diag": alias_free, "nblks": nblks,
         "bin_correction": bool(bin_correction and n_bin is not None),
     }
     return _assemble(M, band, G.mean(axis=1),

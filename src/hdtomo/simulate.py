@@ -61,9 +61,16 @@ class FockVector:
         return np.outer(self.c, np.conj(self.c))
 
 
-def _coherent_coefficients(alpha: complex, M: int) -> np.ndarray:
+def _alpha(params) -> complex:
+    """The amplitude alpha of a coherent or cat state, checked finite; the
+    message shows the value as given, not its complex() form."""
+    alpha = complex(params)
     if not cmath.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+        raise ValueError(f"alpha must be finite, got {params}")
+    return alpha
+
+
+def _coherent_coefficients(alpha: complex, M: int) -> np.ndarray:
     if alpha == 0:
         c = np.zeros(M, dtype=np.complex128)
         c[0] = 1.0
@@ -97,10 +104,10 @@ def make_state(kind: str, params, M: int) -> FockVector:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if kind == "coherent":
-        c = _coherent_coefficients(complex(params), M)
+        c = _coherent_coefficients(_alpha(params), M)
         deficit = _check_deficit(c, kind)
     elif kind == "cat":
-        alpha = complex(params)
+        alpha = _alpha(params)
         coh = _coherent_coefficients(alpha, M)
         norm = math.sqrt(2.0 * (1.0 + math.exp(-2.0 * abs(alpha) ** 2)))
         c = np.zeros(M, dtype=np.complex128)

@@ -6,9 +6,9 @@ uses transforms or matrix products.  The estimator loops and
 biorthogonality_defect use hdtomo's pattern tables, to check what the
 library builds on them; the loops write the kernel rows out themselves
 (kernel_rows) rather than calling the library's kernel.  marginals_whole,
-sample_by_phase, wigner_polar_per_radius, cartesian_resample_scipy and the
-read_*_by_line readers are the library's earlier code, kept to show that
-what replaced them gives the same results.
+sample_by_phase, midpoint_corrected, wigner_polar_per_radius,
+cartesian_resample_scipy and the read_*_by_line readers are the library's
+earlier code, kept to show that what replaced them gives the same results.
 """
 
 import math
@@ -265,6 +265,15 @@ def kernel_rows(table, d):
     return (2.0 * x * u[:k] - ut[1:k + 1]) * v[d:M] - u[:k] * vt[d + 1:M + 1]
 
 
+def midpoint_corrected(f):
+    """Kernel rows on uniform bins with the O(h^2) midpoint term taken out:
+    f(c) - delta^2 f / 24 along the bin axis, end bins untouched.  This is
+    the whole-grid form the library's tiled correction replaced."""
+    out = f.copy()
+    out[..., 1:-1] -= (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / 24.0
+    return out
+
+
 def mirror_upper(rho_u, err_re_u, err_im_u):
     """(rho, err_re, err_im) from upper triangles, as the library
     assembles them: exactly Hermitian, real diagonal."""
@@ -283,10 +292,10 @@ def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):
     finite, midpoint-corrected when asked) contracted with spectrum row d,
     and the per-sample variance from rows 0 and 2d.
 
-    This is the form the library's shared kernel-row source replaced.
+    This is the form the library's tiled binned sums replaced.
     Returns (rho, err_re, err_im) assembled exactly as the library does.
     """
-    from hdtomo import patterns, reconstruct
+    from hdtomo import patterns
 
     M = cfg.cutoff
     dmax = M - 1 if max_diag is None else int(max_diag)
@@ -299,7 +308,7 @@ def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):
         f = kernel_rows(table, d)
         assert np.all(np.isfinite(f))
         if bin_correction:
-            f = reconstruct._midpoint_corrected(f)
+            f = midpoint_corrected(f)
         row = spec.shat[d]
         mean_re = f @ row.real
         mean_im = f @ row.imag
@@ -445,7 +454,7 @@ def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,
     for d in range(dmax + 1):
         f = kernel_rows(table, d)
         if bin_correction:
-            f = reconstruct._midpoint_corrected(f)
+            f = midpoint_corrected(f)
         rows_d = np.ascontiguousarray(spectra[:, d, :])
         G = (f @ rows_d.real.T) + 1j * (f @ rows_d.imag.T)
         rows = np.arange(M - d)

@@ -394,7 +394,8 @@ def test_cli_simulate_rejects_non_finite_alpha(tmp_path, capsys, state, alpha):
     rc = _run("simulate", "--state", state, f"--alpha={alpha}", "-M", "8",
               "--n-phi", "9", "--nsamples", "10", "--out-dir", out)
     assert rc == 1
-    assert "error: alpha must be finite" in capsys.readouterr().err
+    # the value as given on the command line, not its complex() form
+    assert capsys.readouterr().err.endswith(f"error: alpha must be finite, got {alpha}\n")
     assert not out.exists()
 
 

@@ -8,11 +8,12 @@ import pytest
 
 import oracles
 from hdtomo import reconstruct
-from hdtomo.errors import DataError, NumericalError, UsageError
+from hdtomo.errors import DataError, NumericalError, PhaseAliasingWarning, UsageError
 from hdtomo.patterns import PatternConfig, build_table, choose_beta, pattern_value
 from hdtomo.reconstruct import (
     DensityMatrixEstimate,
     QuadratureDataset,
+    alias_free_max_diag,
     bin,
     block_statistics,
     check_normalization,
@@ -347,8 +348,56 @@ def test_binned_matches_loop_oracle(max_diag, bin_correction):
     est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=bin_correction)
     ref = oracles.estimate_binned_loop(spec, cfg, max_diag=max_diag,
                                        bin_correction=bin_correction)
-    for new, old in zip((est.rho, est.err_re, est.err_im), ref):
-        assert np.array_equal(new, old)
+    _check_matches_oracle(est, ref)
+
+
+def _check_matches_oracle(est, ref):
+    """The same sums as the oracle's, added in another order: means within
+    1e-10 of the oracle's error bar, error bars within 1e-12 relative."""
+    rho, err_re, err_im = ref
+    for new, old, new_err, old_err in ((est.rho.real, rho.real, est.err_re, err_re),
+                                       (est.rho.imag, rho.imag, est.err_im, err_im)):
+        assert np.all(np.abs(new - old) <= 1e-10 * old_err)
+        assert np.all(np.abs(new_err - old_err) <= 1e-12 * old_err)
+
+
+@pytest.mark.parametrize("max_diag", [None, 0, 2])
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_binned_sums_across_tiles_match_the_oracles(monkeypatch, max_diag, bin_correction):
+    # 120 bins in tiles of 7 leave a last tile of one bin; the correction
+    # reads across every tile edge and keeps both end bins as they are
+    M = 10
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", 7 * M)
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    spec = phase_dft(bin(ds, n_bin=120))
+    est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=bin_correction)
+    _check_matches_oracle(est, oracles.estimate_binned_loop(
+        spec, cfg, max_diag=max_diag, bin_correction=bin_correction))
+    est = block_statistics(ds, cfg, n_bin=120, max_diag=max_diag,
+                           bin_correction=bin_correction)
+    _check_matches_oracle(est, oracles.block_statistics_per_block(
+        ds, cfg, 120, max_diag=max_diag, bin_correction=bin_correction))
+
+
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_binned_sums_keep_the_kernel_values(monkeypatch, bin_correction):
+    # one-hot right-hand sides read every kernel value back exactly: the
+    # tiles, the halo and the correction leave each value bit-identical
+    M, n_bin, dmax = 10, 120, 4
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", 7 * M)
+    centers = np.linspace(-4.0, 4.0, n_bin)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(centers))
+    eye = np.eye(n_bin)
+    got, got2 = reconstruct._binned_sums(centers, cfg, dmax, bin_correction,
+                                         lambda d, tile: (eye[tile], eye[tile]))
+    table = build_table(centers, cfg)
+    rows = [oracles.kernel_rows(table, d) for d in range(dmax + 1)]
+    if bin_correction:
+        rows = [oracles.midpoint_corrected(f) for f in rows]
+    rows = np.concatenate(rows)
+    assert np.array_equal(got, rows)
+    assert np.array_equal(got2, rows * rows)
 
 
 def test_binned_paths_reject_nonfinite_kernel(monkeypatch):
@@ -469,6 +518,8 @@ def test_unbinned_envelope_large_cutoff(M, x_max):
     cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # M = n_phi even aliases the band past d = 0 (test_phase_aliasing_rule)
+        warnings.simplefilter("ignore", PhaseAliasingWarning)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             est = estimate_unbinned(ds, cfg)
     ref = oracles.estimate_unbinned_loop(ds, cfg)
@@ -589,11 +640,54 @@ def test_phase_aliasing_rule(M, n_phi, max_diag, aliased):
     state = FockVector(M, c / np.linalg.norm(c))
     cfg = PatternConfig(cutoff=M, beta=choose_beta(quadrature_grid(M, 2)))
     spec = phase_dft(_exact_sinogram(state, n_phi, 3000))
-    est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=True)
+    dmax = M - 1 if max_diag is None else max_diag
+    assert aliased == (dmax > alias_free_max_diag(n_phi, M))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=True)
+    assert [w.category for w in caught] == [PhaseAliasingWarning] * aliased
+    assert est.meta["alias_free_max_diag"] == alias_free_max_diag(n_phi, M)
     d = np.abs(np.subtract.outer(np.arange(M), np.arange(M)))
-    band = d <= (M - 1 if max_diag is None else max_diag)
-    dev = np.max(np.abs(est.rho - state.density_matrix())[band])
+    dev = np.max(np.abs(est.rho - state.density_matrix())[d <= dmax])
     assert (dev > 1e-3) if aliased else (dev < 1e-5)
+
+
+def test_alias_free_max_diag_forms():
+    # from n_phi = M on: every diagonal for an odd n_phi, d <= n_phi - M for
+    # an even one
+    for M in range(1, 40):
+        for n_phi in range(M, 3 * M + 2):
+            bound = M - 1 if n_phi % 2 else min(M - 1, n_phi - M)
+            assert alias_free_max_diag(n_phi, M) == bound
+    # fewer phases than M: diagonal d + q n_phi with q n_phi even aliases
+    assert alias_free_max_diag(4, 6) == -1  # 0 + 4
+    assert alias_free_max_diag(5, 6) == 4   # 5 - 10
+    assert alias_free_max_diag(3, 6) == 0   # 1 - 6
+    assert alias_free_max_diag(1, 1) == 0
+    assert alias_free_max_diag(1, 2) == 0   # 1 - 2, with q = -2
+    for bad in ((0, 4), (4, 0), (2.0, 4), (True, 4)):
+        with pytest.raises(ValueError):
+            alias_free_max_diag(*bad)
+
+
+def test_every_estimator_warns_on_an_aliased_band():
+    ds = _uneven_blocks(8)  # n_phi = 8, even: clean only up to d = 8 - M
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    runs = {
+        "binned": lambda m: estimate_binned(phase_dft(bin(ds, n_bin=40)), cfg, max_diag=m),
+        "unbinned": lambda m: estimate_unbinned(ds, cfg, max_diag=m),
+        "block": lambda m: block_statistics(ds, cfg, n_bin=40, max_diag=m),
+        "block unbinned": lambda m: block_statistics(ds, cfg, max_diag=m),
+    }
+    for name, run in runs.items():
+        for max_diag, aliased in ((2, False), (3, True), (None, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                est = run(max_diag)
+            assert [w.category for w in caught] == [PhaseAliasingWarning] * aliased, name
+            assert est.meta["alias_free_max_diag"] == 2
+    with pytest.warns(PhaseAliasingWarning, match=r"n_phi=8 phases alias diagonals d=3\.\.5"):
+        estimate_unbinned(ds, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -711,17 +805,9 @@ def test_block_binned_matches_per_block_oracle(n_phi, max_diag):
     est = block_statistics(ds, cfg, n_bin=40, max_diag=max_diag, bin_correction=True)
     ref = oracles.block_statistics_per_block(ds, cfg, 40, max_diag=max_diag,
                                              bin_correction=True)
-    if max_diag is None:
-        # all 6 rows of 8 phases come from the real FFT, as in the oracle
-        for new, old in zip((est.rho, est.err_re, est.err_im), ref):
-            assert np.array_equal(new, old)
-        return
-    # rows 0..max_diag from the DFT matrix: same sums, another order
-    rho, err_re, err_im = ref
-    for new, old, new_err, old_err in ((est.rho.real, rho.real, est.err_re, err_re),
-                                       (est.rho.imag, rho.imag, est.err_im, err_im)):
-        assert np.all(np.abs(new - old) <= 1e-10 * old_err)
-        assert np.all(np.abs(new_err - old_err) <= 1e-12 * old_err)
+    # the bin sums run in tile order, and rows 0..max_diag of a narrow band
+    # come from the DFT matrix: same sums, another order
+    _check_matches_oracle(est, ref)
 
 
 def test_block_narrow_band_computes_no_fft(monkeypatch):

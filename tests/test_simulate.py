@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,8 +84,11 @@ def test_make_state_validation():
     with pytest.raises(ValueError, match="M"):
         make_state("coherent", 1.0, 0)
     for kind in ("coherent", "cat"):
-        for alpha in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
-            with pytest.raises(ValueError, match="alpha must be finite"):
+        for alpha, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                             (np.float64(math.nan), "nan"),
+                             (complex(1.0, math.nan), "(1+nanj)")):
+            message = rf"^alpha must be finite, got {re.escape(shown)}$"
+            with pytest.raises(ValueError, match=message):
                 make_state(kind, alpha, 8)
 
 
