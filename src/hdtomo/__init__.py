@@ -41,6 +41,7 @@ _EXPORTS = {
     "estimate_binned": "reconstruct",
     "estimate_unbinned": "reconstruct",
     "block_statistics": "reconstruct",
+    "estimate": "reconstruct",
     "check_normalization": "reconstruct",
     "alias_free_max_diag": "reconstruct",
     "DiagonalDensityMatrix": "wigner",
@@ -62,6 +63,7 @@ _EXPORTS = {
     "phase_grid": "simulate",
     "quadrature_grid": "simulate",
     "sample": "simulate",
+    "draw": "simulate",
     "run_experiment": "simulate",
 }
 

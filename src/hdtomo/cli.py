@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from .errors import DataError, NumericalError, UsageError
 
@@ -200,18 +201,17 @@ def _build_state(args):
 
     if args.state == "vacuum":
         return simulate.make_state("fock_superposition", [0], args.cutoff), {"state": "vacuum"}
-    if args.state == "coherent":
-        return (simulate.make_state("coherent", args.alpha, args.cutoff),
-                {"state": "coherent", "alpha": float(args.alpha)})
-    if args.state == "cat":
-        return (simulate.make_state("cat", args.alpha, args.cutoff),
-                {"state": "cat", "alpha": float(args.alpha)})
+    if args.state in ("coherent", "cat"):
+        return (simulate.make_state(args.state, args.alpha, args.cutoff),
+                {"state": args.state, "alpha": float(args.alpha)})
     levels = _parse_levels(args.levels)
     return (simulate.make_state("fock_superposition", levels, args.cutoff),
             {"state": "fock", "levels": "+".join(str(v) for v in levels)})
 
 
 def cmd_simulate(args) -> int:
+    from dataclasses import asdict
+
     from . import formats, simulate
 
     state, desc = _build_state(args)
@@ -219,24 +219,18 @@ def cmd_simulate(args) -> int:
         nsamples=args.nsamples, nblks=args.nblks, n_phi=args.n_phi,
         seed=args.seed, grid_points=args.grid_points,
     )
-    x = simulate.quadrature_grid(args.cutoff, plan.grid_points)
-    table = simulate.marginals(state, simulate.phase_grid(plan.n_phi), x)
-    ds = simulate.sample(table, plan)
+    ds = simulate.draw(state, plan)
     os.makedirs(args.out_dir, exist_ok=True)
-    meta = dict(desc)
-    meta.update({"rng": "pcg64", "seed": args.seed})
     samples_path = os.path.join(args.out_dir, "samples.csv")
-    state_path = os.path.join(args.out_dir, "state.csv")
-    formats.write_samples(samples_path, ds, meta=meta)
-    formats.write_state(state_path, state, meta=desc)
+    formats.write_samples(samples_path, ds, meta={**desc, "rng": "pcg64", "seed": args.seed})
+    formats.write_state(os.path.join(args.out_dir, "state.csv"), state, meta=desc)
     run_meta = {
         "version": 1, "command": "simulate", "rng": "pcg64",
         "format": f"{formats.FORMAT_TAG} {formats.FORMAT_VERSION}",
-        "M": args.cutoff, "n_phi": args.n_phi, "nsamples": args.nsamples,
-        "nblks": args.nblks, "seed": args.seed, "grid_points": args.grid_points,
+        "M": args.cutoff, **asdict(plan),
         "total_samples": plan.total_samples, "truncation_deficit": state.deficit,
+        **desc,
     }
-    run_meta.update(desc)
     formats.write_report(os.path.join(args.out_dir, "metadata.json"), run_meta)
     print(f"wrote {plan.total_samples} samples to {samples_path}")
     return 0
@@ -257,22 +251,9 @@ def cmd_reconstruct(args) -> int:
         beta = patterns.choose_beta(ds.values)
     cfg = patterns.PatternConfig(cutoff=args.cutoff, beta=beta,
                                  precision=args.precision)
-    kind = args.estimator
-    if kind == "auto":
-        kind = "block" if ds.nblks >= 2 else "binned"
-    if kind == "binned":
-        sino = reconstruct.bin(ds, args.n_bin)
-        est = reconstruct.estimate_binned(
-            reconstruct.phase_dft(sino), cfg, max_diag=args.max_diag,
-            bin_correction=args.bin_correction,
-        )
-    elif kind == "unbinned":
-        est = reconstruct.estimate_unbinned(ds, cfg, max_diag=args.max_diag)
-    else:
-        est = reconstruct.block_statistics(
-            ds, cfg, n_bin=args.n_bin, max_diag=args.max_diag,
-            bin_correction=args.bin_correction,
-        )
+    est = reconstruct.estimate(ds, cfg, args.estimator, n_bin=args.n_bin,
+                               max_diag=args.max_diag,
+                               bin_correction=args.bin_correction)
     norm = reconstruct.check_normalization(est)
     os.makedirs(args.out_dir, exist_ok=True)
     for fname, mat, part in (
@@ -285,16 +266,10 @@ def cmd_reconstruct(args) -> int:
         formats.write_matrix(os.path.join(args.out_dir, fname), mat,
                              meta={"name": name, "part": part})
     report = {
-        "version": 1, "command": "reconstruct", "M": args.cutoff,
-        "estimator": est.meta["estimator"], "N": est.meta["N"],
-        "n_phi": est.meta["n_phi"], "n_bin": est.meta["n_bin"],
-        "max_diag": est.meta["max_diag"], "beta": beta,
-        "precision": args.precision, "trace": norm["trace"],
-        "trace_err": norm["trace_err"], "compatible": norm["compatible"],
+        "version": 1, "command": "reconstruct", "M": args.cutoff, **est.meta,
+        "precision": args.precision, **norm,
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
-    if "nblks" in est.meta:
-        report["nblks"] = est.meta["nblks"]
     formats.write_report(os.path.join(args.out_dir, "report.json"), report)
     print(f"trace = {norm['trace']:.6f} +- {norm['trace_err']:.6f} "
           f"(compatible with 1: {norm['compatible']})")
@@ -349,24 +324,31 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args.config, args)
-        if getattr(args, "threads", None) is not None:
-            _set_thread_env(int(args.threads))
-        return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # one "warning: ..." line per library warning; the caller's state comes back
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "config", None):
+                _apply_config(args.config, args)
+            if getattr(args, "threads", None) is not None:
+                _set_thread_env(int(args.threads))
+            return args.func(args)
+        except (UsageError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except NumericalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (DataError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

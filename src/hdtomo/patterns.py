@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PatternOverflowError
+from .errors import NumericalError, PatternOverflowError, _check_count
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 
@@ -51,8 +51,7 @@ class PatternConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
+        _check_count("cutoff", self.cutoff)
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.precision not in _DTYPES:

@@ -13,6 +13,8 @@ per-sample variance (real and imaginary parts separately) or from the
 scatter of estimates over independent statistical blocks.  Every
 estimator hands over its values along the upper band, diagonal by
 diagonal (_band), and _assemble alone builds the Hermitian matrices.
+estimate runs one of them by name, and alone makes the "auto" choice:
+block statistics for two or more blocks, the binned path otherwise.
 
 On n_phi grid phases, spectrum row d also collects diagonal d + q n_phi
 of the state for q != 0; alias_free_max_diag is the band this leaves
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, PhaseAliasingWarning, UsageError
+from .errors import DataError, NumericalError, PhaseAliasingWarning, UsageError, _check_count
 from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
@@ -78,13 +80,6 @@ _SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
 # Binned sums (_binned_sums): kernel entries per bin tile.
 _BIN_TILE_ELEMENTS = 2**16
-
-
-def _check_count(name: str, value, low: int = 1):
-    """Raise ValueError unless value is an integer >= low; a bool or a
-    float with an integer value is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -243,8 +238,7 @@ def _bin_edges(values: np.ndarray, n_bin: int, bin_range) -> np.ndarray:
     """Edges of n_bin equal-width bins over bin_range, or over the default
     range of _default_edges when it is None.  A given range must hold
     every value: dropping samples would bias the estimator."""
-    if n_bin < 1:
-        raise ValueError(f"n_bin must be >= 1, got {n_bin}")
+    _check_count("n_bin", n_bin)
     if values.size == 0:
         raise DataError("cannot bin an empty dataset")
     if bin_range is None:
@@ -362,16 +356,16 @@ def alias_free_max_diag(n_phi: int, M: int) -> int:
     every nonzero q with |d + q n_phi| <= M - 1 (a negative one lies in the
     lower triangle).  That alias has x parity (-1)^(d + q n_phi) and the
     kernel f_{n,n+d} parity (-1)^d, so it cancels exactly when q n_phi is
-    odd.  For n_phi >= M this gives M - 1 for an odd n_phi and
-    min(M - 1, n_phi - M) for an even one.
+    odd.  A q < 0 aliases d >= |q| n_phi - (M - 1), so the aliasing q
+    nearest 0 from below decides: q = -1 for an even n_phi, leaving
+    d <= n_phi - M clean, and q = -2 for an odd one, whose odd q cancel,
+    leaving d <= 2 n_phi - M clean.  A q > 0 aliases d <= M - 1 - q n_phi
+    only when -q already aliases every d.  Clipped to -1..M - 1, this is
+    M - 1 for an odd n_phi >= M and min(M - 1, n_phi - M) for an even one.
     """
     _check_count("n_phi", n_phi)
     _check_count("M", M)
-    for d in range(M):
-        q = range(-((M - 1 + d) // n_phi), (M - 1 - d) // n_phi + 1)
-        if any(k != 0 and k * n_phi % 2 == 0 for k in q):
-            return d - 1
-    return M - 1
+    return max(-1, min(M - 1, (2 if n_phi % 2 else 1) * n_phi - M))
 
 
 def _diagonals(M: int, max_diag, n_phi: int):
@@ -381,7 +375,8 @@ def _diagonals(M: int, max_diag, n_phi: int):
     PhaseAliasingWarning."""
     if max_diag is None:
         max_diag = M - 1
-    elif not 0 <= max_diag <= M - 1:
+    _check_count("max_diag", max_diag, 0)
+    if max_diag > M - 1:
         raise ValueError(f"max_diag must be in 0..{M - 1}, got {max_diag}")
     dmax = int(max_diag)
     needed = M if dmax == M - 1 else dmax + 1
@@ -803,6 +798,28 @@ def block_statistics(
     return _assemble(M, band, G.mean(axis=1),
                      G.real.std(axis=1, ddof=1) / math.sqrt(nblks),
                      G.imag.std(axis=1, ddof=1) / math.sqrt(nblks), meta)
+
+
+def estimate(ds: QuadratureDataset, cfg: PatternConfig, estimator: str = "auto", *,
+             n_bin: int | None = 400, bin_range=None, max_diag: int | None = None,
+             bin_correction: bool = False) -> DensityMatrixEstimate:
+    """The estimate by the named estimator: "binned" (bin -> phase_dft ->
+    estimate_binned), "unbinned" (estimate_unbinned), "block"
+    (block_statistics), or "auto": "block" for two or more blocks, else
+    "binned".  The other arguments go to the estimator that takes them.
+    Raises ValueError for any other name."""
+    if estimator == "auto":
+        estimator = "block" if ds.nblks >= 2 else "binned"
+    if estimator == "binned":
+        spec = phase_dft(bin(ds, n_bin, bin_range=bin_range))
+        return estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=bin_correction)
+    if estimator == "unbinned":
+        return estimate_unbinned(ds, cfg, max_diag=max_diag)
+    if estimator == "block":
+        return block_statistics(ds, cfg, n_bin=n_bin, bin_range=bin_range,
+                                max_diag=max_diag, bin_correction=bin_correction)
+    raise ValueError(f"unknown estimator {estimator!r}; "
+                     "use auto, binned, unbinned or block")
 
 
 def check_normalization(est: DensityMatrixEstimate) -> dict:

@@ -12,6 +12,8 @@ sample walk the table in chunks of rows of about _CHUNK entries with
 scratch buffers reused from chunk to chunk, so their memory is the table
 plus a fixed amount of scratch.  Sampling is deterministic given the plan
 seed: phase j's draws depend only on (seed, j) and table row j.
+draw alone composes marginals and sample on a plan's grids, and
+run_experiment is draw followed by reconstruct.estimate.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_count
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
-from .reconstruct import (
-    QuadratureDataset,
-    _check_count,
-    bin as bin_dataset,
-    block_statistics,
-    check_normalization,
-    estimate_binned,
-    phase_dft,
-)
+from .reconstruct import QuadratureDataset, check_normalization, estimate
 
 TRUNCATION_WARN = 1e-6
 TRUNCATION_FAIL = 1e-2
@@ -101,8 +95,7 @@ def make_state(kind: str, params, M: int) -> FockVector:
     """Build a pure state: 'coherent' (params = alpha), 'cat'
     (params = alpha, even cat (|a> + |-a>)/norm), or 'fock_superposition'
     (params = sequence of levels, combined with equal weights)."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _check_count("M", M)
     if kind == "coherent":
         c = _coherent_coefficients(_alpha(params), M)
         deficit = _check_deficit(c, kind)
@@ -171,8 +164,7 @@ def quadrature_grid(M: int, n_points: int) -> np.ndarray:
 
 def phase_grid(n_phi: int) -> np.ndarray:
     """Equispaced phases 2 pi j / n_phi on [0, 2 pi)."""
-    if n_phi < 1:
-        raise ValueError(f"n_phi must be >= 1, got {n_phi}")
+    _check_count("n_phi", n_phi)
     return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
@@ -337,6 +329,13 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     )
 
 
+def draw(state: FockVector, plan: SimulationPlan) -> QuadratureDataset:
+    """The planned dataset, sampled from the state's marginals tabulated on
+    phase_grid(plan.n_phi) x quadrature_grid(state.M, plan.grid_points)."""
+    x = quadrature_grid(state.M, plan.grid_points)
+    return sample(marginals(state, phase_grid(plan.n_phi), x), plan)
+
+
 def run_experiment(
     state: FockVector,
     plan: SimulationPlan,
@@ -345,26 +344,17 @@ def run_experiment(
     bin_range=None,
     max_diag: int | None = None,
 ):
-    """End-to-end pipeline: marginals -> sample -> bin -> DFT -> estimate.
+    """End-to-end pipeline: draw, then estimate with the "auto" estimator.
 
     Returns {"estimate": DensityMatrixEstimate, "diagnostics": {...}} where
     the diagnostics compare against the exact density matrix of the input
     state: the largest deviation in units of each element's standard error,
     plus the trace normalization check.
     """
-    M = state.M
-    x = quadrature_grid(M, plan.grid_points)
-    table = marginals(state, phase_grid(plan.n_phi), x)
-    ds = sample(table, plan)
+    ds = draw(state, plan)
     if cfg is None:
-        cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
-    if plan.nblks >= 2:
-        est = block_statistics(
-            ds, cfg, n_bin=n_bin, bin_range=bin_range, max_diag=max_diag
-        )
-    else:
-        spec = phase_dft(bin_dataset(ds, n_bin, bin_range=bin_range))
-        est = estimate_binned(spec, cfg, max_diag=max_diag)
+        cfg = PatternConfig(cutoff=state.M, beta=choose_beta(ds.values))
+    est = estimate(ds, cfg, n_bin=n_bin, bin_range=bin_range, max_diag=max_diag)
     rho_true = state.density_matrix()
     dev = 0.0
     for part, err in (("real", est.err_re), ("imag", est.err_im)):

@@ -151,11 +151,6 @@ def _laguerre_mp(n: int, d: int, x) -> "mp.mpf":
     )
 
 
-def laguerre_poly(n: int, d: int, x: float) -> float:
-    with mp.workdps(50):
-        return float(_laguerre_mp(n, d, x))
-
-
 def lambda_closed(n: int, d: int, x: float) -> float:
     """lambda_{n,d}(x) = (4/pi) x^{d/2} sqrt(n!/(n+d)!) e^{-x/2} L_n^d(x)."""
     with mp.workdps(60):
@@ -284,6 +279,17 @@ def mirror_upper(rho_u, err_re_u, err_im_u):
     np.fill_diagonal(err_re, np.diagonal(err_re_u))
     np.fill_diagonal(err_im, np.diagonal(err_im_u))
     return rho, err_re, err_im
+
+
+def alias_free_max_diag_loop(n_phi: int, M: int) -> int:
+    """reconstruct.alias_free_max_diag by its definition: walk d up from 0
+    and stop at the first diagonal that some nonzero q with |d + q n_phi|
+    <= M - 1 and q n_phi even aliases."""
+    for d in range(M):
+        q = range(-((M - 1 + d) // n_phi), (M - 1 - d) // n_phi + 1)
+        if any(k != 0 and k * n_phi % 2 == 0 for k in q):
+            return d - 1
+    return M - 1
 
 
 def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):

@@ -33,6 +33,7 @@ from hdtomo.reconstruct import (
 )
 from hdtomo.simulate import (
     SimulationPlan,
+    draw,
     make_state,
     marginals,
     phase_grid,
@@ -41,11 +42,8 @@ from hdtomo.simulate import (
 )
 
 
-def _simulate(state, M, *, nsamples, nblks, n_phi, seed, grid_points=4096):
-    table = marginals(state, phase_grid(n_phi), quadrature_grid(M, grid_points))
-    plan = SimulationPlan(nsamples=nsamples, nblks=nblks, n_phi=n_phi,
-                          seed=seed, grid_points=grid_points)
-    return sample(table, plan)
+def _simulate(state, **plan):
+    return draw(state, SimulationPlan(**plan))
 
 
 def _diag_devs(est, true_diag):
@@ -109,10 +107,8 @@ def test_reconstruction_robust_to_bin_count(acceptance):
     M = 64
     state = make_state("cat", 5.0, M)
     true_diag = np.abs(state.c) ** 2
-    x = quadrature_grid(M, 4096)
-    span = float(x[-1])
-    ds = sample(marginals(state, phase_grid(800), x),
-                SimulationPlan(nsamples=100, nblks=10, n_phi=800, seed=7))
+    span = float(quadrature_grid(M, 4096)[-1])
+    ds = _simulate(state, nsamples=100, nblks=10, n_phi=800, seed=7)
     cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
 
     trace_devs, diag_devs = {}, {}
@@ -139,7 +135,7 @@ def test_two_level_superposition_at_full_scale(acceptance):
     t0 = time.perf_counter()
     M = 800
     state = make_state("fock_superposition", (600, 700), M)
-    ds = _simulate(state, M, nsamples=1000, nblks=10, n_phi=1600, seed=101,
+    ds = _simulate(state, nsamples=1000, nblks=10, n_phi=1600, seed=101,
                    grid_points=2**17)
     cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
     est = block_statistics(ds, cfg, n_bin=8000, max_diag=0, bin_correction=True)
@@ -249,7 +245,7 @@ def test_large_cutoff_stability_and_failure_modes(acceptance, tmp_path, capsys):
 def test_estimators_agree(acceptance):
     M = 8
     state = make_state("coherent", 0.8, M)
-    ds = _simulate(state, M, nsamples=5000, nblks=1, n_phi=8, seed=29)
+    ds = _simulate(state, nsamples=5000, nblks=1, n_phi=8, seed=29)
     cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
     ref = estimate_unbinned(ds, cfg)
     est = estimate_binned(phase_dft(bin(ds, n_bin=10_000)), cfg)
@@ -262,7 +258,7 @@ def test_estimators_agree(acceptance):
         assert np.all(delta[~mask] < 1e-12)
     binned_ok = worst < 0.2
 
-    vac = _simulate(make_state("fock_superposition", (0,), 4), 4,
+    vac = _simulate(make_state("fock_superposition", (0,), 4),
                     nsamples=400, nblks=16, n_phi=4, seed=13)
     vcfg = PatternConfig(cutoff=4, beta=choose_beta(vac.values))
     blk = block_statistics(vac, vcfg)
@@ -303,7 +299,7 @@ def test_property_suite_is_fast(acceptance):
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
     # Hermiticity of a reconstructed matrix is exact, not approximate
-    ds = _simulate(make_state("cat", 1.5, 14), 14,
+    ds = _simulate(make_state("cat", 1.5, 14),
                    nsamples=500, nblks=1, n_phi=16, seed=5)
     rcfg = PatternConfig(cutoff=14, beta=choose_beta(ds.values))
     est = estimate_binned(phase_dft(bin(ds, n_bin=256)), rcfg)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,20 +19,16 @@ from hdtomo.reconstruct import QuadratureDataset
 from hdtomo.simulate import (
     FockVector,
     SimulationPlan,
+    draw,
     make_state,
-    marginals,
-    phase_grid,
-    quadrature_grid,
-    sample,
 )
 from hdtomo.wigner import DiagonalDensityMatrix
 
 
 def _small_dataset(seed=0, n_phi=4, nsamples=25, nblks=1, M=4):
-    state = make_state("coherent", 0.0, M)
-    table = marginals(state, phase_grid(n_phi), quadrature_grid(M, 1024))
-    plan = SimulationPlan(nsamples=nsamples, nblks=nblks, n_phi=n_phi, seed=seed)
-    return sample(table, plan)
+    plan = SimulationPlan(nsamples=nsamples, nblks=nblks, n_phi=n_phi, seed=seed,
+                          grid_points=1024)
+    return draw(make_state("coherent", 0.0, M), plan)
 
 
 def _run(*argv):
@@ -462,12 +459,36 @@ def test_cli_reconstruct_estimator_selection(tmp_path):
     assert rc == 0
     rep = formats.read_report(rec1 / "report.json")
     assert rep["estimator"] == "block" and rep["nblks"] == 5
+    # the report is the estimate's meta plus the run's own keys
+    common = {"version", "command", "M", "estimator", "N", "n_bin", "n_phi", "beta",
+              "max_diag", "alias_free_max_diag", "precision", "trace", "trace_err",
+              "compatible", "elapsed_seconds"}
+    assert set(rep) == common | {"nblks", "bin_correction"}
+    assert rep["alias_free_max_diag"] == 3 and rep["bin_correction"] is False
 
     rec2 = tmp_path / "unb"
     rc = _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
               "--estimator", "unbinned", "--out-dir", rec2)
     assert rc == 0
-    assert formats.read_report(rec2 / "report.json")["estimator"] == "unbinned"
+    rep = formats.read_report(rec2 / "report.json")
+    assert rep["estimator"] == "unbinned" and set(rep) == common
+
+
+def test_cli_prints_library_warnings_as_one_line(tmp_path, capsys):
+    # an even n_phi = M aliases every diagonal above the main one
+    showwarning = warnings.showwarning
+    sim = _simulated_dir(tmp_path, M=8, n_phi=8, nsamples=200)
+    assert capsys.readouterr().err == ""
+    rec = tmp_path / "rec"
+    assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "8",
+                "--out-dir", rec) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("warning: n_phi=8 phases alias diagonals d=1..7")
+    assert ".py:" not in err
+    assert formats.read_report(rec / "report.json")["alias_free_max_diag"] == 0
+    # the caller's warning state is back
+    assert warnings.showwarning is showwarning
 
 
 def test_cli_missing_samples_file(tmp_path, capsys):

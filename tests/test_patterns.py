@@ -366,8 +366,9 @@ def test_pattern_row_bounds():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PatternConfig(cutoff=0, beta=1.0)
+    for cutoff in (0, 4.0, True):
+        with pytest.raises(ValueError, match="cutoff"):
+            PatternConfig(cutoff=cutoff, beta=1.0)
     with pytest.raises(ValueError):
         PatternConfig(cutoff=4, beta=0.0)
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from hdtomo.reconstruct import (
 from hdtomo.simulate import (
     FockVector,
     SimulationPlan,
+    draw,
     make_state,
     marginals,
     phase_grid,
@@ -41,10 +42,9 @@ def _grid_phases(n_phi, counts):
 
 def _simulate(kind, params, M, *, nsamples, nblks=1, n_phi=8, seed=0,
               grid_points=2048):
-    state = make_state(kind, params, M)
-    table = marginals(state, phase_grid(n_phi), quadrature_grid(M, grid_points))
-    plan = SimulationPlan(nsamples=nsamples, nblks=nblks, n_phi=n_phi, seed=seed)
-    return sample(table, plan)
+    plan = SimulationPlan(nsamples=nsamples, nblks=nblks, n_phi=n_phi, seed=seed,
+                          grid_points=grid_points)
+    return draw(make_state(kind, params, M), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +186,12 @@ def test_bin_single_bin_and_all_zero_values():
 
 def test_bin_validation_errors():
     ds = QuadratureDataset(np.zeros(2), np.array([0.1, 0.2]), n_phi=1)
-    with pytest.raises(ValueError, match="n_bin"):
-        bin(ds, n_bin=0)
+    blocks, cfg = _two_block_dataset([0.1, 0.2]), PatternConfig(cutoff=1, beta=1.0)
+    for n_bin in (0, 4.0, True):
+        with pytest.raises(ValueError, match="n_bin"):
+            bin(ds, n_bin=n_bin)
+        with pytest.raises(ValueError, match="n_bin"):
+            block_statistics(blocks, cfg, n_bin=n_bin)
     with pytest.raises(ValueError):
         bin(ds, n_bin=4, bin_range=(1.0, -1.0))
     empty = QuadratureDataset(np.array([]), np.array([]), n_phi=2)
@@ -424,8 +428,12 @@ def test_binned_max_diag_validation():
     ds = QuadratureDataset(np.zeros(2), np.array([-0.2, 0.2]), n_phi=1)
     spec = phase_dft(bin(ds, n_bin=4))
     cfg = PatternConfig(cutoff=3, beta=1.0)
-    with pytest.raises(ValueError, match="max_diag"):
-        estimate_binned(spec, cfg, max_diag=3)
+    # a float or a bool is not a diagonal count, even one with an integer value
+    for max_diag in (3, -1, 1.5, 1.0, True):
+        with pytest.raises(ValueError, match="max_diag"):
+            estimate_binned(spec, cfg, max_diag=max_diag)
+        with pytest.raises(ValueError, match="max_diag"):
+            estimate_unbinned(ds, cfg, max_diag=max_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +661,10 @@ def test_phase_aliasing_rule(M, n_phi, max_diag, aliased):
 
 
 def test_alias_free_max_diag_forms():
+    # the closed form against the walk over diagonals it replaced
+    for M in range(1, 130):
+        for n_phi in range(1, 130):
+            assert alias_free_max_diag(n_phi, M) == oracles.alias_free_max_diag_loop(n_phi, M)
     # from n_phi = M on: every diagonal for an odd n_phi, d <= n_phi - M for
     # an even one
     for M in range(1, 40):
@@ -688,6 +700,29 @@ def test_every_estimator_warns_on_an_aliased_band():
             assert est.meta["alias_free_max_diag"] == 2
     with pytest.warns(PhaseAliasingWarning, match=r"n_phi=8 phases alias diagonals d=3\.\.5"):
         estimate_unbinned(ds, cfg)
+
+
+def test_estimate_runs_the_named_estimator():
+    blocks = _simulate("coherent", 0.5, 8, nsamples=40, nblks=4, n_phi=9, seed=5)
+    one = _simulate("coherent", 0.5, 8, nsamples=160, n_phi=9, seed=5)
+    cfg = PatternConfig(cutoff=8, beta=choose_beta(blocks.values))
+    kw = dict(n_bin=60, bin_range=(-6.0, 6.0), max_diag=4, bin_correction=True)
+    runs = [
+        (blocks, "auto", block_statistics(blocks, cfg, **kw)),
+        (blocks, "block", block_statistics(blocks, cfg, **kw)),
+        (blocks, "unbinned", estimate_unbinned(blocks, cfg, max_diag=4)),
+        (one, "auto", estimate_binned(phase_dft(bin(one, 60, bin_range=(-6.0, 6.0))), cfg,
+                                      max_diag=4, bin_correction=True)),
+        (one, "unbinned", estimate_unbinned(one, cfg, max_diag=4)),
+    ]
+    for ds, name, ref in runs:
+        est = reconstruct.estimate(ds, cfg, name, **kw)
+        assert est.meta == ref.meta, name
+        for part in ("rho", "err_re", "err_im"):
+            assert np.array_equal(getattr(est, part), getattr(ref, part)), name
+    assert reconstruct.estimate(blocks, cfg, "binned", **kw).meta["estimator"] == "binned"
+    with pytest.raises(ValueError, match="unknown estimator 'bogus'"):
+        reconstruct.estimate(one, cfg, "bogus")
 
 
 # ---------------------------------------------------------------------------

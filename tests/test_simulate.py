@@ -14,6 +14,7 @@ from hdtomo.simulate import (
     MarginalTable,
     SimulationPlan,
     _wavefunction_rows,
+    draw,
     make_state,
     marginals,
     oscillator_wavefunctions,
@@ -81,8 +82,9 @@ def test_make_state_validation():
         make_state("fock_superposition", [5], 4)
     with pytest.raises(ValueError, match="kind"):
         make_state("squeezed", 1.0, 4)
-    with pytest.raises(ValueError, match="M"):
-        make_state("coherent", 1.0, 0)
+    for M in (0, 4.0, True):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            make_state("coherent", 1.0, M)
     for kind in ("coherent", "cat"):
         for alpha, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
                              (np.float64(math.nan), "nan"),
@@ -129,8 +131,9 @@ def test_grids():
     assert x[0] == -(math.sqrt(16.5) + 3.0) and x[-1] == math.sqrt(16.5) + 3.0
     ph = phase_grid(4)
     assert np.allclose(ph, [0.0, math.pi / 2, math.pi, 1.5 * math.pi], rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        phase_grid(0)
+    for n_phi in (0, 4.0, True):
+        with pytest.raises(ValueError, match="n_phi must be an integer"):
+            phase_grid(n_phi)
 
 
 def test_vacuum_marginal_closed_form():
@@ -392,6 +395,17 @@ def test_plan_counts_must_be_integers(field, value):
     # numpy integers are counts
     args[field] = np.int64(16)
     assert SimulationPlan(**args).total_samples > 0
+
+
+def test_draw_samples_the_plans_grids():
+    # the plan is the only grid setting: its phase count and grid points
+    state = make_state("cat", 1.5, 16)
+    plan = SimulationPlan(nsamples=30, nblks=2, n_phi=5, seed=4, grid_points=1000)
+    ds = draw(state, plan)
+    ref = sample(marginals(state, phase_grid(5), quadrature_grid(16, 1000)), plan)
+    for name in ("phases", "values", "block"):
+        assert np.array_equal(getattr(ds, name), getattr(ref, name))
+    assert (ds.n_phi, ds.nblks, ds.N) == (5, 2, plan.total_samples)
 
 
 def test_run_experiment_vacuum_trace_compatible():
