@@ -154,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-correction", action="store_true",
                    help="remove the midpoint-rule bias of wide bins")
     p.add_argument("--symmetrize", action="store_true",
-                   help="double half-circle data via X_{phi+pi} = -X_phi")
+                   help="double half-circle data via X_{phi+pi} = -X_phi; the "
+                        "file declares an even n_phi and holds phases in [0, pi)")
     p.add_argument("--precision", choices=("single", "double"), default="double",
                    help="floating-point precision for pattern recursions")
     p.add_argument("--out-dir", required=True)
@@ -237,12 +238,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from dataclasses import replace
+
     from . import formats, patterns, reconstruct
 
     t0 = time.perf_counter()
     ds, _ = formats.read_samples(args.samples)
     if args.symmetrize:
-        ds = reconstruct.double_by_symmetry(ds)
+        # the file's phases lie in [0, pi) on its own grid of n_phi phases,
+        # half of which double_by_symmetry fills by X_{phi+pi} = -X_phi
+        if ds.n_phi % 2:
+            raise DataError(f"--symmetrize needs an even n_phi, the samples file has {ds.n_phi}")
+        ds = reconstruct.double_by_symmetry(replace(ds, n_phi=ds.n_phi // 2))
     if args.beta is not None:
         beta = float(args.beta)
     elif args.beta_policy == "balanced":

@@ -1,11 +1,17 @@
-"""Exception types shared across the package.
+"""Exception and warning types shared across the package.
 
 The command-line front end maps these onto stable exit codes: usage and
 configuration problems exit 1, malformed or insufficient data exits 2,
-and numerical failures (overflow, NaN, singular scaling) exit 3.
+and numerical failures (overflow, NaN, singular scaling) exit 3.  Library
+warnings go through _warn, which names the caller's line.
 """
 
+import os
+import sys
+import warnings
 from numbers import Integral
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 def _check_count(name: str, value, low: int = 1):
@@ -13,6 +19,16 @@ def _check_count(name: str, value, low: int = 1):
     a bool or a float with an integer value is not a count."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _warn(message: str, category=UserWarning):
+    """warnings.warn attributed to the first caller outside this package,
+    however deep inside it the warning is raised, so a library user sees
+    their own call and the once-per-location filter tells call sites apart."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class TomographyError(Exception):

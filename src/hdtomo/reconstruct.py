@@ -26,6 +26,10 @@ tile, the kernel rows of every diagonal are formed from one set of kernel
 factors while they are in cache and contracted at once against the
 tile's right-hand sides: spectrum rows (estimate_binned) or every
 block's row d (block_statistics).  The sums over bins add tile by tile.
+The bin correction, f - delta^2 f / 24 in place of the kernel f at the
+bin centres, is linear in f, so summation by parts moves it onto the
+data: the estimators correct their spectra once (_bin_corrected) and
+the tiles form plain kernel rows.
 
 The unbinned sums are matrix products.  The kernel is a rank-2 product,
 f_{n,m} = A_n v_m - u_n v~_{m+1} with A_n = 2x u_n - u~_{n+1}, and the
@@ -63,12 +67,13 @@ the order of the samples within a block.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, PhaseAliasingWarning, UsageError, _check_count
+from .errors import (
+    DataError, NumericalError, PhaseAliasingWarning, UsageError, _check_count, _warn,
+)
 from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
@@ -387,11 +392,9 @@ def _diagonals(M: int, max_diag, n_phi: int):
         )
     alias_free = alias_free_max_diag(n_phi, M)
     if dmax > alias_free:
-        warnings.warn(
-            f"n_phi={n_phi} phases alias diagonals d={alias_free + 1}..{dmax} of "
-            f"the estimate at cutoff M={M}; an odd n_phi >= M aliases none",
-            PhaseAliasingWarning, stacklevel=3,
-        )
+        _warn(f"n_phi={n_phi} phases alias diagonals d={alias_free + 1}..{dmax} of "
+              f"the estimate at cutoff M={M}; an odd n_phi >= M aliases none",
+              PhaseAliasingWarning)
     return dmax, _band(M, dmax), alias_free
 
 
@@ -413,7 +416,7 @@ def _assemble(M, band, mean, err_re, err_im, meta) -> DensityMatrixEstimate:
     return DensityMatrixEstimate.from_matrices(rho, err_re, err_im, meta)
 
 
-def _binned_sums(centers, cfg: PatternConfig, dmax: int, bin_correction: bool, rhs):
+def _binned_sums(centers, cfg: PatternConfig, dmax: int, rhs):
     """Sums over the bins i of f_{n,n+d}(centers[i]) R1[i, :], and of
     f_{n,n+d}(centers[i])^2 R2[i, :], along the band (n, n + d),
     d = 0..dmax, in _band order.
@@ -428,35 +431,27 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, bin_correction: bool, r
     diagonal in reused contiguous buffers while they are in cache, so no
     (M - d) x n_bin row block is ever held.  Every factor entry enters the
     rows d = 0, so their finiteness is checked on those, tile by tile.
-
-    bin_correction replaces f(c) with f(c) - delta^2 f / 24, the second
-    difference along the bins (so the h^2 factors cancel).  Evaluating f
-    at the centres of uniform bins biases sums against an oscillatory
-    density by (h^2/24) int f p'' dx, and this removes that term; the end
-    bins are left as they are.  A tile reads one bin of halo on each side
-    for it, and the corrected values do not depend on the tiling.
+    The rows are the plain kernel values; a bin correction reaches the
+    sums through right-hand sides passed through _bin_corrected.
     """
     M, n_bin = cfg.cutoff, centers.size
     factors = kernel_factors(build_table(centers, cfg))
     width = max(1, _BIN_TILE_ELEMENTS // M)
-    size = M * (width + 2)
-    factor_tiles = [np.empty(size) for _ in factors]
-    rows, prod, square = np.empty(size), np.empty(size), np.empty(size)
+    factor_tiles = [np.empty(M * width) for _ in factors]
+    rows, prod = np.empty(M * width), np.empty(M * width)
     n_band = (dmax + 1) * M - dmax * (dmax + 1) // 2
     sums = None
     for lo in range(0, n_bin, width):
         hi = min(lo + width, n_bin)
-        # the tile's bins lo..hi-1, with one bin of halo for the correction
-        a, b = (max(lo - 1, 0), min(hi + 1, n_bin)) if bin_correction else (lo, hi)
-        A, U, V, W = (t[:M * (b - a)].reshape(M, b - a) for t in factor_tiles)
+        A, U, V, W = (t[:M * (hi - lo)].reshape(M, hi - lo) for t in factor_tiles)
         for t, full in zip((A, U, V, W), factors):
-            t[...] = full[:, a:b]
+            t[...] = full[:, lo:hi]
         tile = slice(lo, hi)
         off = 0
         for d in range(dmax + 1):
             r = M - d
-            f = rows[:r * (b - a)].reshape(r, b - a)
-            p = prod[:r * (b - a)].reshape(r, b - a)
+            f = rows[:r * (hi - lo)].reshape(r, hi - lo)
+            p = prod[:r * (hi - lo)].reshape(r, hi - lo)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(A[:r], V[d:], out=f)
                 np.multiply(U[:r], W[d:], out=p)
@@ -466,31 +461,32 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, bin_correction: bool, r
                     "pattern rows at the bin centers are not finite; "
                     "try a different beta or double precision"
                 )
-            if bin_correction:
-                g = prod[:r * (hi - lo)].reshape(r, hi - lo)
-                i0, i1 = max(lo, 1), min(hi, n_bin - 1)
-                if i1 > i0:
-                    # (f[i+1] - 2 f[i] + f[i-1]) / 24 in the whole-grid order
-                    mid, fix = f[:, i0 - a:i1 - a], g[:, i0 - lo:i1 - lo]
-                    np.multiply(mid, 2.0, out=fix)
-                    np.subtract(f[:, i0 - a + 1:i1 - a + 1], fix, out=fix)
-                    fix += f[:, i0 - a - 1:i1 - a - 1]
-                    fix /= 24.0
-                    np.subtract(mid, fix, out=fix)
-                if lo == 0:
-                    g[:, 0] = f[:, 0]
-                if hi == n_bin:
-                    g[:, -1] = f[:, -1]
-                f = g
             R = rhs(d, tile)
             if sums is None:
                 sums = [np.zeros((n_band, Rp.shape[1])) for Rp in R]
             sums[0][off:off + r] += f @ R[0]
             if len(R) == 2:
-                f2 = np.multiply(f, f, out=square[:f.size].reshape(f.shape))
-                sums[1][off:off + r] += f2 @ R[1]
+                sums[1][off:off + r] += np.multiply(f, f, out=p) @ R[1]
             off += r
     return sums
+
+
+def _bin_corrected(R: np.ndarray) -> np.ndarray:
+    """R with the bin correction moved onto it: the adjoint of
+    f -> f - delta^2 f / 24 along the last (bin) axis, where delta^2 f is
+    the second difference over the bins and both end bins keep f.  So
+    sum_i (f - delta^2 f / 24)_i R_i = sum_i f_i R'_i for any f.
+
+    Evaluating f at the centres of uniform bins of width h biases a sum
+    against a smooth density p by (h^2/24) int f p'' dx, and the corrected
+    f removes that term.  Applied to a spectrum, the mean's kernel f and
+    the second moment's f^2 each get their own correction."""
+    out = R.copy()
+    fix = R[..., 1:-1] / 24.0
+    out[..., 1:-1] += 2.0 * fix
+    out[..., :-2] -= fix
+    out[..., 2:] -= fix
+    return out
 
 
 def estimate_binned(
@@ -507,13 +503,15 @@ def estimate_binned(
     spectrum rows.  Exact for equal per-phase counts (the designed
     acquisition); with mild imbalance the bars are approximate.
 
-    bin_correction swaps the center-evaluated kernel for its
-    second-difference refinement; see _binned_sums.
+    bin_correction takes the O(h^2) midpoint bias of the bin width h out
+    of both sums by evaluating them against a corrected copy of the
+    spectrum (_bin_corrected): the mean gets f - delta^2 f / 24 and the
+    second moment f^2 - delta^2(f^2) / 24.
     """
     M = cfg.cutoff
     dmax, band, alias_free = _diagonals(M, max_diag, spec.n_phi)
     N = int(spec.n_per_phase.sum())
-    shat = spec.shat
+    shat = _bin_corrected(spec.shat) if bin_correction else spec.shat
 
     def rhs(d, tile):
         # row d as (re, im) columns against f; rows 0 and 2d against f^2
@@ -521,7 +519,7 @@ def estimate_binned(
         row = np.ascontiguousarray(shat[d, tile], dtype=np.complex128)
         return row.view(np.float64).reshape(-1, 2), np.stack((s0 + s2d, s0 - s2d), axis=1)
 
-    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, bin_correction, rhs)
+    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, rhs)
     (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
     denom = max(N - 1, 1)  # a single sample gives a zero numerator too
     var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
@@ -767,8 +765,8 @@ def block_statistics(
     estimates with errors from their scatter, std(blocks)/sqrt(nblks).
 
     With n_bin given each block runs through the binned path on a shared
-    bin grid (bin_correction as in estimate_binned); otherwise each block
-    is summed unbinned.
+    bin grid, bin_correction correcting each block's spectrum as in
+    estimate_binned; otherwise each block is summed unbinned.
     """
     M = cfg.cutoff
     dmax, band, alias_free = _diagonals(M, max_diag, ds.n_phi)
@@ -783,12 +781,15 @@ def block_statistics(
         ], axis=1)
     else:
         spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
+        if bin_correction:
+            for d in range(dmax + 1):
+                spectra[d] = _bin_corrected(spectra[d])
 
         def rhs(d, tile):
             # (w, 2 nblks): each block's real and imaginary part, side by side
             return (np.ascontiguousarray(spectra[d, :, tile].T).view(np.float64),)
 
-        G = _binned_sums(centers, cfg, dmax, bin_correction, rhs)[0].view(np.complex128)
+        G = _binned_sums(centers, cfg, dmax, rhs)[0].view(np.complex128)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,

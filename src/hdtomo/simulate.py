@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _check_count
+from .errors import DataError, _check_count, _warn
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
 from .reconstruct import QuadratureDataset, check_normalization, estimate
 
@@ -84,10 +83,7 @@ def _check_deficit(c: np.ndarray, kind: str) -> float:
             f"{kind} state loses {deficit:.3g} of its norm to the cutoff; increase M"
         )
     if deficit > TRUNCATION_WARN:
-        warnings.warn(
-            f"{kind} state truncation deficit {deficit:.3g} exceeds {TRUNCATION_WARN:g}",
-            stacklevel=3,
-        )
+        _warn(f"{kind} state truncation deficit {deficit:.3g} exceeds {TRUNCATION_WARN:g}")
     return max(deficit, 0.0)
 
 

@@ -262,8 +262,9 @@ def kernel_rows(table, d):
 
 def midpoint_corrected(f):
     """Kernel rows on uniform bins with the O(h^2) midpoint term taken out:
-    f(c) - delta^2 f / 24 along the bin axis, end bins untouched.  This is
-    the whole-grid form the library's tiled correction replaced."""
+    f(c) - delta^2 f / 24 along the bin axis, end bins untouched.  The
+    library applies the adjoint of this map to the data instead
+    (reconstruct._bin_corrected)."""
     out = f.copy()
     out[..., 1:-1] -= (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / 24.0
     return out
@@ -295,8 +296,10 @@ def alias_free_max_diag_loop(n_phi: int, M: int) -> int:
 def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):
     """The binned estimator as a per-diagonal loop: one pattern table at
     the bin centres, then for each diagonal d its kernel rows (checked
-    finite, midpoint-corrected when asked) contracted with spectrum row d,
-    and the per-sample variance from rows 0 and 2d.
+    finite) contracted with spectrum row d, and the per-sample variance
+    from their squares against rows 0 and 2d.  With bin_correction the
+    rows and their squares are each midpoint-corrected, as the integrals
+    of f p and of f^2 p need.
 
     This is the form the library's tiled binned sums replaced.
     Returns (rho, err_re, err_im) assembled exactly as the library does.
@@ -313,12 +316,12 @@ def estimate_binned_loop(spec, cfg, max_diag=None, bin_correction=False):
     for d in range(dmax + 1):
         f = kernel_rows(table, d)
         assert np.all(np.isfinite(f))
+        f2 = f * f
         if bin_correction:
-            f = midpoint_corrected(f)
+            f, f2 = midpoint_corrected(f), midpoint_corrected(f2)
         row = spec.shat[d]
         mean_re = f @ row.real
         mean_im = f @ row.imag
-        f2 = f * f
         even = spec.shat[0].real + spec.shat[(2 * d) % spec.n_phi].real
         odd = spec.shat[0].real - spec.shat[(2 * d) % spec.n_phi].real
         sum_re2 = 0.5 * N * (f2 @ even)

@@ -1,5 +1,6 @@
 """File-format round trips and command-line pipeline tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,8 +14,9 @@ import pytest
 
 import hdtomo
 import oracles
-from hdtomo import cli, formats
+from hdtomo import cli, formats, reconstruct
 from hdtomo.errors import DataError
+from hdtomo.patterns import PatternConfig, choose_beta
 from hdtomo.reconstruct import QuadratureDataset
 from hdtomo.simulate import (
     FockVector,
@@ -472,6 +474,47 @@ def test_cli_reconstruct_estimator_selection(tmp_path):
     assert rc == 0
     rep = formats.read_report(rec2 / "report.json")
     assert rep["estimator"] == "unbinned" and set(rep) == common
+
+
+def _half_circle_file(path, n_phi):
+    """Samples of a coherent state at M = 6 on the grid phases in [0, pi)
+    of n_phi, in 2 blocks, written as a samples file declaring n_phi."""
+    full = draw(make_state("coherent", 0.4 + 0.3j, 6),
+                SimulationPlan(nsamples=40 * n_phi, nblks=2, n_phi=n_phi, seed=3,
+                               grid_points=1024))
+    half = full.phases < math.pi
+    ds = QuadratureDataset(full.phases[half], full.values[half], n_phi=n_phi,
+                           block=full.block[half], nblks=2)
+    formats.write_samples(path, ds)
+    return ds
+
+
+@pytest.mark.parametrize("estimator", ["auto", "binned", "unbinned", "block"])
+def test_cli_symmetrize_fills_the_files_phase_grid(tmp_path, estimator):
+    # 8 measured phases on a 16-phase grid: the mirrored samples fill the
+    # other 8 rows, and the run keeps the file's n_phi
+    ds = _half_circle_file(tmp_path / "half.csv", 16)
+    rec = tmp_path / "rec"
+    assert _run("reconstruct", "--samples", tmp_path / "half.csv", "-M", "6",
+                "--estimator", estimator, "--symmetrize", "--out-dir", rec) == 0
+    assert formats.read_report(rec / "report.json")["n_phi"] == 16
+    full = reconstruct.double_by_symmetry(dataclasses.replace(ds, n_phi=8))
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(full.values))
+    ref = reconstruct.estimate(full, cfg, estimator)
+    for name, mat in (("rho_re", ref.rho.real), ("rho_im", ref.rho.imag),
+                      ("err_re", ref.err_re), ("err_im", ref.err_im)):
+        assert np.array_equal(formats.read_matrix(rec / f"{name}.csv")[0], mat), name
+
+
+def test_cli_symmetrize_rejects_other_files(tmp_path, capsys):
+    _half_circle_file(tmp_path / "odd.csv", 15)
+    assert _run("reconstruct", "--samples", tmp_path / "odd.csv", "-M", "6",
+                "--symmetrize", "--out-dir", tmp_path / "rec") == 2
+    assert "--symmetrize needs an even n_phi, the samples file has 15" in capsys.readouterr().err
+    sim = _simulated_dir(tmp_path, n_phi=16)
+    assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+                "--symmetrize", "--out-dir", tmp_path / "rec") == 2
+    assert "double_by_symmetry needs all phases in [0, pi)" in capsys.readouterr().err
 
 
 def test_cli_prints_library_warnings_as_one_line(tmp_path, capsys):
