@@ -11,7 +11,8 @@ Exit codes are a stable contract for scripting: 0 success, 1 usage error,
 
 Heavy imports happen inside the command handlers, after --threads has been
 applied, so the BLAS worker cap set through the standard environment
-variables actually takes effect.
+variables actually takes effect; the simulator's chunk workers read
+OMP_NUM_THREADS when they start.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _set_thread_env(n: int):
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", help="JSON run configuration; overrides flags")
     sub.add_argument("--threads", type=int, default=None,
-                     help="cap numeric worker threads")
+                     help="cap numeric threads: BLAS and the simulator's chunk "
+                          "workers (default: one per CPU)")
 
 
 def _collect_flags(sub: argparse.ArgumentParser):

@@ -8,10 +8,17 @@ are computed analytically from the coefficients,
 with psi_n the oscillator eigenfunctions in the convention psi_0(x) =
 (2/pi)^{1/4} e^{-x^2} (vacuum quadrature variance 1/4), and samples are
 drawn by inverse-CDF interpolation on a tabulated grid.  marginals and
-sample walk the table in chunks of rows of about _CHUNK entries with
-scratch buffers reused from chunk to chunk, so their memory is the table
-plus a fixed amount of scratch.  Sampling is deterministic given the plan
-seed: phase j's draws depend only on (seed, j) and table row j.
+sample walk the table in chunks of rows of about _CHUNK entries, in order,
+with up to W chunks in flight on worker threads; W is the number of CPUs
+the process may run on, at most OMP_NUM_THREADS when that is set (as
+`hdtomo --threads` sets it).  sample hands each whole chunk to a worker;
+marginals keeps its BLAS product on the calling thread and hands the
+rest of the chunk to a worker.  Each worker reuses its own scratch
+buffers from chunk to chunk (about 16 MB in marginals and 5 MB in sample
+at 2^17 grid points), so memory is the table plus W chunks' scratch.  A
+table of one chunk, or W = 1, runs the plain serial loop.  Every phase's
+result depends only on its own row (and, in sample, on (seed, j)), so
+tables and samples are bit-identical for every W.
 draw alone composes marginals and sample on a plan's grids, and
 run_experiment is draw followed by reconstruct.estimate.
 """
@@ -20,6 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,6 +180,53 @@ def _chunk_rows(n_points: int) -> int:
     return max(2, _CHUNK // n_points)
 
 
+def _workers() -> int:
+    """Worker threads for the chunk loops: the CPUs this process may run
+    on, capped by OMP_NUM_THREADS when it holds a number."""
+    try:
+        n = len(os.sched_getaffinity(0))
+    except AttributeError:
+        n = os.cpu_count() or 1
+    try:
+        n = min(n, int(os.environ.get("OMP_NUM_THREADS", "")))
+    except ValueError:
+        pass
+    return max(n, 1)
+
+
+def _run_chunks(starts, scratch, work, caller=None):
+    """work(a, buf) for each chunk start a, in order, with at most
+    _workers() chunks in flight.  Each runs on a worker thread with its
+    own scratch buffers buf = scratch(), reused by every chunk that worker
+    slot takes; caller(a, buf), when given, runs first on the calling
+    thread.  Exceptions from work come back in chunk order.  With one
+    worker or one chunk this is the plain serial loop, and
+    concurrent.futures is not imported."""
+    workers = min(_workers(), len(starts))
+    if workers < 2:
+        buf = scratch()
+        for a in starts:
+            if caller is not None:
+                caller(a, buf)
+            work(a, buf)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    bufs = [scratch() for _ in range(workers)]
+    pending = deque()  # futures not yet checked, in chunk order
+    with ThreadPoolExecutor(workers) as pool:
+        for k, a in enumerate(starts):
+            if len(pending) == workers:
+                # chunk k - workers must be done before its buffers are reused
+                pending.popleft().result()
+            buf = bufs[k % workers]
+            if caller is not None:
+                caller(a, buf)
+            pending.append(pool.submit(work, a, buf))
+        for f in pending:
+            f.result()
+
+
 def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-row trapezoid terms (p[:, 1:] + p[:, :-1]) * dx / 2, written to
     out, in the order scipy's trapezoid rules use.  Their sum is a row's
@@ -184,16 +240,20 @@ def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarr
 def marginals(state: FockVector, phases, x) -> MarginalTable:
     """Analytic quadrature distributions of the state at the given phases.
 
-    The table is filled in chunks of rows of about _CHUNK entries.  Per
-    chunk: one complex matrix product into a reused buffer, |amp|^2
-    written into the table rows, their trapezoid mass, and their
-    normalisation while the chunk is still in cache.  Memory is the table
-    plus a fixed amount of scratch.  Every entry goes through the same
+    The table is filled in chunks of rows of about _CHUNK entries, by
+    _run_chunks.  Per chunk: one complex matrix product into the chunk's
+    amplitude buffer, on the calling thread, so BLAS runs there alone;
+    then, on a worker, |amp|^2 written into the table rows, their
+    trapezoid mass, and their normalisation while the chunk is still in
+    cache.  The last chunk is moved back to end at n_phi, full-sized, and
+    writes only the rows the chunk before it left.  Memory is the table
+    plus one chunk's scratch per worker.  Every entry goes through the same
     operations in the same order as in a whole-table evaluation, so the
-    table is bit-identical to one, provided the BLAS complex matrix product
-    gives each row the same bits whatever the product's row count and the
-    row's place in it (true of OpenBLAS 0.3.31; the oracle tests check it).
-    An empty phase list gives an empty table.
+    table is bit-identical to one, for every worker count, provided the
+    BLAS complex matrix product gives each row the same bits whatever the
+    product's row count and the row's place in it (true of OpenBLAS
+    0.3.31; the oracle tests check it).  An empty phase list gives an
+    empty table.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
@@ -209,19 +269,30 @@ def marginals(state: FockVector, phases, x) -> MarginalTable:
     mass = np.empty(n_phi)
     dx = np.diff(x)
     rows = min(_chunk_rows(x.size), n_phi)
-    amp = np.empty((rows, x.size), dtype=np.complex128)
-    imag2 = np.empty((rows, x.size))
-    terms = np.empty((rows, x.size - 1))
-    for a in range(0, n_phi, rows):
-        a = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
-        chunk = p[a:a + rows]
-        np.matmul(rot[a:a + rows], psi, out=amp)
+
+    def scratch():
+        return (np.empty((rows, x.size), dtype=np.complex128),
+                np.empty((rows, x.size)), np.empty((rows, x.size - 1)))
+
+    def product(a, buf):
+        lo = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
+        np.matmul(rot[lo:lo + rows], psi, out=buf[0])
+
+    def fill(a, buf):
+        # rows a..b are the chunk's own: in the last chunk the first
+        # `skip` rows of the product belong to the chunk before it
+        skip = a - min(a, n_phi - rows)
+        amp, imag2, terms = (v[skip:] for v in buf)
+        b = min(a + rows, n_phi)
+        chunk = p[a:b]
         np.multiply(amp.real, amp.real, out=chunk)
         np.multiply(amp.imag, amp.imag, out=imag2)
         chunk += imag2
-        m = mass[a:a + rows] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
+        m = mass[a:b] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
         if not np.any(m < 0.999):
             chunk /= m[:, None]
+
+    _run_chunks(range(0, n_phi, rows), scratch, fill, caller=product)
     if np.any(mass < 0.999):
         j = int(np.argmin(mass))
         raise DataError(
@@ -257,17 +328,19 @@ class SimulationPlan:
 def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     """Draw the planned dataset from tabulated marginals by inverse CDF.
 
-    The table is read in chunks of rows of about _CHUNK entries; per chunk
+    The table is read in chunks of rows of about _CHUNK entries, each
+    chunk on a worker thread of _run_chunks with its own reused buffers:
     the trapezoid terms, their cumulative sum and its normalisation form
-    the CDF rows in reused buffers.  Phase j's draws depend only on
-    (plan.seed, j) and table row j: its generator is seeded from
+    the CDF rows, then each phase is drawn.  Phase j's draws depend only
+    on (plan.seed, j) and table row j: its generator is seeded from
     SeedSequence((plan.seed, j)), so a run over a prefix of the phases
-    reproduces that prefix.  Each phase's draws are interpolated in sorted
-    order and put back in draw order.
+    reproduces that prefix, and every worker count gives the same bits.
+    Each phase's draws are interpolated in sorted order and put back in
+    draw order.
 
     Raises ValueError when the table's shapes do not fit together, and
-    DataError naming the phase index when a row has a negative entry or a
-    trapezoid total that is not positive and finite.
+    DataError naming the first phase index whose row has a negative entry
+    or a trapezoid total that is not positive and finite.
     """
     n_phi = table.phases.size
     if n_phi != plan.n_phi:
@@ -285,13 +358,17 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     values = np.empty(n_phi * draws)
     dx = np.diff(x)
     rows = min(_chunk_rows(x.size), n_phi)
-    # column 0 is never written: every CDF starts at 0, and its first
-    # point is always kept
-    cdf = np.zeros((rows, x.size))
-    keep = np.ones((rows, x.size), dtype=bool)
-    u = np.empty(draws)
-    for a in range(0, n_phi, rows):
+
+    def scratch():
+        # cdf column 0 is never written: every CDF starts at 0, and its
+        # first point is always kept.  xw is x, except at a row's anchor.
+        return (np.zeros((rows, x.size)), np.ones((rows, x.size), dtype=bool),
+                np.empty(draws), x.copy())
+
+    def draw_chunk(a, buf):
+        cdf, keep, u, xw = buf
         n = min(rows, n_phi - a)
+        # inside the worker: numpy's error state does not pass to threads
         with np.errstate(over="ignore", invalid="ignore"):
             terms = _trapezoid_terms(p[a:a + n], dx, cdf[:n, 1:])
             np.cumsum(terms, axis=1, out=terms)
@@ -311,11 +388,25 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
         np.greater(cdf[:n, 1:], cdf[:n, :-1], out=keep[:n, 1:])
         for i in range(n):
             j = a + i
-            cdf_j, x_j = cdf[i][keep[i]], x[keep[i]]
+            row, flags = cdf[i], keep[i]
+            lo = int(np.argmax(flags[1:]))  # end of a leading flat run, or 0
+            hi = x.size - int(np.argmax(flags[:0:-1]))  # one past the last kept point
+            tails = np.count_nonzero(flags) == hi - lo
+            if tails:
+                # the only flat runs are the tails: the kept points are the
+                # view lo:hi once its first point is the anchor (cdf[0], x[0])
+                row[lo], xw[lo] = row[0], x[0]
+                cdf_j, x_j = row[lo:hi], xw[lo:hi]
+            else:
+                cdf_j, x_j = row[flags], x[flags]
             rng = np.random.default_rng(np.random.SeedSequence((plan.seed, j)))
             rng.random(out=u)
             order = np.argsort(u)
             values[j * draws:(j + 1) * draws][order] = np.interp(u[order], cdf_j, x_j)
+            if tails:
+                xw[lo] = x[lo]
+
+    _run_chunks(range(0, n_phi, rows), scratch, draw_chunk)
     phases = np.repeat(table.phases, draws)
     block = np.tile(
         np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi

@@ -855,7 +855,12 @@ def test_cli_precision_is_a_reconstruct_flag(tmp_path, capsys, monkeypatch,
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_threads_flag_sets_env(tmp_path):
+def test_cli_threads_flag_sets_env(tmp_path, monkeypatch):
+    # the flag writes os.environ; monkeypatch puts the variables back
+    # afterwards, so later tests keep the session's thread settings
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
     rc = _run("simulate", "--state", "vacuum", "-M", "2", "--n-phi", "2",
               "--nsamples", "4", "--threads", "1",
               "--out-dir", tmp_path / "t")

@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -271,6 +273,98 @@ def test_marginal_grid_too_narrow_message_matches_oracle(chunk, monkeypatch):
         oracles.marginals_whole(state, phases, x)
     assert str(new.value) == str(old.value)
     assert "phase 3.0000 keeps only 0.000000" in str(new.value)
+
+
+def _flat_run_table(n_phi):
+    """Rows with a leading zero run, a trailing one, both, an interior one
+    (the sampler's mask path) and none, cycled over n_phi phases."""
+    # a coarse grid: about 1% of the draws fall in the first rising step,
+    # the one anchored at x[0]
+    x = np.linspace(-4.0, 4.0, 64)
+    wave = 2.0 + np.sin(3.0 * x)
+    shapes = [np.where(x > -2.0, wave, 0.0), np.where(x < 1.5, wave, 0.0),
+              np.where(np.abs(x) < 2.5, wave, 0.0), np.where(np.abs(x) > 0.5, wave, 0.0),
+              wave]
+    p = np.array([shapes[j % len(shapes)] for j in range(n_phi)])
+    return MarginalTable(phases=phase_grid(n_phi), x=x, p=p)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch):
+    # 3 rows per chunk and 7 phases: three chunks, and the last chunk of
+    # marginals, moved back to stay full-sized, overlaps the one before it
+    monkeypatch.setattr(simulate, "_workers", lambda: workers)
+    plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
+    for args, n_points in _ORACLE_STATES.values():
+        state = make_state(*args)
+        x = quadrature_grid(state.M, n_points)
+        _set_chunk(monkeypatch, "3 rows", n_points)
+        table = marginals(state, phase_grid(7), x)
+        assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
+        assert np.array_equal(sample(table, plan).values,
+                              oracles.sample_by_phase(table, plan).values)
+    table = _flat_run_table(7)
+    _set_chunk(monkeypatch, "3 rows", table.x.size)
+    assert np.array_equal(sample(table, plan).values,
+                          oracles.sample_by_phase(table, plan).values)
+
+
+def test_pooled_simulator_under_thread_stress(monkeypatch):
+    # more workers than cores, 2-row chunks and a short switch interval: a
+    # buffer handed to the next chunk before its own chunk is done, or rows
+    # written twice, would change the bits
+    monkeypatch.setattr(simulate, "_workers", lambda: 8)
+    args, n_points = _ORACLE_STATES["cat"]
+    state = make_state(*args)
+    x = quadrature_grid(state.M, n_points)
+    monkeypatch.setattr(simulate, "_CHUNK", 2 * n_points)
+    plan = SimulationPlan(nsamples=50, nblks=2, n_phi=41, seed=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = marginals(state, phase_grid(41), x)
+        ds = sample(table, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(41), x).p)
+    assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
+
+
+def test_worker_count_follows_cpus_and_omp_cap(monkeypatch):
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cpus = simulate._workers()
+    assert 1 <= cpus <= (os.cpu_count() or 1)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert simulate._workers() == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "4096")
+    assert simulate._workers() == cpus
+    monkeypatch.setenv("OMP_NUM_THREADS", "not a number")
+    assert simulate._workers() == cpus
+    # where the affinity call is missing, the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulate._workers() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._workers() == 1
+
+
+def test_pooled_errors_name_the_first_bad_phase(monkeypatch):
+    monkeypatch.setattr(simulate, "_workers", lambda: 2)
+    table = _flat_run_table(7)
+    _set_chunk(monkeypatch, "3 rows", table.x.size)
+    # bad rows in chunks 1 and 2 (phases 3-5 and 6), then also in chunk 0;
+    # phase 4 overflows, which warns (an error here) unless the worker
+    # itself ignores it
+    table.p[6] = -1.0
+    table.p[4] = 1.7e308
+    plan = SimulationPlan(nsamples=10, nblks=1, n_phi=7, seed=0)
+    with pytest.raises(DataError, match="phase 4 has probability mass inf;"):
+        sample(table, plan)
+    table.p[1] = 0.0
+    with pytest.raises(DataError, match="phase 1 has probability mass 0;"):
+        sample(table, plan)
+    # marginals still names the worst phase over all chunks
+    test_marginal_grid_too_narrow_message_matches_oracle("3 rows", monkeypatch)
 
 
 def _bad_table(bad_row):
