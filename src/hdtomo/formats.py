@@ -80,6 +80,14 @@ def _meta_int(meta: dict, key: str, path) -> int:
         raise DataError(f"{path}: metadata key {key}={meta[key]!r} is not an integer") from None
 
 
+def _meta_count(meta: dict, key: str, path) -> int:
+    """A metadata count, which must be at least 1."""
+    count = _meta_int(meta, key, path)
+    if count < 1:
+        raise DataError(f"{path}: metadata key {key}={count} must be >= 1")
+    return count
+
+
 def _cell(cell: str, path, lineno: int, name):
     """Check one cell as Python reads it: a finite float, or an integer
     when name, the column's name in messages, is given."""
@@ -203,11 +211,8 @@ def read_samples(path):
     from .reconstruct import QuadratureDataset, _phase_indices
 
     meta, _, rows = _read_lines(path, "samples", SAMPLES_HEADER)
-    n_phi = _meta_int(meta, "n_phi", path)
-    nblks = _meta_int(meta, "nblks", path)
-    for key, count in (("n_phi", n_phi), ("nblks", nblks)):
-        if count < 1:
-            raise DataError(f"{path}: metadata key {key}={count} must be >= 1")
+    n_phi = _meta_count(meta, "n_phi", path)
+    nblks = _meta_count(meta, "nblks", path)
     if not rows:
         raise DataError(f"{path}: no sample rows after the column header")
     index, phases, block, values = _parse_rows(path, rows, 3, 4, {0: "phase_index", 2: "block"})
@@ -241,12 +246,12 @@ def write_state(path, state, meta: dict | None = None):
 
 
 def read_state(path):
-    """Read a state CSV; returns (FockVector, metadata dict).  Each index
-    0..M-1 must appear exactly once."""
+    """Read a state CSV; returns (FockVector, metadata dict).  M must be at
+    least 1, and each index 0..M-1 must appear exactly once."""
     from .simulate import FockVector
 
     meta, _, rows = _read_lines(path, "state", "n,re,im")
-    M = _meta_int(meta, "M", path)
+    M = _meta_count(meta, "M", path)
     if len(rows) != M:
         raise DataError(f"{path}: expected {M} coefficient rows, found {len(rows)}")
     n, re, im = _parse_rows(path, rows, 3, 3, {0: "index"})
@@ -273,10 +278,11 @@ def read_state(path):
 
 
 def write_matrix(path, matrix, meta: dict | None = None):
-    """Real M x M matrix CSV, one row per line."""
+    """Real M x M matrix CSV, one row per line, with M >= 1 as read_matrix
+    requires."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
+        raise ValueError(f"expected a non-empty square matrix, got shape {matrix.shape}")
     header = dict(meta or {})
     header["M"] = matrix.shape[0]
     _write_table(path, "matrix", header, None, list(matrix.T))
@@ -284,7 +290,7 @@ def write_matrix(path, matrix, meta: dict | None = None):
 
 def read_matrix(path):
     meta, _, rows = _read_lines(path, "matrix", None)
-    M = _meta_int(meta, "M", path)
+    M = _meta_count(meta, "M", path)
     if len(rows) != M:
         raise DataError(f"{path}: expected {M} rows, found {len(rows)}")
     return _parse_rows(path, rows, 2, M, {}), meta

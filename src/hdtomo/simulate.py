@@ -8,16 +8,15 @@ are computed analytically from the coefficients,
 with psi_n the oscillator eigenfunctions in the convention psi_0(x) =
 (2/pi)^{1/4} e^{-x^2} (vacuum quadrature variance 1/4), and samples are
 drawn by inverse-CDF interpolation on a tabulated grid.  marginals and
-sample walk the table in chunks of rows of about _CHUNK entries, in order,
-with up to W chunks in flight on worker threads; W is the number of CPUs
-the process may run on, at most OMP_NUM_THREADS when that is set (as
-`hdtomo --threads` sets it).  sample hands each whole chunk to a worker;
-marginals keeps its BLAS product on the calling thread and hands the
-rest of the chunk to a worker.  Each worker reuses its own scratch
-buffers from chunk to chunk (about 16 MB in marginals and 5 MB in sample
-at 2^17 grid points), so memory is the table plus W chunks' scratch.  A
-table of one chunk, or W = 1, runs the plain serial loop.  Every phase's
-result depends only on its own row (and, in sample, on (seed, j)), so
+sample walk the table in chunks of rows of about _CHUNK entries, in order.
+marginals runs on the calling thread with one chunk's scratch (about
+16 MB at 2^17 grid points).  Only sample runs its chunks on worker
+threads, up to W in flight; W is the number of CPUs the process may run
+on, at most OMP_NUM_THREADS when that is set (as `hdtomo --threads` sets
+it).  Each worker reuses its own scratch buffers from chunk to chunk
+(about 5 MB at 2^17 grid points), so sample's memory is the table plus W
+chunks' scratch.  A table of one chunk, or W = 1, runs the plain serial
+loop.  Phase j's draws depend only on (seed, j) and table row j, so
 tables and samples are bit-identical for every W.
 draw alone composes marginals and sample on a plan's grids, and
 run_experiment is draw followed by reconstruct.estimate.
@@ -194,20 +193,17 @@ def _workers() -> int:
     return max(n, 1)
 
 
-def _run_chunks(starts, scratch, work, caller=None):
+def _run_chunks(starts, scratch, work):
     """work(a, buf) for each chunk start a, in order, with at most
-    _workers() chunks in flight.  Each runs on a worker thread with its
-    own scratch buffers buf = scratch(), reused by every chunk that worker
-    slot takes; caller(a, buf), when given, runs first on the calling
-    thread.  Exceptions from work come back in chunk order.  With one
-    worker or one chunk this is the plain serial loop, and
-    concurrent.futures is not imported."""
+    _workers() chunks in flight: sample's chunk loop.  Each chunk runs on
+    a worker thread with its own scratch buffers buf = scratch(), reused
+    by every chunk that worker slot takes.  Exceptions from work come back
+    in chunk order.  With one worker or one chunk this is the plain serial
+    loop on the calling thread, and concurrent.futures is not imported."""
     workers = min(_workers(), len(starts))
     if workers < 2:
         buf = scratch()
         for a in starts:
-            if caller is not None:
-                caller(a, buf)
             work(a, buf)
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -219,10 +215,7 @@ def _run_chunks(starts, scratch, work, caller=None):
             if len(pending) == workers:
                 # chunk k - workers must be done before its buffers are reused
                 pending.popleft().result()
-            buf = bufs[k % workers]
-            if caller is not None:
-                caller(a, buf)
-            pending.append(pool.submit(work, a, buf))
+            pending.append(pool.submit(work, a, bufs[k % workers]))
         for f in pending:
             f.result()
 
@@ -240,20 +233,19 @@ def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarr
 def marginals(state: FockVector, phases, x) -> MarginalTable:
     """Analytic quadrature distributions of the state at the given phases.
 
-    The table is filled in chunks of rows of about _CHUNK entries, by
-    _run_chunks.  Per chunk: one complex matrix product into the chunk's
-    amplitude buffer, on the calling thread, so BLAS runs there alone;
-    then, on a worker, |amp|^2 written into the table rows, their
-    trapezoid mass, and their normalisation while the chunk is still in
-    cache.  The last chunk is moved back to end at n_phi, full-sized, and
-    writes only the rows the chunk before it left.  Memory is the table
-    plus one chunk's scratch per worker.  Every entry goes through the same
-    operations in the same order as in a whole-table evaluation, so the
-    table is bit-identical to one, for every worker count, provided the
-    BLAS complex matrix product gives each row the same bits whatever the
-    product's row count and the row's place in it (true of OpenBLAS
-    0.3.31; the oracle tests check it).  An empty phase list gives an
-    empty table.
+    The table is filled on the calling thread in chunks of rows of about
+    _CHUNK entries.  Per chunk: one complex matrix product into a reused
+    buffer, |amp|^2 written into the table rows, their trapezoid mass,
+    and their normalisation while the chunk is still in cache.  The last
+    chunk is moved back to end at n_phi, full-sized, and recomputes the
+    rows it shares with the chunk before it.  Memory is the table plus
+    one chunk's scratch (about 16 MB at 2^17 grid points).  Every entry
+    goes through the same operations in the same order as in a
+    whole-table evaluation, so the table is bit-identical to one,
+    provided the BLAS complex matrix product gives each row the same bits
+    whatever the product's row count and the row's place in it (true of
+    OpenBLAS 0.3.31; the oracle tests check it).  An empty phase list
+    gives an empty table.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
@@ -269,30 +261,19 @@ def marginals(state: FockVector, phases, x) -> MarginalTable:
     mass = np.empty(n_phi)
     dx = np.diff(x)
     rows = min(_chunk_rows(x.size), n_phi)
-
-    def scratch():
-        return (np.empty((rows, x.size), dtype=np.complex128),
-                np.empty((rows, x.size)), np.empty((rows, x.size - 1)))
-
-    def product(a, buf):
-        lo = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
-        np.matmul(rot[lo:lo + rows], psi, out=buf[0])
-
-    def fill(a, buf):
-        # rows a..b are the chunk's own: in the last chunk the first
-        # `skip` rows of the product belong to the chunk before it
-        skip = a - min(a, n_phi - rows)
-        amp, imag2, terms = (v[skip:] for v in buf)
-        b = min(a + rows, n_phi)
-        chunk = p[a:b]
+    amp = np.empty((rows, x.size), dtype=np.complex128)
+    imag2 = np.empty((rows, x.size))
+    terms = np.empty((rows, x.size - 1))
+    for a in range(0, n_phi, rows):
+        a = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
+        chunk = p[a:a + rows]
+        np.matmul(rot[a:a + rows], psi, out=amp)
         np.multiply(amp.real, amp.real, out=chunk)
         np.multiply(amp.imag, amp.imag, out=imag2)
         chunk += imag2
-        m = mass[a:b] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
+        m = mass[a:a + rows] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
         if not np.any(m < 0.999):
             chunk /= m[:, None]
-
-    _run_chunks(range(0, n_phi, rows), scratch, fill, caller=product)
     if np.any(mass < 0.999):
         j = int(np.argmin(mass))
         raise DataError(

@@ -57,8 +57,8 @@ class DiagonalDensityMatrix:
     @classmethod
     def from_matrix(cls, rho) -> "DiagonalDensityMatrix":
         rho = np.asarray(rho, dtype=np.complex128)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 1:
+            raise ValueError(f"density matrix must be square and non-empty, got shape {rho.shape}")
         n, m, sign = _upper(rho.shape[0])
         rho_tilde = np.zeros_like(rho)
         rho_tilde[n, m - n] = sign * rho[n, m]

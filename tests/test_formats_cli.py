@@ -143,6 +143,13 @@ def test_read_state_checks_deficit(tmp_path, deficit):
         formats.read_state(p)
 
 
+def test_read_state_rejects_empty_state(tmp_path):
+    p = tmp_path / "state.csv"
+    p.write_text("# hdtomo-csv v1 kind=state M=0 deficit=0.0\nn,re,im\n")
+    with pytest.raises(DataError, match=re.escape(f"{p}: metadata key M=0 must be >= 1")):
+        formats.read_state(p)
+
+
 def test_write_state_checks_deficit(tmp_path):
     for deficit in (math.nan, -3.0, 1.5):
         with pytest.raises(ValueError, match=r"deficit must be a number in \[0, 1\]"):
@@ -260,6 +267,16 @@ def test_matrix_row_count_mismatch(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# hdtomo-csv v1 kind=matrix M=3\n1.0,0.0,0.0\n0.0,1.0,0.0\n")
     with pytest.raises(DataError, match="expected 3 rows, found 2"):
+        formats.read_matrix(p)
+
+
+def test_matrix_files_hold_at_least_one_row(tmp_path):
+    p = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        formats.write_matrix(p, np.zeros((0, 0)))
+    assert not p.exists()
+    p.write_text("# hdtomo-csv v1 kind=matrix M=0\n")
+    with pytest.raises(DataError, match=re.escape(f"{p}: metadata key M=0 must be >= 1")):
         formats.read_matrix(p)
 
 
@@ -755,6 +772,17 @@ def test_cli_wigner_mismatched_matrices(tmp_path, capsys):
               "--out", tmp_path / "w.csv")
     assert rc == 2
     assert "disagree on size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, other", [("wigner", "--rho-im"), ("report", "--err-re")])
+def test_cli_rejects_empty_matrix_file(tmp_path, capsys, command, other):
+    p = tmp_path / "rho_re.csv"
+    p.write_text("# hdtomo-csv v1 kind=matrix M=0\n")
+    out = tmp_path / "out.csv"
+    rc = _run(command, "--rho-re", p, other, p, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {p}: metadata key M=0 must be >= 1\n"
+    assert not out.exists()
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

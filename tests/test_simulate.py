@@ -291,8 +291,9 @@ def _flat_run_table(n_phi):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch):
-    # 3 rows per chunk and 7 phases: three chunks, and the last chunk of
-    # marginals, moved back to stay full-sized, overlaps the one before it
+    # 3 rows per chunk and 7 phases: three chunks, the last overlapping the
+    # one before it in marginals (which runs serially, so W must not change
+    # its table) and taking one row in sample's pool
     monkeypatch.setattr(simulate, "_workers", lambda: workers)
     plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
     for args, n_points in _ORACLE_STATES.values():
@@ -310,9 +311,9 @@ def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch)
 
 
 def test_pooled_simulator_under_thread_stress(monkeypatch):
-    # more workers than cores, 2-row chunks and a short switch interval: a
-    # buffer handed to the next chunk before its own chunk is done, or rows
-    # written twice, would change the bits
+    # more workers than cores, 2-row chunks and a short switch interval: in
+    # sample, a buffer handed to the next chunk before its own chunk is done
+    # would change the bits; marginals stays serial, its table unchanged by W
     monkeypatch.setattr(simulate, "_workers", lambda: 8)
     args, n_points = _ORACLE_STATES["cat"]
     state = make_state(*args)

@@ -221,6 +221,8 @@ def test_diagonal_round_trip_exact():
 def test_from_matrix_rejects_non_square():
     with pytest.raises(ValueError):
         DiagonalDensityMatrix.from_matrix(np.zeros((3, 4)))
+    with pytest.raises(ValueError, match="non-empty"):
+        DiagonalDensityMatrix.from_matrix(np.zeros((0, 0)))
 
 
 def test_polar_grid_shapes():
