@@ -31,22 +31,27 @@ bin centres, is linear in f, so summation by parts moves it onto the
 data: the estimators correct their spectra once (_bin_corrected) and
 the tiles form plain kernel rows.
 
-The unbinned sums are matrix products.  The kernel is a rank-2 product,
-f_{n,m} = A_n v_m - u_n v~_{m+1} with A_n = 2x u_n - u~_{n+1}, and the
-phase factor splits as e^{-i(m-n)phi} = e^{i n phi} e^{-i m phi}, so over
-the samples k, sum_k F = (A o E)(V o conj E)^T - (U o E)(V~ o conj E)^T
-with E[n, k] = e^{i n phi_k}.  The variance sums follow from
-(Re F)^2 = f^2/2 + Re(f^2 e^{-2i(m-n)phi})/2, where f^2 = A^2 v^2 +
-u^2 v~^2 - 2 A u v v~ is three more outer products.  Rows n go in tiles of
-64, each against columns m >= n0 only, with the u side scaled down and the
-v side up by one exact power of two per sample so the squares stay inside
-the double range up to M ~ 1000.  Pattern tables are built for slabs of
-2e6 / (M + 2) samples, so each table array holds 2e6 doubles whatever M
-is, and the products run on chunks of 65536 / M samples whose operands
-take a few MB.  The expanded f^2 and the long sums leave a rounding
-residue where a variance is exactly 0; a variance numerator at or below
-the rounding bound of its sums, which counts the terms summed and so grows
-with the number of samples, is reported as 0.
+The unbinned sums are real matrix products, one set per distinct phase.
+The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
+A_n = 2x u_n - u~_{n+1}, so over the samples k of one phase,
+sum_k f = A V^T - U V~^T.  Every sample of a phase shares its factor
+e^{-i(m-n)phi} = E_n conj(E_m), E_n = e^{i n phi}, so the samples are
+sorted by phase and each phase's real sum gets its factor once.  The
+variance sums follow from (Re F)^2 = f^2 (1 + cos 2(m-n)phi)/2 and
+(Im F)^2 = f^2 (1 - cos 2(m-n)phi)/2, where the phase's sum of
+f^2 = A^2 v^2 + u^2 v~^2 - 2 A u v v~ is three more real products.  Rows
+n go in tiles of 64, each against columns m >= n0 only, with the u side
+scaled down and the v side up by one exact power of two per sample so the
+squares stay inside the double range up to M ~ 1000.  Pattern tables are
+built for slabs of 2e6 / (M + 2) sorted samples, so each table array
+holds 2e6 doubles whatever M is, and the products run on chunks of at
+most 65536 / M samples of one phase, whose operands take a few MB.  Each
+distinct phase in a slab costs a few passes over every tile, so the sums
+take longer per sample the fewer samples share a phase.  The expanded
+f^2 and the long sums leave a rounding residue where a variance is
+exactly 0; a variance numerator at or below the rounding bound of its
+sums, which counts the terms summed and so grows with the number of
+samples, is reported as 0.
 
 Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
 (hi - lo)), corrected by one step against the linspace edges, which is
@@ -534,69 +539,61 @@ def estimate_binned(
                      np.sqrt(var_re / N), np.sqrt(var_im / N), meta)
 
 
-def _add_chunk(sums, sq, tile, dmax, A, U, V, W, Ebar, C2, S2):
-    """Add one chunk of samples to the sums of _moment_sums.
+def _add_chunk(acc, g, buf, ops, first, A, U, V, W):
+    """Add one chunk of one phase's samples to a row tile's phase sums.
 
-    A, U, V, W are the kernel factors (kernel_factors) and Ebar =
-    e^{-i n phi}, C2 = cos 2n phi, S2 = sin 2n phi the phase factors, all
-    shaped (M, K) for the K samples of the chunk.
+    A, U are the kernel factors (kernel_factors) at the tile's rows n and
+    V, W those at its columns m, each shaped (rows, K) for the chunk's K
+    samples.  acc[0] gets sum f = A V^T - U W^T.  When the variance is
+    wanted, acc[1] gets sum f^2 = H, g (the tile's view of the magnitude
+    sum) gets sum(A^2 v^2 + u^2 v~^2), and ops is scratch for the squared
+    operands; otherwise g is None.  The first chunk of a phase writes acc,
+    later ones add to it.  buf is (rows, columns) scratch.
     """
-    M, K = A.shape
-    # the mean's operands need no balancing: one right side serves all tiles
-    right = np.empty((M, 2, K), dtype=np.complex128)
-    np.multiply(V, Ebar, out=right[:, 0])
-    np.multiply(W, Ebar, out=right[:, 1])
-    right = right.reshape(M, 2 * K)
-    left = np.empty((tile, 2, K), dtype=np.complex128)
-    if sq is not None:
-        # squared-term operands, [plain | cos 2n phi | sin 2n phi] x [3 terms]
-        p = np.empty((tile, 3, 3, K))
-        q = np.empty((M, 3, 3, K))
-    for n0 in range(0, M, tile):
-        n1 = min(n0 + tile, M)
-        m1 = min(n1 + dmax, M)
-        t, r = n1 - n0, m1 - n0
-        blk = (slice(n0, n1), slice(n0, m1))
-        el = Ebar[n0:n1].conj()
-        np.multiply(A[n0:n1], el, out=left[:t, 0])
-        np.multiply(U[n0:n1], -el, out=left[:t, 1])
-        sums[blk] += left[:t].reshape(t, 2 * K) @ right[n0:m1].T
-        if sq is None:
-            continue
-        a, u = A[n0:n1], U[n0:n1]
-        _, e = np.frexp(np.maximum(np.abs(a).max(axis=0), np.abs(u).max(axis=0)))
-        a, u = np.ldexp(a, -e), np.ldexp(u, -e)
-        v, w = np.ldexp(V[n0:m1], e), np.ldexp(W[n0:m1], e)
-        pt, qt = p[:t], q[:r]
-        np.multiply(a, a, out=pt[:, 0, 0])
-        np.multiply(u, u, out=pt[:, 0, 1])
-        np.multiply(a, -2.0 * u, out=pt[:, 0, 2])
-        np.multiply(v, v, out=qt[:, 0, 0])
-        np.multiply(w, w, out=qt[:, 0, 1])
-        np.multiply(v, w, out=qt[:, 0, 2])
-        for x, rows in ((pt, slice(n0, n1)), (qt, slice(n0, m1))):
-            np.multiply(x[:, 0], C2[rows, None], out=x[:, 1])
-            np.multiply(x[:, 0], S2[rows, None], out=x[:, 2])
-        squares = pt[:, 0, :2].reshape(t, 2 * K) @ qt[:, 0, :2].reshape(r, 2 * K).T
-        plain = squares + pt[:, 0, 2] @ qt[:, 0, 2].T
-        twice = pt[:, 1:].reshape(t, 6 * K) @ qt[:, 1:].reshape(r, 6 * K).T
-        sq[0][blk] += plain + twice
-        sq[1][blk] += plain - twice
-        sq[2][blk] += squares + np.abs(pt[:, 0, 2]) @ np.abs(qt[:, 0, 2]).T
+    t, r = buf.shape
+    K = A.shape[1]
+    np.matmul(A, V.T, out=acc[0] if first else buf)
+    if not first:
+        acc[0] += buf
+    acc[0] -= np.matmul(U, W.T, out=buf)
+    if g is None:
+        return
+    p, q = ops[0][:3 * t * K].reshape(t, 3, K), ops[1][:3 * r * K].reshape(r, 3, K)
+    _, e = np.frexp(np.maximum(np.abs(A).max(axis=0), np.abs(U).max(axis=0)))
+    a, u = np.ldexp(A, -e, out=p[:, 0]), np.ldexp(U, -e, out=p[:, 1])
+    v, w = np.ldexp(V, e, out=q[:, 0]), np.ldexp(W, e, out=q[:, 1])
+    cross, vw = np.multiply(a, u, out=p[:, 2]), np.multiply(v, w, out=q[:, 2])
+    cross *= -2.0
+    for x in (a, u, v, w):
+        np.square(x, out=x)
+    # H = [a^2 | u^2] [v^2 | v~^2]^T + (-2 a u)(v v~)^T; g takes the first term
+    squares = np.matmul(p[:, :2].reshape(t, 2 * K), q[:, :2].reshape(r, 2 * K).T,
+                        out=acc[1] if first else buf)
+    g += squares
+    if not first:
+        acc[1] += buf
+    acc[1] += np.matmul(cross, vw.T, out=buf)
 
 
 def _moment_sums(phases, values, cfg, dmax, want_var):
     """Sums over the samples of F_{n,m} = e^{-i(m-n) phi} f_{n,m}(x) and
-    of (Re F)^2, (Im F)^2, as the matrix products of the module docstring;
-    (Im F)^2 = f^2/2 - Re(f^2 e^{-2i(m-n) phi})/2.
+    of (Re F)^2, (Im F)^2, as the real matrix products of the module
+    docstring.
 
-    Rows n go in tiles of _TILE, each against the columns
-    n0 <= m < n1 + dmax only.  Before squaring, a tile's u side is divided
-    and its v side multiplied by the same exact power of two per sample,
-    taken from the tile's largest |A_n| or |u_n|: products are unchanged,
-    and neither A^2 nor v^2 leaves the double range.  Pattern tables are
-    built for slabs of _SLAB_ELEMENTS / (M + 2) samples and contracted in
-    chunks of _CHUNK_ELEMENTS / M.
+    The samples are sorted by phase, so each distinct phase is one run.
+    Pattern tables are built for slabs of _SLAB_ELEMENTS / (M + 2) sorted
+    samples.  Per slab, rows n go in tiles of _TILE, each against the
+    columns n0 <= m < n1 + dmax only, and each phase's run is contracted
+    in chunks of _CHUNK_ELEMENTS / M samples (_add_chunk) into the real
+    phase sums T = sum f and H = sum f^2.  At the end of the run the
+    tile's accumulators get the phase's factor Z = E_n conj(E_m), with
+    E_n = e^{i n phi}, once: sum F gets Z T, sum f^2 gets H and the
+    cosine sum gets Re(Z^2) H = H cos 2(m-n) phi.  Then sum (Re F)^2 and
+    sum (Im F)^2 are (sum f^2 +- cosine sum) / 2.  Before squaring, a
+    tile's u side is divided and its v side multiplied by the same exact
+    power of two per sample, taken from the tile's largest |A_n| or |u_n|:
+    products are unchanged, and neither A^2 nor v^2 leaves the double
+    range.
 
     Returns (sums, sq) over _band(M, dmax), in its order.  sums is complex,
     real on the diagonal.  sq is None unless want_var; otherwise it stacks
@@ -604,40 +601,74 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     and bounds on the rounding of those two and of each part of sums.
     Non-finite sums raise NumericalError.
 
-    The bounds count roundings.  n terms added in any order are off by at
-    most (n - 1) eps/2 times the sum of their magnitudes (to first order),
-    and r roundings in forming each term add r eps/2 times the same.
-    With g = |A_n v_m| + |u_n v~_{m+1}| per sample, a chunk of K samples
-    adds 4K real terms to each part of sums, of total magnitude sum g and
-    r = 4 (the two phase factors, the complex product); and 9K terms to
-    each sum of squares, of total magnitude at most sum g^2 and r = 5.  The
-    C chunk results are then added one at a time.  So the bounds are
-    eps/2 (4K + 4 + C) sum g, where sum g <= sqrt(N sum g^2)
-    (Cauchy-Schwarz), and eps/2 (9K + 5 + C) sum g^2, with sum g^2 =
-    sum(A^2 v^2 + u^2 v~^2 + 2|A u v v~|) summed alongside the squares.
+    The bounds count roundings, to first order in eps, taking the angles
+    n phi as exact.  n terms added in any order are off by at most
+    (n - 1) eps/2 times the sum of their magnitudes, and r roundings in
+    forming each term add r eps/2 times the same.  With g = |A_n v_m| +
+    |u_n v~_{m+1}| per sample, a chunk of K_j samples of phase j adds 2K_j
+    real terms to its T, of total magnitude sum g, and each part of Z T
+    has r = 6: the product in the term, E_n and E_m, two in Z's complex
+    product and one in the product with T.  A chunk adds 3K_j terms to H,
+    of total magnitude at most sum g^2, each formed with 3 roundings (two
+    squares, or a u and v v~, then their product).  Re(Z^2) carries the
+    four roundings of Z twice and two of its own, and its product with H
+    and the final halved sum or difference add one each, so r = 15.  The
+    C chunk results are added within their phases and the P phase results
+    after them, one at a time.  So the bounds are eps/2 (2K + 5 + C + P)
+    sum g, where sum g <= sqrt(N sum g^2) (Cauchy-Schwarz), and
+    eps/2 (3K + 14 + C + P) sum g^2, with K the largest chunk.  Since
+    2|A u v v~| <= A^2 v^2 + u^2 v~^2, sum g^2 <= 2 sum(A^2 v^2 + u^2 v~^2),
+    the part of the squares' product without the cross term, which is
+    summed alongside it with no phase factor and stands in for sum g^2.
     """
     M = cfg.cutoff
     sums = np.zeros((M, M), dtype=np.complex128)
+    # sum f^2, its cosine sum, the magnitude sum; then the bound of sums
     sq = np.zeros((4, M, M)) if want_var else None
     tile = min(_TILE, M)
     slab = max(256, _SLAB_ELEMENTS // (M + 2))
     chunk = max(64, _CHUNK_ELEMENTS // M)
-    n_chunks = 0
+    order = np.argsort(phases, kind="stable")
+    phases, values = phases[order], values[order]
+    # per-tile scratch: phase sums, product output, the factor Z and Z T
+    acc = np.empty((2, tile * M))
+    buf = np.empty(tile * M)
+    z, zt = np.empty((2, tile * M), dtype=np.complex128)
+    ops = (np.empty(3 * tile * chunk), np.empty(3 * M * chunk)) if want_var else None
+    n_chunks = n_phases = 0
     for start in range(0, values.size, slab):
-        sl = slice(start, min(start + slab, values.size))
-        factors = kernel_factors(build_table(values[sl], cfg))
-        # phase factors once per distinct phase (a gridded dataset has n_phi)
-        uniq, inv = np.unique(phases[sl], return_inverse=True)
-        angle = np.outer(np.arange(M), uniq)
-        phase = (np.exp(-1j * angle), np.cos(2.0 * angle), np.sin(2.0 * angle))
+        stop = min(start + slab, values.size)
+        factors = kernel_factors(build_table(values[start:stop], cfg))
+        # the phase factors once per distinct phase (a gridded dataset has n_phi)
+        uniq, first = np.unique(phases[start:stop], return_index=True)
+        runs = np.append(first, stop - start)
+        E = np.exp(1j * np.outer(uniq, np.arange(M)))
+        n_phases += uniq.size
+        n_chunks += int(np.sum(-(-np.diff(runs) // chunk)))
         # overflow shows up as a non-finite sum, checked below
         with np.errstate(over="ignore", invalid="ignore"):
-            for c0 in range(0, sl.stop - sl.start, chunk):
-                n_chunks += 1
-                cols = slice(c0, c0 + chunk)
-                _add_chunk(sums, sq, tile, dmax,
-                           *(f[:, cols] for f in factors),
-                           *(g[:, inv[cols]] for g in phase))
+            for n0 in range(0, M, tile):
+                n1 = min(n0 + tile, M)
+                m1 = min(n1 + dmax, M)
+                t, r = n1 - n0, m1 - n0
+                blk = (slice(n0, n1), slice(n0, m1))
+                rows = [f[n0:n1] for f in factors[:2]] + [f[n0:m1] for f in factors[2:]]
+                phase_sums = acc[:, :t * r].reshape(2, t, r)
+                out = buf[:t * r].reshape(t, r)
+                zj, ztj = z[:t * r].reshape(t, r), zt[:t * r].reshape(t, r)
+                g = sq[2][blk] if want_var else None
+                for j in range(uniq.size):
+                    for c0 in range(runs[j], runs[j + 1], chunk):
+                        cols = slice(c0, min(c0 + chunk, runs[j + 1]))
+                        _add_chunk(phase_sums, g, out, ops, c0 == runs[j],
+                                   *(f[:, cols] for f in rows))
+                    # phase j's factor e^{-i(m-n) phi_j}, once per run
+                    np.multiply.outer(E[j, n0:n1], E[j, n0:m1].conj(), out=zj)
+                    sums[blk] += np.multiply(zj, phase_sums[0], out=ztj)
+                    if want_var:
+                        sq[0][blk] += phase_sums[1]
+                        phase_sums[1] *= np.multiply(zj, zj, out=zj).real
+                        sq[1][blk] += phase_sums[1]
     n, m = _band(M, dmax)
     sums = sums[n, m]
     if want_var:
@@ -650,13 +681,14 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     # the band opens with the main diagonal
     sums[:M] = sums[:M].real
     if want_var:
-        sq[:2] *= 0.5
+        sq[:2] = 0.5 * (sq[0] + sq[1]), 0.5 * (sq[0] - sq[1])
         sq[1, :M] = 0.0
         k = min(chunk, values.size)
         half_eps = np.finfo(np.float64).eps / 2
-        np.multiply(np.sqrt(values.size * sq[2]), half_eps * (4 * k + 4 + n_chunks),
-                    out=sq[3])
-        sq[2] *= half_eps * (9 * k + 5 + n_chunks)
+        adds = n_chunks + n_phases
+        sq[2] *= 2.0  # an upper bound on sum g^2
+        np.multiply(np.sqrt(values.size * sq[2]), half_eps * (2 * k + 5 + adds), out=sq[3])
+        sq[2] *= half_eps * (3 * k + 14 + adds)
     return sums, sq
 
 

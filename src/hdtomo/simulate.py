@@ -244,28 +244,34 @@ def marginals(state: FockVector, phases, x) -> MarginalTable:
     whole-table evaluation, so the table is bit-identical to one,
     provided the BLAS complex matrix product gives each row the same bits
     whatever the product's row count and the row's place in it (true of
-    OpenBLAS 0.3.31; the oracle tests check it).  An empty phase list
-    gives an empty table.
+    OpenBLAS 0.3.31; the oracle tests check it).  One phase is computed
+    as a two-row product, so its row has the same bits as in a table of
+    more phases: a one-row product would go to BLAS's matrix-vector
+    kernel, which rounds differently.  An empty phase list gives an empty
+    table.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     support = np.flatnonzero(np.abs(state.c) > 0.0)
     if support.size == 0:
         raise ValueError("the state has no nonzero Fock coefficient")
-    psi = _wavefunction_rows(x, support).astype(np.complex128)
-    rot = np.exp(-1j * np.outer(phases, support)) * state.c[support]
     n_phi = phases.size
     if n_phi == 0:
         return MarginalTable(phases=phases, x=x, p=np.empty((0, x.size)))
-    p = np.empty((n_phi, x.size))
-    mass = np.empty(n_phi)
+    psi = _wavefunction_rows(x, support).astype(np.complex128)
+    # one phase is formed as two equal rows, of which the first is kept:
+    # numpy sends a one-row product to BLAS's matrix-vector kernel
+    n_rows = max(n_phi, 2)
+    rot = np.exp(-1j * np.outer(np.resize(phases, n_rows), support)) * state.c[support]
+    p = np.empty((n_rows, x.size))
+    mass = np.empty(n_rows)
     dx = np.diff(x)
-    rows = min(_chunk_rows(x.size), n_phi)
+    rows = min(_chunk_rows(x.size), n_rows)
     amp = np.empty((rows, x.size), dtype=np.complex128)
     imag2 = np.empty((rows, x.size))
     terms = np.empty((rows, x.size - 1))
-    for a in range(0, n_phi, rows):
-        a = min(a, n_phi - rows)  # the last chunk ends at n_phi, full-sized
+    for a in range(0, n_rows, rows):
+        a = min(a, n_rows - rows)  # the last chunk ends at n_rows, full-sized
         chunk = p[a:a + rows]
         np.matmul(rot[a:a + rows], psi, out=amp)
         np.multiply(amp.real, amp.real, out=chunk)
@@ -274,6 +280,7 @@ def marginals(state: FockVector, phases, x) -> MarginalTable:
         m = mass[a:a + rows] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
         if not np.any(m < 0.999):
             chunk /= m[:, None]
+    p, mass = p[:n_phi], mass[:n_phi]
     if np.any(mass < 0.999):
         j = int(np.argmin(mass))
         raise DataError(

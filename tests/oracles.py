@@ -78,7 +78,11 @@ def regular_rows(x, h0, count):
 
 def marginals_whole(state, phases, x):
     """simulate.marginals as one pass over slabs of up to 2.5e8 bytes of
-    complex amplitude, with fresh temporaries and scipy's trapezoid."""
+    complex amplitude, with fresh temporaries and scipy's trapezoid.
+
+    One phase makes this a one-row product, which numpy sends to BLAS's
+    matrix-vector kernel, so its row can differ from simulate.marginals
+    in the last bits; no test compares a one-phase table with it."""
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
     support = np.flatnonzero(np.abs(state.c) > 0.0)

@@ -66,6 +66,37 @@ def test_unbinned_matches_loop_and_is_hermitian(data):
     assert np.all(np.diagonal(est.err_im) == 0.0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_unbinned_off_grid_phases_in_any_order_match_loop(data):
+    # the sums sort the samples by phase and apply each distinct phase's
+    # factor once: arbitrary phases, some repeated, in any sample order
+    M = data.draw(st.integers(1, 12), label="M")
+    n_phi = data.draw(st.integers(M, 2 * M + 3), label="n_phi")
+    N = data.draw(st.integers(2, 300), label="N")
+    max_diag = data.draw(st.none() | st.integers(0, M - 1), label="max_diag")
+    distinct = np.array(data.draw(st.lists(
+        st.floats(0.0, 2.0 * math.pi, exclude_max=True, allow_nan=False),
+        min_size=1, max_size=N, unique=True), label="distinct phases"))
+    pick = np.array(data.draw(st.lists(st.integers(0, distinct.size - 1),
+                                       min_size=N, max_size=N)))
+    x = np.array(data.draw(st.lists(
+        st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False),
+        min_size=N, max_size=N)))
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")
+                                 ).permutation(N)
+    ds = QuadratureDataset(distinct[pick], x, n_phi=n_phi)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+    est = estimate_unbinned(ds, cfg, max_diag=max_diag)
+    ref = oracles.estimate_unbinned_loop(ds, cfg, max_diag=max_diag)
+    oracles.check_close_to_loop(est, ref, N, M)
+    shuffled = estimate_unbinned(
+        QuadratureDataset(ds.phases[perm], x[perm], n_phi=n_phi), cfg, max_diag=max_diag)
+    oracles.check_close_to_loop(shuffled, ref, N, M)
+    oracles.check_close_to_loop(shuffled, (est.rho, est.err_re, est.err_im) + ref[3:], N, M)
+    _check_band_hermitian(shuffled, max_diag)
+
+
 def _kernel_and_scale(x, cfg):
     """f_{n,m}(x_k) as an (M, M, len(x)) array from pattern_row_grid, and
     the rounding scale |A_n v_m| + |u_n v~_{m+1}| of each value."""

@@ -428,6 +428,21 @@ def test_sampler_per_phase_streams():
     assert np.array_equal(part.values, full.values[: 2 * 80])
 
 
+@pytest.mark.parametrize("name", list(_ORACLE_STATES))
+def test_one_phase_table_and_draws_match_a_larger_table(name):
+    # a one-row product would go to BLAS's matrix-vector kernel, which
+    # rounds differently; the prefix contract holds for one phase too
+    args, n_points = _ORACLE_STATES[name]
+    state = make_state(*args)
+    x = quadrature_grid(state.M, n_points)
+    full = marginals(state, phase_grid(7), x)
+    one = marginals(state, phase_grid(7)[:1], x)
+    assert np.array_equal(one.p, full.p[:1])
+    ds = sample(full, SimulationPlan(nsamples=50, nblks=2, n_phi=7, seed=13))
+    ds1 = sample(one, SimulationPlan(nsamples=50, nblks=2, n_phi=1, seed=13))
+    assert np.array_equal(ds1.values, ds.values[:100])
+
+
 def test_sampler_block_layout():
     state = make_state("coherent", 0.0, 2)
     x = quadrature_grid(2, 512)
