@@ -45,8 +45,12 @@ scaled down and the v side up by one exact power of two per sample so the
 squares stay inside the double range up to M ~ 1000.  Pattern tables are
 built for slabs of 2e6 / (M + 2) sorted samples, so each table array
 holds 2e6 doubles whatever M is, and the products run on chunks of at
-most 65536 / M samples of one phase, whose operands take a few MB.  Each
-distinct phase in a slab costs a few passes over every tile, so the sums
+most 65536 / M and 512 samples of one phase, whose operands take a few
+MB.  Each product is split into blocks of the band of at most 2^18
+multiply-adds, a size OpenBLAS runs on the calling thread: at these
+sizes a second BLAS thread gains nothing and spins between calls, and
+each threaded call waits for it whenever the other core is busy, so the
+time would follow the machine's load.  Each distinct phase in a slab costs a few passes over every tile, so the sums
 take longer per sample the fewer samples share a phase.  The expanded
 f^2 and the long sums leave a rounding residue where a variance is
 exactly 0; a variance numerator at or below the rounding bound of its
@@ -83,11 +87,16 @@ from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
 
-# Unbinned sums (_moment_sums): rows n per matrix-product tile, pattern
-# table entries built at a time, and factor entries contracted at a time.
+# Unbinned sums (_moment_sums): rows n per tile, pattern table entries
+# built at a time, factor entries and samples contracted at a time at
+# most, rows per product block, and multiply-adds per matrix product at
+# most.
 _TILE = 64
 _SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
+_CHUNK = 512
+_BLOCK = 16
+_PRODUCT = 2**18
 # Binned sums (_binned_sums): kernel entries per bin tile.
 _BIN_TILE_ELEMENTS = 2**16
 
@@ -539,40 +548,74 @@ def estimate_binned(
                      np.sqrt(var_re / N), np.sqrt(var_im / N), meta)
 
 
-def _add_chunk(acc, g, buf, ops, first, A, U, V, W):
+def _blocks(t, r, dmax, inner):
+    """(rows, columns) slices of a row tile's product blocks.  A tile whose
+    product of inner length `inner` stays within _PRODUCT multiply-adds is
+    one block.  Otherwise _BLOCK rows rb <= i go at a time, each against
+    the tile columns rb <= j < rb + _BLOCK + dmax of the band, in pieces
+    narrow enough to stay within it."""
+    if t * r * inner <= _PRODUCT:
+        yield slice(0, t), slice(0, r)
+        return
+    width = max(1, _PRODUCT // (inner * _BLOCK))
+    for rb in range(0, t, _BLOCK):
+        rows = slice(rb, min(rb + _BLOCK, t))
+        stop = min(rb + _BLOCK + dmax, r)
+        for cb in range(rb, stop, width):
+            yield rows, slice(cb, min(cb + width, stop))
+
+
+def _add_chunk(acc, g, buf, ops, first, A, U, V, W, dmax):
     """Add one chunk of one phase's samples to a row tile's phase sums.
 
     A, U are the kernel factors (kernel_factors) at the tile's rows n and
     V, W those at its columns m, each shaped (rows, K) for the chunk's K
     samples.  acc[0] gets sum f = A V^T - U W^T.  When the variance is
-    wanted, acc[1] gets sum f^2 = H, g (the tile's view of the magnitude
-    sum) gets sum(A^2 v^2 + u^2 v~^2), and ops is scratch for the squared
-    operands; otherwise g is None.  The first chunk of a phase writes acc,
-    later ones add to it.  buf is (rows, columns) scratch.
+    wanted, acc[1] gets sum f^2 = H and g (the tile's view of the magnitude
+    sum) gets sum(A^2 v^2 + u^2 v~^2); otherwise g is None.  The first
+    chunk of a phase writes acc, later ones add to it.  ops is scratch for
+    the operands and buf is (rows, columns) scratch.
+
+    The operands are laid out as [a | -u | a^2 | u^2 | -2au] per row and
+    [v | v~ | v^2 | v~^2 | v v~] per column, so sum f, the squares and
+    the cross term are three products, taken block by block (_blocks).
     """
     t, r = buf.shape
     K = A.shape[1]
-    np.matmul(A, V.T, out=acc[0] if first else buf)
-    if not first:
-        acc[0] += buf
-    acc[0] -= np.matmul(U, W.T, out=buf)
+    planes = 2 if g is None else 5
+    p = ops[0][:planes * t * K].reshape(t, planes, K)
+    q = ops[1][:planes * r * K].reshape(r, planes, K)
     if g is None:
-        return
-    p, q = ops[0][:3 * t * K].reshape(t, 3, K), ops[1][:3 * r * K].reshape(r, 3, K)
-    _, e = np.frexp(np.maximum(np.abs(A).max(axis=0), np.abs(U).max(axis=0)))
-    a, u = np.ldexp(A, -e, out=p[:, 0]), np.ldexp(U, -e, out=p[:, 1])
-    v, w = np.ldexp(V, e, out=q[:, 0]), np.ldexp(W, e, out=q[:, 1])
-    cross, vw = np.multiply(a, u, out=p[:, 2]), np.multiply(v, w, out=q[:, 2])
-    cross *= -2.0
-    for x in (a, u, v, w):
-        np.square(x, out=x)
-    # H = [a^2 | u^2] [v^2 | v~^2]^T + (-2 a u)(v v~)^T; g takes the first term
-    squares = np.matmul(p[:, :2].reshape(t, 2 * K), q[:, :2].reshape(r, 2 * K).T,
-                        out=acc[1] if first else buf)
-    g += squares
-    if not first:
-        acc[1] += buf
-    acc[1] += np.matmul(cross, vw.T, out=buf)
+        p[:, 0], q[:, 0], q[:, 1] = A, V, W
+        np.negative(U, out=p[:, 1])
+    else:
+        # balanced operands: products are unchanged and squares stay in range
+        _, e = np.frexp(np.maximum(np.abs(A).max(axis=0), np.abs(U).max(axis=0)))
+        a, u = np.ldexp(A, -e, out=p[:, 0]), np.ldexp(U, -e, out=p[:, 1])
+        v, w = np.ldexp(V, e, out=q[:, 0]), np.ldexp(W, e, out=q[:, 1])
+        for x, x2 in ((a, p[:, 2]), (u, p[:, 3]), (v, q[:, 2]), (w, q[:, 3])):
+            np.square(x, out=x2)
+        np.multiply(v, w, out=q[:, 4])
+        np.multiply(a, u, out=p[:, 4])
+        p[:, 4] *= -2.0
+        u *= -1.0
+    # [a | -u] [v | v~]^T = sum f; [a^2 | u^2] [v^2 | v~^2]^T + (-2 a u)(v v~)^T = H
+    left, right = p.reshape(t, planes * K), q.reshape(r, planes * K)
+    two = slice(0, 2 * K)
+    for rows, cols in _blocks(t, r, dmax, 2 * K):
+        out, part = acc[0][rows, cols], buf[rows, cols]
+        prod = np.matmul(left[rows, two], right[cols, two].T, out=out if first else part)
+        if not first:
+            out += prod
+        if g is None:
+            continue
+        out = acc[1][rows, cols]
+        squares = np.matmul(left[rows, 2 * K:4 * K], right[cols, 2 * K:4 * K].T,
+                            out=out if first else part)
+        if not first:
+            out += squares
+        g[rows, cols] += squares
+        out += np.matmul(left[rows, 4 * K:], right[cols, 4 * K:].T, out=part)
 
 
 def _moment_sums(phases, values, cfg, dmax, want_var):
@@ -584,8 +627,8 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     Pattern tables are built for slabs of _SLAB_ELEMENTS / (M + 2) sorted
     samples.  Per slab, rows n go in tiles of _TILE, each against the
     columns n0 <= m < n1 + dmax only, and each phase's run is contracted
-    in chunks of _CHUNK_ELEMENTS / M samples (_add_chunk) into the real
-    phase sums T = sum f and H = sum f^2.  At the end of the run the
+    in chunks of at most _CHUNK_ELEMENTS / M and _CHUNK samples
+    (_add_chunk) into the real phase sums T = sum f and H = sum f^2.  At the end of the run the
     tile's accumulators get the phase's factor Z = E_n conj(E_m), with
     E_n = e^{i n phi}, once: sum F gets Z T, sum f^2 gets H and the
     cosine sum gets Re(Z^2) H = H cos 2(m-n) phi.  Then sum (Re F)^2 and
@@ -627,14 +670,15 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     sq = np.zeros((4, M, M)) if want_var else None
     tile = min(_TILE, M)
     slab = max(256, _SLAB_ELEMENTS // (M + 2))
-    chunk = max(64, _CHUNK_ELEMENTS // M)
+    chunk = min(_CHUNK, max(64, _CHUNK_ELEMENTS // M))
     order = np.argsort(phases, kind="stable")
     phases, values = phases[order], values[order]
     # per-tile scratch: phase sums, product output, the factor Z and Z T
     acc = np.empty((2, tile * M))
     buf = np.empty(tile * M)
     z, zt = np.empty((2, tile * M), dtype=np.complex128)
-    ops = (np.empty(3 * tile * chunk), np.empty(3 * M * chunk)) if want_var else None
+    planes = 5 if want_var else 2
+    ops = (np.empty(planes * tile * chunk), np.empty(planes * M * chunk))
     n_chunks = n_phases = 0
     for start in range(0, values.size, slab):
         stop = min(start + slab, values.size)
@@ -654,6 +698,8 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
                 blk = (slice(n0, n1), slice(n0, m1))
                 rows = [f[n0:n1] for f in factors[:2]] + [f[n0:m1] for f in factors[2:]]
                 phase_sums = acc[:, :t * r].reshape(2, t, r)
+                # entries outside the band stay 0
+                phase_sums[...] = 0.0
                 out = buf[:t * r].reshape(t, r)
                 zj, ztj = z[:t * r].reshape(t, r), zt[:t * r].reshape(t, r)
                 g = sq[2][blk] if want_var else None
@@ -661,7 +707,7 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
                     for c0 in range(runs[j], runs[j + 1], chunk):
                         cols = slice(c0, min(c0 + chunk, runs[j + 1]))
                         _add_chunk(phase_sums, g, out, ops, c0 == runs[j],
-                                   *(f[:, cols] for f in rows))
+                                   *(f[:, cols] for f in rows), dmax)
                     # phase j's factor e^{-i(m-n) phi_j}, once per run
                     np.multiply.outer(E[j, n0:n1], E[j, n0:m1].conj(), out=zj)
                     sums[blk] += np.multiply(zj, phase_sums[0], out=ztj)

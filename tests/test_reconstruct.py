@@ -528,6 +528,30 @@ def test_unbinned_matches_loop_oracle(M, nsamples, alpha):
     _check_resolved(est, ref, rel_rho=1e-10, rel_err=1e-12)
 
 
+@pytest.mark.parametrize("max_diag", [None, 2])
+def test_unbinned_product_blocks_match_loop_oracle(monkeypatch, max_diag):
+    # chunks of 7 samples and products of 3 rows by 2 columns: every phase
+    # spans several chunks, and the 8 rows leave a short last block
+    M = 8
+    monkeypatch.setattr(reconstruct, "_CHUNK", 7)
+    monkeypatch.setattr(reconstruct, "_BLOCK", 3)
+    monkeypatch.setattr(reconstruct, "_PRODUCT", 3 * 2 * 2 * 7)
+    ds = _simulate("coherent", 0.8, M, nsamples=60, nblks=2, n_phi=M, seed=29)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    est = estimate_unbinned(ds, cfg, max_diag=max_diag)
+    ref = oracles.estimate_unbinned_loop(ds, cfg, max_diag=max_diag)
+    oracles.check_close_to_loop(est, ref, ds.N, M)
+    _check_resolved(est, ref, rel_rho=1e-10, rel_err=1e-12)
+    # the mean-only products of the block estimator
+    est = block_statistics(ds, cfg, max_diag=max_diag)
+    means = []
+    for b in range(2):
+        pick = ds.block == b
+        sub = QuadratureDataset(ds.phases[pick], ds.values[pick], n_phi=M)
+        means.append(oracles.estimate_unbinned_loop(sub, cfg, max_diag=max_diag)[0])
+    np.testing.assert_allclose(est.rho, np.mean(means, axis=0), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("M, x_max", [(800, 26.0), (1024, 27.0)])
 def test_unbinned_envelope_large_cutoff(M, x_max):
     # the squared factors overflow double precision here unless each row
