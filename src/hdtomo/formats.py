@@ -9,8 +9,10 @@ Floats are written with repr(), which round-trips doubles exactly, so
 write -> read -> write is byte-identical.  One writer (_write_table) and
 one reader (_read_lines, _parse_rows) serve the four CSV kinds; after the
 metadata line, blank lines and lines starting with '#' are rows, and so
-rejected.  Complex matrices are stored as separate real and imaginary
-files.  Reports are small JSON documents.
+rejected.  read_samples parses a file of printable ASCII and LF line ends
+straight from the file, without holding its text or a list of its lines,
+and walks the lines only to name a bad one.  Complex matrices are stored
+as separate real and imaginary files.  Reports are small JSON documents.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ FORMAT_VERSION = "v1"
 SAMPLES_HEADER = "phase_index,phase_radians,block,value"
 
 _CHUNK_CELLS = 1 << 16
+# read_samples: bytes scanned at a time, and the bytes of a plain file
+_READ_BYTES = 1 << 20
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
 def _fmt(v) -> str:
@@ -132,34 +137,60 @@ def _sample_rows(columns):
     return map(str.__add__, lead[key].tolist(), map(repr, values.tolist()))
 
 
-def _read_lines(path, kind, header):
-    """(metadata, column header line, row lines) of a CSV of this kind.
-    header is the exact column header, None for a file without one
-    (matrix), or for a Wigner file 'r', the corner label before its thetas."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
-    if header is None and not lines:
+def _plain_line_count(path):
+    """The number of lines of a file that holds only printable ASCII and
+    LF line ends, as str.splitlines counts them; None if any other byte
+    (a CR, a tab, a form feed, non-ASCII text) is in it."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_BYTES):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            count += chunk.count(b"\n")
+            last = chunk[-1:]
+    return count + (last != b"\n")
+
+
+def _check_head(path, kind, header, lines, count):
+    """(metadata, column header line) of a CSV of this kind from its first
+    lines, of count lines in all.  header is the exact column header,
+    None for a file without one (matrix), or for a Wigner file 'r', the
+    corner label before its thetas."""
+    if header is None and not count:
         raise DataError(f"{path}: empty file")
-    if header is not None and len(lines) < 2:
+    if header is not None and count < 2:
         name = "Wigner" if kind == "wigner" else kind
         raise DataError(f"{path}: file is too short to be a {name} CSV")
     meta = _parse_metadata(lines[0], path, kind)
     if header is None:
-        return meta, None, lines[1:]
+        return meta, None
     if kind == "wigner" and lines[1].split(",", 1)[0] != header:
         raise DataError(f"{path}: line 2 must start with the corner label {header!r}")
     if kind != "wigner" and lines[1] != header:
         raise DataError(f"{path}: line 2: expected column header {header!r}")
-    return meta, lines[1], lines[2:]
+    return meta, lines[1]
 
 
-def _parse_rows(path, lines, first_line, ncols, ints):
+def _read_lines(path, kind, header):
+    """(metadata, column header line, row lines) of a CSV of this kind,
+    with header as _check_head takes it."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    meta, head = _check_head(path, kind, header, lines[:2], len(lines))
+    return meta, head, lines[1 if header is None else 2:]
+
+
+def _parse_rows(path, rows, first_line, ncols, ints, count=None):
     """Parse row lines of ncols cells, numbered from first_line in messages.
 
-    ints maps the integer columns to their names.  Without them the result
-    is an (n, ncols) float64 array, with them the list of the columns.  One
-    loadtxt pass reads all rows; if it fails, a walk names the first bad line.
+    rows is the list of row lines, or a text file open at its first row
+    line, whose count rows numpy reads line by line.  ints maps the
+    integer columns to their names.  Without them the result is an
+    (n, ncols) float64 array, with them the list of the columns.  One
+    loadtxt pass reads all rows; if it fails, a walk of the lines names
+    the first bad one.
     """
+    count = len(rows) if count is None else count
     dtype = np.dtype([(f"f{k}", np.int64 if k in ints else np.float64)
                       for k in range(ncols)] if ints else np.float64)
     reason = "rows do not parse"
@@ -167,17 +198,20 @@ def _parse_rows(path, lines, first_line, ncols, ints):
         # a warning fails the pass too: an older numpy may read 1.7 as int 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = (np.loadtxt(lines, dtype=dtype, comments=None, delimiter=",",
+            table = (np.loadtxt(rows, dtype=dtype, comments=None, delimiter=",",
                                 ndmin=1 if ints else 2)
-                     if lines else np.empty((0,) if ints else (0, ncols), dtype))
+                     if count else np.empty((0,) if ints else (0, ncols), dtype))
     except (ValueError, Warning) as exc:
         reason = str(exc)
     else:
         columns = [table[f] for f in dtype.names] if ints else list(table.T)
-        if len(table) == len(lines) and len(columns) == ncols and all(
+        if len(table) == count and len(columns) == ncols and all(
                 np.isfinite(c).all() for c in columns):
             return [np.ascontiguousarray(c) for c in columns] if ints else table
-    for i, line in enumerate(lines, start=first_line):
+    if not isinstance(rows, list):
+        rows.seek(0)
+        rows = rows.read().splitlines()[first_line - 1:]
+    for i, line in enumerate(rows, start=first_line):
         cells = line.split(",")
         if len(cells) != ncols:
             raise DataError(f"{path}: line {i}: expected {ncols} columns, got {len(cells)}")
@@ -210,12 +244,21 @@ def read_samples(path):
     """
     from .reconstruct import QuadratureDataset, _phase_indices
 
-    meta, _, rows = _read_lines(path, "samples", SAMPLES_HEADER)
-    n_phi = _meta_count(meta, "n_phi", path)
-    nblks = _meta_count(meta, "nblks", path)
-    if not rows:
-        raise DataError(f"{path}: no sample rows after the column header")
-    index, phases, block, values = _parse_rows(path, rows, 3, 4, {0: "phase_index", 2: "block"})
+    count = _plain_line_count(path)
+    with open(path, "r", newline="") as fh:
+        if count is None:  # other bytes: the rows as str.splitlines cuts them
+            meta, _, rows = _read_lines(path, "samples", SAMPLES_HEADER)
+            count = len(rows) + 2
+        else:  # the rows straight from the file
+            head = [fh.readline().rstrip("\n") for _ in range(min(count, 2))]
+            meta, _ = _check_head(path, "samples", SAMPLES_HEADER, head, count)
+            rows = fh
+        n_phi = _meta_count(meta, "n_phi", path)
+        nblks = _meta_count(meta, "nblks", path)
+        if count == 2:
+            raise DataError(f"{path}: no sample rows after the column header")
+        index, phases, block, values = _parse_rows(
+            path, rows, 3, 4, {0: "phase_index", 2: "block"}, count - 2)
     ds = QuadratureDataset(phases=phases, values=values, n_phi=n_phi,
                            block=block, nblks=nblks)
     try:

@@ -21,15 +21,20 @@ of the state for q != 0; alias_free_max_diag is the band this leaves
 clean (all of it for an odd n_phi >= M).  Every estimator records it in
 its meta and warns with PhaseAliasingWarning when its band goes past it.
 
-The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M.  Per
-tile, the kernel rows of every diagonal are formed from one set of kernel
-factors while they are in cache and contracted at once against the
-tile's right-hand sides: spectrum rows (estimate_binned) or every
-block's row d (block_statistics).  The sums over bins add tile by tile.
-The bin correction, f - delta^2 f / 24 in place of the kernel f at the
-bin centres, is linear in f, so summation by parts moves it onto the
-data: the estimators correct their spectra once (_bin_corrected) and
-the tiles form plain kernel rows.
+The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M, and
+the block estimator in narrower ones where its counts would pass
+_BIN_TILE_CELLS.  Per tile, the kernel rows of every diagonal are formed
+from one set of kernel factors while they are in cache and contracted at
+once against the tile's right-hand sides, which the estimator hands over
+once per tile for every diagonal: spectrum rows (estimate_binned) or
+every block's rows (block_statistics).  Each diagonal's product with
+them goes in blocks of rows of at most 2^18 multiply-adds, for the
+reason given for the unbinned sums below.  The sums over bins add tile
+by tile.  The bin correction, f - delta^2 f / 24 in place of the kernel
+f at the bin centres, is linear in f, so summation by parts moves it
+onto the data: the estimators correct their spectra (_bin_corrected), a
+tile at a time with one halo bin from each neighbour in the block
+estimator, and the tiles form plain kernel rows.
 
 The unbinned sums are real matrix products, one set per distinct phase.
 The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
@@ -61,16 +66,23 @@ Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
 (hi - lo)), corrected by one step against the linspace edges, which is
 the largest i with edges[i] <= x: an interior edge belongs to the bin on
 its right, and the top edge stays in the last bin.  The block estimator
-indexes every sample once, key = j n_bin + bin for phase index j, and
-histograms each block with one integer bincount of its keys.  Histograms
-are made one block at a time: all blocks at once would hold nblks
-(n_phi, n_bin) arrays, about 1 GB at M = 800 with 1600 phases, 8000 bins
-and 10 blocks.  Of each block's phase DFT only rows 0..max_diag are read.
-When max_diag + 1 <= log2(n_phi) they come from real matrix products with
-a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
-1 / (n_phi n_j), against the counts; otherwise from the real FFT of the
-normalized histogram.  Integer counts make both exactly independent of
-the order of the samples within a block.
+streams its spectra by bin tile.  It indexes every sample once, key =
+bin nblks n_phi + b n_phi + j for block b and phase index j, in chunks
+of 2^15 samples whose scratch stays in cache, and sorts the keys, so
+each tile's samples are one run of them.  Per tile, one bincount of its
+run gives every block's (n_phi, w) histogram, the rows 0..max_diag of
+their phase DFTs are formed (over one more bin on each side, the halo
+the bin correction reads) and the tile is contracted.  So the estimator
+holds 4 bytes of keys per sample (12 while it makes them, with the
+phase indices) plus one tile's counts and rows, whatever max_diag, the
+block count and n_bin are; the whole spectra would take 16 (max_diag + 1)
+nblks n_bin bytes, about 1 GB at M = 800 with 8000 bins and 10 blocks.
+When max_diag + 1 <= log2(n_phi) the rows come from real matrix products
+with a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
+1 / (n_phi n_j) and built once per call, against the counts; otherwise
+from the real FFT of the normalized histograms.  The counts are exact
+integers and their keys sorted, so both are exactly independent of the
+order of the samples within a block.
 """
 
 from __future__ import annotations
@@ -90,15 +102,20 @@ PHASE_GRID_TOL = 1e-8
 # Unbinned sums (_moment_sums): rows n per tile, pattern table entries
 # built at a time, factor entries and samples contracted at a time at
 # most, rows per product block, and multiply-adds per matrix product at
-# most.
+# most (in the binned sums too).
 _TILE = 64
 _SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
 _CHUNK = 512
 _BLOCK = 16
 _PRODUCT = 2**18
-# Binned sums (_binned_sums): kernel entries per bin tile.
+# Binned sums (_binned_sums): kernel entries per bin tile, and count
+# cells (blocks x phases x bins) per tile of the block estimator at most.
 _BIN_TILE_ELEMENTS = 2**16
+_BIN_TILE_CELLS = 2**21
+# Samples indexed at a time (_phase_indices, _block_tiles), so the scratch
+# of each step stays in cache.
+_INDEX_CHUNK = 2**15
 
 
 @dataclass
@@ -223,28 +240,40 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
 
 def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
     """Map phases to grid indices j with phi_j = 2 pi j / n_phi, verifying
-    the dataset really is gridded over the full circle."""
+    the dataset really is gridded over the full circle.  A phase off the
+    grid is reported by the sample farthest from it, the first of equals.
+
+    The samples go in chunks of _INDEX_CHUNK through one reused buffer."""
     step = 2.0 * math.pi / ds.n_phi
-    t = ds.phases / step
-    np.rint(t, out=t)
-    j = t.astype(np.int64)
-    # distance to the grid, |j step - phi|, in the same buffer
-    t *= step
-    t -= ds.phases
-    np.abs(t, out=t)
-    if np.any(t > PHASE_GRID_TOL):
-        k = int(np.argmax(t))
+    j = np.empty(ds.N, dtype=np.int64)
+    t = np.empty(min(ds.N, _INDEX_CHUNK))
+    far, k, low, high = 0.0, 0, 0, 0
+    for lo in range(0, ds.N, _INDEX_CHUNK):
+        phases = ds.phases[lo:lo + _INDEX_CHUNK]
+        c, jc = t[:phases.size], j[lo:lo + phases.size]
+        np.divide(phases, step, out=c)
+        np.rint(c, out=c)
+        jc[...] = c
+        # distance to the grid, |j step - phi|, in the same buffer
+        c *= step
+        c -= phases
+        np.abs(c, out=c)
+        m = int(np.argmax(c))
+        if c[m] > far:
+            far, k = float(c[m]), lo + m
+        low, high = min(low, int(jc.min())), max(high, int(jc.max()))
+    if far > PHASE_GRID_TOL:
         raise DataError(
             f"phases are not on the equispaced grid 2*pi*j/{ds.n_phi}: "
             f"sample {k} has phase {float(ds.phases[k])!r}"
         )
-    if j.size and (j.min() < 0 or j.max() >= ds.n_phi):
+    if low < 0 or high >= ds.n_phi:
         raise DataError("phase indices fall outside 0..n_phi-1")
     return j
 
 
 def _default_edges(values: np.ndarray, n_bin: int) -> tuple[float, float]:
-    amax = float(np.max(np.abs(values)))
+    amax = max(-float(values.min()), float(values.max()))  # max |x|, no temporary
     if amax == 0.0:
         return -0.5, 0.5
     if n_bin == 1:
@@ -298,16 +327,21 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _phase_counts(key: np.ndarray, n_phi: int, n_bin: int):
-    """Histogram of keys j * n_bin + bin index as an (n_phi, n_bin) count
-    array, with the sample count of each phase row, none of which may be 0."""
-    counts = np.bincount(key, minlength=n_phi * n_bin).reshape(n_phi, n_bin)
-    n_per_phase = counts.sum(axis=1)
+def _check_phase_counts(n_per_phase: np.ndarray):
+    """Raise DataError naming the first phase with no samples."""
     if np.any(n_per_phase == 0):
         k = int(np.argmin(n_per_phase))
         raise DataError(
             f"phase index {k} has no samples; the phase average would be biased"
         )
+
+
+def _phase_counts(key: np.ndarray, n_phi: int, n_bin: int):
+    """Histogram of keys j * n_bin + bin index as an (n_phi, n_bin) count
+    array, with the sample count of each phase row, none of which may be 0."""
+    counts = np.bincount(key, minlength=n_phi * n_bin).reshape(n_phi, n_bin)
+    n_per_phase = counts.sum(axis=1)
+    _check_phase_counts(n_per_phase)
     return counts, n_per_phase
 
 
@@ -330,23 +364,26 @@ def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
     )
 
 
-def _half_spectrum(freq: np.ndarray, n_phi: int) -> np.ndarray:
-    return np.fft.rfft(freq, axis=0) / n_phi
+def _half_spectrum(freq: np.ndarray, n_phi: int, axis: int = 0) -> np.ndarray:
+    """Real FFT of histograms along their phase axis."""
+    half = np.fft.rfft(freq, axis=axis)
+    half /= n_phi
+    return half
 
 
 def _mirror_rows(half: np.ndarray, n_phi: int, dmax: int) -> np.ndarray:
     """Rows 0..dmax of the full DFT, built from the real-input half
-    spectrum so conjugate symmetry is exact."""
+    spectrum (rows along the first axis) so conjugate symmetry is exact."""
     nused = half.shape[0]
     half[0] = half[0].real
     if n_phi % 2 == 0:
         half[-1] = half[-1].real
     if dmax < nused:
         return half[:dmax + 1]
-    out = np.empty((dmax + 1, half.shape[1]), dtype=np.complex128)
+    out = np.empty((dmax + 1,) + half.shape[1:], dtype=np.complex128)
     out[:nused] = half
     mirror = n_phi - np.arange(nused, dmax + 1)
-    out[nused:] = np.conj(half[mirror])
+    np.conjugate(half[mirror], out=out[nused:])
     return out
 
 
@@ -430,42 +467,49 @@ def _assemble(M, band, mean, err_re, err_im, meta) -> DensityMatrixEstimate:
     return DensityMatrixEstimate.from_matrices(rho, err_re, err_im, meta)
 
 
-def _binned_sums(centers, cfg: PatternConfig, dmax: int, rhs):
-    """Sums over the bins i of f_{n,n+d}(centers[i]) R1[i, :], and of
-    f_{n,n+d}(centers[i])^2 R2[i, :], along the band (n, n + d),
+def _bin_tiles(n_bin: int, width: int) -> list[slice]:
+    """The bins 0..n_bin-1 in slices of width, the last one shorter."""
+    return [slice(lo, min(lo + width, n_bin)) for lo in range(0, n_bin, width)]
+
+
+def _binned_sums(centers, cfg: PatternConfig, dmax: int, tiles):
+    """Sums over the bins i of f_{n,n+d}(centers[i]) R1[d, i, :], and of
+    f_{n,n+d}(centers[i])^2 R2[d, i, :], along the band (n, n + d),
     d = 0..dmax, in _band order.
 
-    rhs(d, tile) gives the right-hand sides of diagonal d over the bins of
-    the slice tile: (R1,) or (R1, R2), each a (w, k) float64 array.
-    Returns one (len(band), k) array per right-hand side.
+    tiles yields (tile, R) once per tile: a slice of the bins and the
+    right-hand sides of every diagonal over them, (R1,) or (R1, R2), each
+    a (dmax + 1, w, k) float64 array.  Returns one (len(band), k) array
+    per right-hand side.
 
     The kernel f_{n,n+d} = A_n V_{n+d} - U_n W_{n+d} comes from one set of
-    kernel factors.  The bins go in tiles of _BIN_TILE_ELEMENTS / M; each
-    tile copies its factor columns once, then forms the rows of every
-    diagonal in reused contiguous buffers while they are in cache, so no
-    (M - d) x n_bin row block is ever held.  Every factor entry enters the
-    rows d = 0, so their finiteness is checked on those, tile by tile.
-    The rows are the plain kernel values; a bin correction reaches the
-    sums through right-hand sides passed through _bin_corrected.
+    kernel factors.  Each tile copies its factor columns once, then forms
+    the rows of every diagonal in reused contiguous buffers while they are
+    in cache, so no (M - d) x n_bin row block is ever held.  Every factor
+    entry enters the rows d = 0, so their finiteness is checked on those,
+    tile by tile.  The rows are the plain kernel values; a bin correction
+    reaches the sums through right-hand sides passed through _bin_corrected.
+    Each product goes in blocks of rows of at most _PRODUCT multiply-adds,
+    which OpenBLAS runs on the calling thread.
     """
-    M, n_bin = cfg.cutoff, centers.size
+    M = cfg.cutoff
     factors = kernel_factors(build_table(centers, cfg))
-    width = max(1, _BIN_TILE_ELEMENTS // M)
-    factor_tiles = [np.empty(M * width) for _ in factors]
-    rows, prod = np.empty(M * width), np.empty(M * width)
     n_band = (dmax + 1) * M - dmax * (dmax + 1) // 2
-    sums = None
-    for lo in range(0, n_bin, width):
-        hi = min(lo + width, n_bin)
-        A, U, V, W = (t[:M * (hi - lo)].reshape(M, hi - lo) for t in factor_tiles)
+    sums, buffers = None, np.empty((6, 0))
+    for tile, R in tiles:
+        w = tile.stop - tile.start
+        if buffers.shape[1] < M * w:
+            buffers = np.empty((6, M * w))
+        A, U, V, W = (t[:M * w].reshape(M, w) for t in buffers[:4])
         for t, full in zip((A, U, V, W), factors):
-            t[...] = full[:, lo:hi]
-        tile = slice(lo, hi)
+            t[...] = full[:, tile]
+        if sums is None:
+            sums = [np.zeros((n_band, Rp.shape[2])) for Rp in R]
+        rows = max(1, _PRODUCT // (w * max(Rp.shape[2] for Rp in R)))
         off = 0
         for d in range(dmax + 1):
             r = M - d
-            f = rows[:r * (hi - lo)].reshape(r, hi - lo)
-            p = prod[:r * (hi - lo)].reshape(r, hi - lo)
+            f, p = (b[:r * w].reshape(r, w) for b in buffers[4:])
             with np.errstate(over="ignore", invalid="ignore"):
                 np.multiply(A[:r], V[d:], out=f)
                 np.multiply(U[:r], W[d:], out=p)
@@ -475,32 +519,48 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, rhs):
                     "pattern rows at the bin centers are not finite; "
                     "try a different beta or double precision"
                 )
-            R = rhs(d, tile)
-            if sums is None:
-                sums = [np.zeros((n_band, Rp.shape[1])) for Rp in R]
-            sums[0][off:off + r] += f @ R[0]
             if len(R) == 2:
-                sums[1][off:off + r] += np.multiply(f, f, out=p) @ R[1]
+                np.multiply(f, f, out=p)
+            for a in range(0, r, rows):
+                b = min(a + rows, r)
+                sums[0][off + a:off + b] += f[a:b] @ R[0][d]
+                if len(R) == 2:
+                    sums[1][off + a:off + b] += p[a:b] @ R[1][d]
             off += r
+        del R  # before the next tile's are made
     return sums
 
 
-def _bin_corrected(R: np.ndarray) -> np.ndarray:
+def _bin_corrected(R: np.ndarray, tile: slice | None = None,
+                   n_bin: int | None = None) -> np.ndarray:
     """R with the bin correction moved onto it: the adjoint of
     f -> f - delta^2 f / 24 along the last (bin) axis, where delta^2 f is
     the second difference over the bins and both end bins keep f.  So
     sum_i (f - delta^2 f / 24)_i R_i = sum_i f_i R'_i for any f.
 
+    R holds every bin by default.  A tile of the bins lo..hi-1 of a grid of
+    n_bin bins passes R over the bins max(lo - 1, 0)..min(hi, n_bin - 1),
+    its own and one halo bin from each neighbouring tile, and gets back
+    its own bins, bit for bit as the whole grid corrects them.
+
     Evaluating f at the centres of uniform bins of width h biases a sum
     against a smooth density p by (h^2/24) int f p'' dx, and the corrected
     f removes that term.  Applied to a spectrum, the mean's kernel f and
     the second moment's f^2 each get their own correction."""
-    out = R.copy()
-    fix = R[..., 1:-1] / 24.0
-    out[..., 1:-1] += 2.0 * fix
-    out[..., :-2] -= fix
-    out[..., 2:] -= fix
-    return out
+    if tile is None:
+        tile, n_bin = slice(0, R.shape[-1]), R.shape[-1]
+    first = max(tile.start - 1, 0)
+    fix = R / 24.0
+    out = np.multiply(fix, 2.0)
+    out += R
+    # an end bin of the grid keeps f: it has no correction of its own
+    for k, end in ((0, first == 0), (-1, first + R.shape[-1] == n_bin)):
+        if end:
+            out[..., k] = R[..., k]
+            fix[..., k] = 0.0
+    out[..., :-1] -= fix[..., 1:]
+    out[..., 1:] -= fix[..., :-1]
+    return out[..., tile.start - first:tile.stop - first]
 
 
 def estimate_binned(
@@ -526,14 +586,17 @@ def estimate_binned(
     dmax, band, alias_free = _diagonals(M, max_diag, spec.n_phi)
     N = int(spec.n_per_phase.sum())
     shat = _bin_corrected(spec.shat) if bin_correction else spec.shat
+    twice = 2 * np.arange(dmax + 1) % spec.n_phi
 
-    def rhs(d, tile):
+    def rhs(tile):
         # row d as (re, im) columns against f; rows 0 and 2d against f^2
-        s0, s2d = shat[0, tile].real, shat[(2 * d) % spec.n_phi, tile].real
-        row = np.ascontiguousarray(shat[d, tile], dtype=np.complex128)
-        return row.view(np.float64).reshape(-1, 2), np.stack((s0 + s2d, s0 - s2d), axis=1)
+        s0, s2d = shat[0, tile].real, shat[twice, tile].real
+        rows = np.ascontiguousarray(shat[:dmax + 1, tile], dtype=np.complex128)
+        return tile, (rows.view(np.float64).reshape(dmax + 1, -1, 2),
+                      np.stack((s0 + s2d, s0 - s2d), axis=2))
 
-    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, rhs)
+    tiles = _bin_tiles(spec.bin_centers.size, max(1, _BIN_TILE_ELEMENTS // M))
+    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, map(rhs, tiles))
     (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
     denom = max(N - 1, 1)  # a single sample gives a zero numerator too
     var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
@@ -775,7 +838,8 @@ def estimate_unbinned(
                      np.sqrt(var_im / (N - 1) / N), meta)
 
 
-def _block_slices(ds: QuadratureDataset):
+def _check_blocks(ds: QuadratureDataset):
+    """Raise DataError unless the dataset has two or more blocks of equal size."""
     if ds.nblks < 2:
         raise DataError(f"need at least 2 blocks, got {ds.nblks}")
     sizes = np.bincount(ds.block.astype(np.int64), minlength=ds.nblks)
@@ -783,52 +847,111 @@ def _block_slices(ds: QuadratureDataset):
         raise DataError(
             f"blocks must have equal sizes, got {sizes.min()}..{sizes.max()}"
         )
-    return [np.flatnonzero(ds.block == b) for b in range(ds.nblks)]
 
 
-def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int) -> np.ndarray:
-    """Rows 0..dmax of the phase DFT of one (n_phi, n_bin) histogram whose
-    phase rows are normalized by their counts, as phase_dft has them.
+def _phase_dft_matrix(n_per_phase: np.ndarray, dmax: int):
+    """Every block's DFT matrix for rows 0..dmax, scaled per phase by
+    1 / (n_phi n_j) for the block's count n_j of phase j: cos rows
+    d = 0..dmax, then -sin rows d = 1..dmax, as an (nblks, 2 dmax + 1,
+    n_phi) array.
 
-    A real matrix product with the DFT matrix costs (dmax + 1) n_phi per
-    bin and a real FFT about n_phi log2(n_phi), so rows up to
-    dmax + 1 <= log2(n_phi) come from the matrix, with row 0 exactly real.
+    A product with it costs (dmax + 1) n_phi per bin and a real FFT about
+    n_phi log2(n_phi), so it is None, for the FFT, past
+    dmax + 1 <= log2(n_phi).
     """
-    n_phi = counts.shape[0]
+    n_phi = n_per_phase.shape[1]
     if dmax + 1 > math.log2(n_phi):
-        half = _half_spectrum(counts / n_per_phase[:, None], n_phi)
-        return _mirror_rows(half, n_phi, dmax)
+        return None
     jd = np.outer(np.arange(dmax + 1), np.arange(n_phi)) % n_phi
     angle = (2.0 * math.pi / n_phi) * jd
-    # cos rows d = 0..dmax, then -sin rows d = 1..dmax
     dft = np.concatenate([np.cos(angle), -np.sin(angle[1:])])
-    re_im = (dft / (n_phi * n_per_phase)) @ counts.astype(np.float64)
-    rows = np.empty((dmax + 1, counts.shape[1]), dtype=np.complex128)
+    return dft / (n_phi * n_per_phase[:, None, :])
+
+
+def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int, dft) -> np.ndarray:
+    """Rows 0..dmax of the phase DFT of every block's histogram over w
+    bins, with its phase rows normalized by their counts as phase_dft has
+    them.  counts is (w, nblks, n_phi) float64, and is overwritten; the
+    rows are a (dmax + 1, w, nblks) complex array.
+
+    They come from the scaled DFT matrices dft (_phase_dft_matrix), row 0
+    exactly real, or from the real FFT where dft is None.
+    """
+    w, nblks, n_phi = counts.shape
+    if dft is None:
+        counts /= n_per_phase
+        half = _half_spectrum(counts, n_phi, axis=-1)
+        return _mirror_rows(half.transpose(2, 0, 1), n_phi, dmax)
+    # (nblks, w, 2 dmax + 1): each block's counts against its matrix
+    re_im = np.matmul(counts.transpose(1, 0, 2), dft.transpose(0, 2, 1)).transpose(2, 1, 0)
+    rows = np.empty((dmax + 1, w, nblks), dtype=np.complex128)
     rows.real = re_im[:dmax + 1]
     rows[0].imag = 0.0
     rows[1:].imag = re_im[dmax + 1:]
     return rows
 
 
-def _block_spectra(ds: QuadratureDataset, picks, n_bin: int, bin_range, dmax: int):
-    """Rows 0..dmax of the phase spectrum of each block on one shared bin
-    grid; returns (spectra, bin centers).  spectra is complex128 and
-    diagonal-major, (dmax + 1, nblks, n_bin), so spectra[d] holds
-    diagonal d of every block.
+def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int,
+                 bin_correction: bool):
+    """(bin centres, tiles) of the binned block estimator, where tiles
+    yields (tile, (R,)) for _binned_sums: R is (dmax + 1, w, 2 nblks),
+    every block's rows 0..dmax over the tile, real and imaginary parts
+    side by side.
 
-    Every sample is indexed once, key = j n_bin + bin.  Each block's
-    histogram is one integer bincount of its keys, made one block at a
-    time: all blocks at once would take nblks times the memory.
+    The checks of the bin range, the phase grid and the phase counts of
+    each block run here, before any tile.  Every sample gets one key,
+    bin C + b n_phi + j with C = nblks n_phi for block b and phase index
+    j, made _INDEX_CHUNK samples (or C, if more) at a time, and the sorted
+    keys of bins lo..hi-1 are one run.  Each tile's rows are made when
+    _binned_sums asks for them, from one bincount of its run, widened by
+    one bin on each side for the bin correction.  The tiles are
+    _BIN_TILE_ELEMENTS / M bins wide, narrower where their C w count cells
+    would pass _BIN_TILE_CELLS.
     """
+    nblks, n_phi = ds.nblks, ds.n_phi
+    cells = nblks * n_phi
     edges = _bin_edges(ds.values, n_bin, bin_range)
-    key = _phase_indices(ds)
-    key *= n_bin
-    key += _bin_index(ds.values, edges)
-    spectra = np.empty((dmax + 1, len(picks), n_bin), dtype=np.complex128)
-    for b, pick in enumerate(picks):
-        counts, n_per_phase = _phase_counts(key[pick], ds.n_phi, n_bin)
-        spectra[:, b] = _phase_rows(counts, n_per_phase, dmax)
-    return spectra, 0.5 * (edges[:-1] + edges[1:])
+    j = _phase_indices(ds)
+    key = np.empty(ds.N, np.int32 if n_bin * cells <= np.iinfo(np.int32).max else np.int64)
+    n_per_phase = np.zeros(cells, dtype=np.int64)
+    chunk = max(_INDEX_CHUNK, cells)  # no chunk's bincount is longer than it
+    for lo in range(0, ds.N, chunk):
+        c = slice(lo, lo + chunk)
+        cell = ds.block[c].astype(np.int64)
+        cell *= n_phi
+        cell += j[c]
+        n_per_phase += np.bincount(cell, minlength=cells)
+        idx = _bin_index(ds.values[c], edges)
+        idx *= cells
+        idx += cell
+        key[c] = idx
+    del j
+    n_per_phase = n_per_phase.reshape(nblks, n_phi)
+    for counts in n_per_phase:
+        _check_phase_counts(counts)
+    key.sort()
+    # the keys of the bins first..stop-1 are key[start[first]:start[stop]]
+    start = np.searchsorted(key, np.arange(n_bin + 1, dtype=key.dtype) * cells)
+    width = max(1, min(_BIN_TILE_ELEMENTS // M, _BIN_TILE_CELLS // cells))
+    dft = _phase_dft_matrix(n_per_phase, dmax)
+
+    def rhs(tile):
+        first, stop = tile.start, tile.stop
+        if bin_correction:  # with a halo bin from each neighbouring tile
+            first, stop = max(first - 1, 0), min(stop + 1, n_bin)
+        lo, hi = start[first], start[stop]
+        # the counts as exact float64 integers (a bincount of no keys is
+        # int64), (bins, nblks, n_phi)
+        counts = np.bincount(key[lo:hi] - first * cells, np.ones(hi - lo),
+                             (stop - first) * cells).astype(np.float64, copy=False)
+        rows = _phase_rows(counts.reshape(stop - first, nblks, n_phi), n_per_phase, dmax, dft)
+        del counts
+        if bin_correction:
+            rows = _bin_corrected(rows.transpose(0, 2, 1), tile, n_bin).transpose(0, 2, 1)
+        # (dmax + 1, w, nblks) complex as (dmax + 1, w, 2 nblks) float
+        return tile, (np.ascontiguousarray(rows).view(np.float64),)
+
+    return 0.5 * (edges[:-1] + edges[1:]), map(rhs, _bin_tiles(n_bin, width))
 
 
 def block_statistics(
@@ -844,30 +967,24 @@ def block_statistics(
 
     With n_bin given each block runs through the binned path on a shared
     bin grid, bin_correction correcting each block's spectrum as in
-    estimate_binned; otherwise each block is summed unbinned.
+    estimate_binned, tile by tile (_block_tiles); otherwise each block is
+    summed unbinned.
     """
     M = cfg.cutoff
     dmax, band, alias_free = _diagonals(M, max_diag, ds.n_phi)
-    picks = _block_slices(ds)
+    _check_blocks(ds)
     nblks = ds.nblks
     # G[k, b]: band entry k of block b's estimate
     if n_bin is None:
+        picks = (np.flatnonzero(ds.block == b) for b in range(nblks))
         G = np.stack([
             _moment_sums(ds.phases[pick], ds.values[pick], cfg, dmax,
                          want_var=False)[0] / pick.size
             for pick in picks
         ], axis=1)
     else:
-        spectra, centers = _block_spectra(ds, picks, n_bin, bin_range, dmax)
-        if bin_correction:
-            for d in range(dmax + 1):
-                spectra[d] = _bin_corrected(spectra[d])
-
-        def rhs(d, tile):
-            # (w, 2 nblks): each block's real and imaginary part, side by side
-            return (np.ascontiguousarray(spectra[d, :, tile].T).view(np.float64),)
-
-        G = _binned_sums(centers, cfg, dmax, rhs)[0].view(np.complex128)
+        centers, tiles = _block_tiles(ds, M, n_bin, bin_range, dmax, bin_correction)
+        G = _binned_sums(centers, cfg, dmax, tiles)[0].view(np.complex128)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
         "n_phi": ds.n_phi, "beta": cfg.beta, "max_diag": dmax,

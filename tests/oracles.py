@@ -430,9 +430,10 @@ def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,
     its conjugate-symmetric mirror, and a contraction of each diagonal's
     spectrum row with the pattern rows at the bin centres.
 
-    This is the per-block form the library's single index pass replaced.
-    It keeps the spectra in complex128 and returns (rho, err_re, err_im)
-    assembled exactly as the library does.
+    This is the per-block form that the library's tiles replace: it holds
+    every block's whole spectra, in complex128, where the library holds
+    one bin tile's counts and rows at a time.  Returns (rho, err_re,
+    err_im) assembled exactly as the library does.
     """
     from hdtomo import patterns, reconstruct
 

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +85,26 @@ def test_samples_roundtrip_byte_identical(tmp_path):
         assert meta["state"] == "vacuum"
         formats.write_samples(p2, back, meta=meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_read_samples_streams_a_plain_file(tmp_path):
+    # the rows of a plain file go from the file to the table: the read holds
+    # the 32-byte table rows and their column copies, not the text and a
+    # list of its lines (which took about 5 times the table)
+    n_phi, n = 100, 100_000
+    j = np.arange(n) % n_phi
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi,
+                           np.random.default_rng(2).normal(size=n), n_phi=n_phi)
+    p = tmp_path / "s.csv"
+    formats.write_samples(p, ds)
+    tracemalloc.start()
+    try:
+        back, _ = formats.read_samples(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, ds.values) and np.array_equal(back.phases, ds.phases)
+    assert peak < 3 * 32 * n
 
 
 @pytest.mark.parametrize("nblks", [1, 3])

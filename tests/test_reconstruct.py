@@ -1,6 +1,7 @@
 """Tests for binning, phase DFT, and the density-matrix estimators."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -215,6 +216,31 @@ def test_bin_rejects_off_grid_phases():
         bin(ds, n_bin=4)
 
 
+def test_phase_indices_in_chunks_match_one_pass(monkeypatch):
+    # chunks of 3 samples: the indices of one pass, and the sample named for
+    # an off-grid phase is the farthest from the grid over every chunk, the
+    # first of equals (samples 4 and 12 share a grid phase)
+    n_phi = 8
+    j = np.arange(20) % n_phi
+    phases = 2.0 * math.pi * j / n_phi
+    ds = QuadratureDataset(phases, np.zeros(20), n_phi=n_phi)
+    assert np.array_equal(reconstruct._phase_indices(ds), j)
+    monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", 3)
+    assert np.array_equal(reconstruct._phase_indices(ds), j)
+    top = 2.0 * math.pi - 1e-12  # grid index n_phi
+    cases = [({4: 1e-3, 12: 2e-3}, "sample 12 has phase"),
+             ({4: 2e-3, 12: 2e-3}, "sample 4 has phase"),
+             ({2: 2e-3, 13: 1e-3}, "sample 2 has phase"),
+             ({17: top}, "fall outside 0..n_phi-1"),
+             ({4: 1e-3, 17: top}, "sample 4 has phase")]
+    for moved, message in cases:
+        off = phases.copy()
+        for k, dphi in moved.items():
+            off[k] = top if dphi == top else off[k] + dphi
+        with pytest.raises(DataError, match=message):
+            reconstruct._phase_indices(QuadratureDataset(off, np.zeros(20), n_phi=n_phi))
+
+
 # ---------------------------------------------------------------------------
 # phase_dft
 
@@ -384,16 +410,127 @@ def test_binned_sums_across_tiles_match_the_oracles(monkeypatch, max_diag, bin_c
         ds, cfg, 120, max_diag=max_diag, bin_correction=bin_correction))
 
 
-def test_binned_sums_keep_the_kernel_values(monkeypatch):
+@pytest.mark.parametrize("product", [1, 720, 2880])
+def test_binned_sums_in_row_blocks_match_the_oracles(monkeypatch, product):
+    # one tile of 120 bins: products of one row; of 3 rows for the spectrum
+    # (k = 2 columns) and 1 for the blocks (k = 8); of 3 rows for the blocks
+    # and 12 for the spectrum; the band's rows 10..1 leave short last blocks
+    monkeypatch.setattr(reconstruct, "_PRODUCT", product)
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=10, beta=choose_beta(ds.values))
+    spec = phase_dft(bin(ds, n_bin=120))
+    est = estimate_binned(spec, cfg, bin_correction=True)
+    _check_matches_oracle(est, oracles.estimate_binned_loop(spec, cfg, bin_correction=True))
+    est = block_statistics(ds, cfg, n_bin=120, bin_correction=True)
+    _check_matches_oracle(est, oracles.block_statistics_per_block(
+        ds, cfg, 120, bin_correction=True))
+
+
+@pytest.mark.parametrize("chunk", [7, 53])
+def test_block_keys_in_chunks_match_one_chunk(monkeypatch, chunk):
+    # 1200 samples in chunks of 44 (no fewer than the nblks n_phi = 44
+    # count cells) or 53, each with a short last chunk, against one chunk
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", ds.N)
+    whole = block_statistics(ds, cfg, n_bin=40, bin_correction=True)
+    monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", chunk)
+    est = block_statistics(ds, cfg, n_bin=40, bin_correction=True)
+    for x, y in ((est.rho, whole.rho), (est.err_re, whole.err_re), (est.err_im, whole.err_im)):
+        assert np.array_equal(x, y)
+
+
+def _block_tile_widths(monkeypatch):
+    """Record the (n_bin, width) of every _bin_tiles call."""
+    widths, tiles = [], reconstruct._bin_tiles
+
+    def spy(n_bin, width):
+        widths.append((n_bin, width))
+        return tiles(n_bin, width)
+
+    monkeypatch.setattr(reconstruct, "_bin_tiles", spy)
+    return widths
+
+
+# 40 bins of an M = 6 band over 4 blocks: tiles of 1 and 2 bins, tiles of 7
+# with a short last one of 5, and 13 tiles of 3, capped by the count cells
+# nblks n_phi w, with a last one of 1
+_TILE_CASES = {"width 1": (6, None, 1), "width 2": (12, None, 2),
+               "short last": (42, None, 7), "capped": (None, 3, 3)}
+
+
+@pytest.mark.parametrize("case", sorted(_TILE_CASES))
+@pytest.mark.parametrize("n_phi, max_diag", [(64, 2), (11, None)], ids=["dft", "rfft"])
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_block_tiles_match_the_per_block_oracle(monkeypatch, case, n_phi, max_diag,
+                                                bin_correction):
+    # the DFT-matrix rows (3 <= log2(64)) and the real FFT's (6 > log2(11))
+    ds = _uneven_blocks(n_phi)
+    elements, cells, width = _TILE_CASES[case]
+    if elements is not None:
+        monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", elements)
+    if cells is not None:
+        monkeypatch.setattr(reconstruct, "_BIN_TILE_CELLS", cells * ds.nblks * n_phi)
+    widths = _block_tile_widths(monkeypatch)
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    est = block_statistics(ds, cfg, n_bin=40, max_diag=max_diag,
+                           bin_correction=bin_correction)
+    assert widths == [(40, width)]
+    _check_matches_oracle(est, oracles.block_statistics_per_block(
+        ds, cfg, 40, max_diag=max_diag, bin_correction=bin_correction))
+
+
+@pytest.mark.parametrize("n_phi, max_diag", [(64, 2), (11, None)], ids=["dft", "rfft"])
+def test_block_tiles_of_one_bin_ignore_the_order_within_blocks(monkeypatch, n_phi,
+                                                               max_diag):
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", 6)
+    ds = _uneven_blocks(n_phi)
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    # every block's samples in another order, and the blocks interleaved
+    order = np.random.default_rng(3).permutation(ds.N)
+    order = order[np.argsort(ds.block[order], kind="stable")]
+    order = order.reshape(ds.nblks, -1).T.ravel()
+    shuffled = QuadratureDataset(ds.phases[order], ds.values[order], n_phi=n_phi,
+                                 block=ds.block[order], nblks=ds.nblks)
+    for bin_correction in (False, True):
+        a, b = (block_statistics(d, cfg, n_bin=40, max_diag=max_diag,
+                                 bin_correction=bin_correction) for d in (ds, shuffled))
+        for x, y in ((a.rho, b.rho), (a.err_re, b.err_re), (a.err_im, b.err_im)):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_block_statistics_memory_follows_the_tile_not_the_bins(monkeypatch, bin_correction):
+    # the whole band's spectra of every block, 16 (max_diag + 1) nblks n_bin
+    # bytes, would be 41 MB here; the tiles hold the kernel table (about
+    # 4 MB at 2000 bins) and tiles of at most 2^16 count cells (a few MB)
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_CELLS", 2**16)
+    M, n_phi, nblks, n_bin = 32, 33, 40, 2000
+    j = np.tile(np.repeat(np.arange(n_phi), 2), nblks)
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi,
+                           np.random.default_rng(4).normal(0.0, 2.0, j.size), n_phi=n_phi,
+                           block=np.repeat(np.arange(nblks), 2 * n_phi), nblks=nblks)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    tracemalloc.start()
+    try:
+        block_statistics(ds, cfg, n_bin=n_bin, bin_correction=bin_correction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * M * nblks * n_bin / 4
+
+
+def test_binned_sums_keep_the_kernel_values():
     # one-hot right-hand sides read every kernel value back exactly: the
     # tiles leave each value and its square bit-identical
     M, n_bin, dmax = 10, 120, 4
-    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", 7 * M)
     centers = np.linspace(-4.0, 4.0, n_bin)
     cfg = PatternConfig(cutoff=M, beta=choose_beta(centers))
     eye = np.eye(n_bin)
+    tiles = reconstruct._bin_tiles(n_bin, 7)
+    one_hot = [np.broadcast_to(eye[t], (dmax + 1, t.stop - t.start, n_bin)) for t in tiles]
     got, got2 = reconstruct._binned_sums(centers, cfg, dmax,
-                                         lambda d, tile: (eye[tile], eye[tile]))
+                                         ((t, (R, R)) for t, R in zip(tiles, one_hot)))
     table = build_table(centers, cfg)
     rows = np.concatenate([oracles.kernel_rows(table, d) for d in range(dmax + 1)])
     assert np.array_equal(got, rows)
@@ -409,13 +546,18 @@ def test_bin_correction_moves_onto_the_data(n_bin):
     R = rng.normal(size=(n_bin, 3))
     assert np.allclose(oracles.midpoint_corrected(F) @ R,
                        F @ reconstruct._bin_corrected(R.T).T, rtol=1e-13, atol=1e-13)
-    # complex block spectra, (dmax + 1, nblks, n_bin), corrected in one call
+    # complex spectra with leading axes, corrected in one call
     S = rng.normal(size=(4, 5, n_bin)) + 1j * rng.normal(size=(4, 5, n_bin))
+    whole = reconstruct._bin_corrected(S)
     assert np.allclose(np.einsum("ri,dbi->dbr", oracles.midpoint_corrected(F), S),
-                       np.einsum("ri,dbi->dbr", F, reconstruct._bin_corrected(S)),
-                       rtol=1e-13, atol=1e-13)
+                       np.einsum("ri,dbi->dbr", F, whole), rtol=1e-13, atol=1e-13)
     if n_bin < 3:
-        assert np.array_equal(reconstruct._bin_corrected(S), S)
+        assert np.array_equal(whole, S)
+    # a tile with one halo bin from each neighbour gets the whole grid's bits
+    for width in (1, 2, 3, 7):
+        tiles = [reconstruct._bin_corrected(S[..., max(t.start - 1, 0):t.stop + 1], t, n_bin)
+                 for t in reconstruct._bin_tiles(n_bin, width)]
+        assert np.array_equal(np.concatenate(tiles, axis=-1), whole)
 
 
 def test_binned_paths_reject_nonfinite_kernel(monkeypatch):
@@ -877,6 +1019,26 @@ def test_block_validation_errors():
     skewed = QuadratureDataset(np.array([0.0, math.pi, 0.0, 0.77]), values, **two)
     with pytest.raises(DataError, match="equispaced"):
         block_statistics(skewed, cfg, n_bin=4, max_diag=0)
+
+
+def test_block_checks_keep_their_order():
+    # block sizes, then the bin range, the phase grid, and last the first
+    # block with an empty phase, named by that block's first empty phase:
+    # block 0 lacks phase 2, block 1 lacks phases 1 and 3
+    cfg = PatternConfig(cutoff=2, beta=1.0)
+    phases = 2.0 * math.pi * np.array([0, 1, 3, 3, 0, 2, 2, 0]) / 4
+    values = np.linspace(-1.0, 1.0, 8)
+    off_grid = np.where(np.arange(8) == 6, 0.77, phases)
+    cases = [
+        (off_grid, [0, 0, 0, 1, 1, 1, 1, 1], (0.0, 1.0), "blocks must have equal sizes"),
+        (off_grid, [0] * 4 + [1] * 4, (0.0, 1.0), "outside the requested bin range"),
+        (off_grid, [0] * 4 + [1] * 4, None, "equispaced"),
+        (phases, [0] * 4 + [1] * 4, None, "phase index 2 has no samples"),
+    ]
+    for ph, labels, bin_range, message in cases:
+        ds = QuadratureDataset(ph, values, n_phi=4, block=np.array(labels), nblks=2)
+        with pytest.raises(DataError, match=message):
+            block_statistics(ds, cfg, n_bin=4, bin_range=bin_range, max_diag=0)
 
 
 def _uneven_blocks(n_phi, nblks=4, size=300, seed=5):
