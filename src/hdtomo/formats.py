@@ -17,9 +17,9 @@ as separate real and imaginary files.  Reports are small JSON documents.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import warnings
 
 import numpy as np
 
@@ -180,6 +180,19 @@ def _read_lines(path, kind, header):
     return meta, head, lines[1 if header is None else 2:]
 
 
+@functools.cache
+def _loadtxt_rejects_fractions() -> bool:
+    """Whether this numpy's loadtxt raises on '1.5' read as an int64, as
+    numpy 2 does; an older one may read it as 1 with a warning."""
+    try:
+        np.loadtxt(["1.5"], dtype=np.int64)
+    except ValueError:
+        return True
+    except Warning:  # that warning, made an error by a filter
+        pass
+    return False
+
+
 def _parse_rows(path, rows, first_line, ncols, ints, count=None):
     """Parse row lines of ncols cells, numbered from first_line in messages.
 
@@ -187,21 +200,21 @@ def _parse_rows(path, rows, first_line, ncols, ints, count=None):
     line, whose count rows numpy reads line by line.  ints maps the
     integer columns to their names.  Without them the result is an
     (n, ncols) float64 array, with them the list of the columns.  One
-    loadtxt pass reads all rows; if it fails, a walk of the lines names
-    the first bad one.
+    loadtxt pass reads all rows, its integer columns through Python's int
+    where numpy itself would accept a fraction; if it fails, a walk of the
+    lines names the first bad one.
     """
     count = len(rows) if count is None else count
     dtype = np.dtype([(f"f{k}", np.int64 if k in ints else np.float64)
                       for k in range(ncols)] if ints else np.float64)
+    # Python's int rejects 1.7 where an older numpy would read it as 1
+    converters = None if _loadtxt_rejects_fractions() else dict.fromkeys(ints, int)
     reason = "rows do not parse"
     try:
-        # a warning fails the pass too: an older numpy may read 1.7 as int 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = (np.loadtxt(rows, dtype=dtype, comments=None, delimiter=",",
-                                ndmin=1 if ints else 2)
-                     if count else np.empty((0,) if ints else (0, ncols), dtype))
-    except (ValueError, Warning) as exc:
+        table = (np.loadtxt(rows, dtype=dtype, comments=None, delimiter=",",
+                            converters=converters, ndmin=1 if ints else 2)
+                 if count else np.empty((0,) if ints else (0, ncols), dtype))
+    except (ValueError, OverflowError) as exc:
         reason = str(exc)
     else:
         columns = [table[f] for f in dtype.names] if ints else list(table.T)

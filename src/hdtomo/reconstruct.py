@@ -65,16 +65,18 @@ samples, is reported as 0.
 Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
 (hi - lo)), corrected by one step against the linspace edges, which is
 the largest i with edges[i] <= x: an interior edge belongs to the bin on
-its right, and the top edge stays in the last bin.  The block estimator
-streams its spectra by bin tile.  It indexes every sample once, key =
-bin nblks n_phi + b n_phi + j for block b and phase index j, in chunks
-of 2^15 samples whose scratch stays in cache, and sorts the keys, so
-each tile's samples are one run of them.  Per tile, one bincount of its
-run gives every block's (n_phi, w) histogram, the rows 0..max_diag of
-their phase DFTs are formed (over one more bin on each side, the halo
-the bin correction reads) and the tile is contracted.  So the estimator
-holds 4 bytes of keys per sample (12 while it makes them, with the
-phase indices) plus one tile's counts and rows, whatever max_diag, the
+its right, and the top edge stays in the last bin.  Both binned paths
+index the samples in one walk over their phases, in chunks of 2^15
+samples whose scratch stays in cache (_phase_chunks), which gives each
+sample one key, bin C + cell for C cells (_cell_keys): the phase index
+j for bin, and b n_phi + j for block b in the block estimator.  bin
+counts the keys with one bincount.  The block estimator streams its
+spectra by bin tile.  It sorts the keys, so each tile's samples are one
+run of them.  Per tile, one bincount of its run gives every block's
+(n_phi, w) histogram, the rows 0..max_diag of their phase DFTs are
+formed (over one more bin on each side, the halo the bin correction
+reads) and the tile is contracted.  So the estimator holds 4 bytes of
+keys per sample plus one tile's counts and rows, whatever max_diag, the
 block count and n_bin are; the whole spectra would take 16 (max_diag + 1)
 nblks n_bin bytes, about 1 GB at M = 800 with 8000 bins and 10 blocks.
 When max_diag + 1 <= log2(n_phi) the rows come from real matrix products
@@ -113,8 +115,8 @@ _PRODUCT = 2**18
 # cells (blocks x phases x bins) per tile of the block estimator at most.
 _BIN_TILE_ELEMENTS = 2**16
 _BIN_TILE_CELLS = 2**21
-# Samples indexed at a time (_phase_indices, _block_tiles), so the scratch
-# of each step stays in cache.
+# Samples indexed at a time (_phase_chunks), so the scratch of each step
+# stays in cache.
 _INDEX_CHUNK = 2**15
 
 
@@ -238,19 +240,22 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
     )
 
 
-def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
-    """Map phases to grid indices j with phi_j = 2 pi j / n_phi, verifying
-    the dataset really is gridded over the full circle.  A phase off the
-    grid is reported by the sample farthest from it, the first of equals.
+def _phase_chunks(ds: QuadratureDataset):
+    """Walk the samples in chunks of _INDEX_CHUNK, yielding (chunk slice,
+    grid indices j with phi_j = 2 pi j / n_phi) for each, the indices
+    clipped to 0..n_phi-1 so they can index counts.  They go through one
+    reused buffer, so each chunk's are used before the next is asked for.
 
-    The samples go in chunks of _INDEX_CHUNK through one reused buffer."""
+    After the last chunk the walk verifies that the dataset really is
+    gridded over the full circle.  A phase off the grid is reported by the
+    sample farthest from it over all chunks, the first of equals."""
     step = 2.0 * math.pi / ds.n_phi
-    j = np.empty(ds.N, dtype=np.int64)
     t = np.empty(min(ds.N, _INDEX_CHUNK))
+    j = np.empty(t.size, dtype=np.int64)
     far, k, low, high = 0.0, 0, 0, 0
     for lo in range(0, ds.N, _INDEX_CHUNK):
         phases = ds.phases[lo:lo + _INDEX_CHUNK]
-        c, jc = t[:phases.size], j[lo:lo + phases.size]
+        c, jc = t[:phases.size], j[:phases.size]
         np.divide(phases, step, out=c)
         np.rint(c, out=c)
         jc[...] = c
@@ -262,6 +267,7 @@ def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
         if c[m] > far:
             far, k = float(c[m]), lo + m
         low, high = min(low, int(jc.min())), max(high, int(jc.max()))
+        yield slice(lo, lo + phases.size), np.clip(jc, 0, ds.n_phi - 1, out=jc)
     if far > PHASE_GRID_TOL:
         raise DataError(
             f"phases are not on the equispaced grid 2*pi*j/{ds.n_phi}: "
@@ -269,6 +275,14 @@ def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
         )
     if low < 0 or high >= ds.n_phi:
         raise DataError("phase indices fall outside 0..n_phi-1")
+
+
+def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
+    """Grid index j of every sample, with phi_j = 2 pi j / n_phi, after
+    _phase_chunks has verified the grid."""
+    j = np.empty(ds.N, dtype=np.int64)
+    for c, jc in _phase_chunks(ds):
+        j[c] = jc
     return j
 
 
@@ -276,16 +290,19 @@ def _default_edges(values: np.ndarray, n_bin: int) -> tuple[float, float]:
     amax = max(-float(values.min()), float(values.max()))  # max |x|, no temporary
     if amax == 0.0:
         return -0.5, 0.5
-    if n_bin == 1:
-        return -amax - 0.5, amax + 0.5
-    half_bin = amax / (n_bin - 1)
-    return -amax - half_bin, amax + half_bin
+    half_bin = 0.5 if n_bin == 1 else amax / (n_bin - 1)
+    lo, hi = -amax - half_bin, amax + half_bin
+    if not math.isfinite(hi - lo):
+        raise DataError(f"the default bin range for max |x| = {amax:.6g} "
+                        "has no finite width")
+    return lo, hi
 
 
 def _bin_edges(values: np.ndarray, n_bin: int, bin_range) -> np.ndarray:
     """Edges of n_bin equal-width bins over bin_range, or over the default
     range of _default_edges when it is None.  A given range must hold
-    every value: dropping samples would bias the estimator."""
+    every value: dropping samples would bias the estimator.  Either range
+    must have finite ends and a finite width hi - lo."""
     _check_count("n_bin", n_bin)
     if values.size == 0:
         raise DataError("cannot bin an empty dataset")
@@ -295,6 +312,8 @@ def _bin_edges(values: np.ndarray, n_bin: int, bin_range) -> np.ndarray:
         lo, hi = float(bin_range[0]), float(bin_range[1])
         if not lo < hi:
             raise ValueError(f"bin range must satisfy lo < hi, got [{lo}, {hi}]")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"bin range must have a finite width, got [{lo}, {hi}]")
         if np.any(values < lo) or np.any(values > hi):
             raise DataError(
                 "samples fall outside the requested bin range "
@@ -327,22 +346,29 @@ def _bin_index(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _check_phase_counts(n_per_phase: np.ndarray):
-    """Raise DataError naming the first phase with no samples."""
-    if np.any(n_per_phase == 0):
-        k = int(np.argmin(n_per_phase))
-        raise DataError(
-            f"phase index {k} has no samples; the phase average would be biased"
-        )
+def _cell_keys(ds: QuadratureDataset, edges: np.ndarray, cells: int):
+    """(keys, counts): the key bin * cells + cell of every sample, for its
+    bin on edges, and the sample count of each cell, none of which may be
+    0.  A cell is the phase index j for cells = n_phi, whatever the block
+    labels, and b n_phi + j for block b otherwise.  The keys are int32
+    where every key fits, and are made chunk by chunk on _phase_chunks.
 
-
-def _phase_counts(key: np.ndarray, n_phi: int, n_bin: int):
-    """Histogram of keys j * n_bin + bin index as an (n_phi, n_bin) count
-    array, with the sample count of each phase row, none of which may be 0."""
-    counts = np.bincount(key, minlength=n_phi * n_bin).reshape(n_phi, n_bin)
-    n_per_phase = counts.sum(axis=1)
-    _check_phase_counts(n_per_phase)
-    return counts, n_per_phase
+    An empty cell is named by its phase index, and its block where cells
+    hold blocks: the first in (block, phase) order."""
+    n_phi, n_bin = ds.n_phi, edges.size - 1
+    key = np.empty(ds.N, np.int32 if n_bin * cells <= np.iinfo(np.int32).max else np.int64)
+    counts = np.zeros(cells, dtype=np.int64)
+    for c, cell in _phase_chunks(ds):
+        if cells > n_phi:
+            cell = ds.block[c].astype(np.int64) * n_phi + cell
+        counts += np.bincount(cell, minlength=cells)
+        key[c] = _bin_index(ds.values[c], edges) * cells + cell
+    if not counts.all():
+        k = int(np.argmin(counts))
+        block = f" in block {k // n_phi}" if cells > n_phi else ""
+        raise DataError(f"phase index {k % n_phi} has no samples{block}; "
+                        "the phase average would be biased")
+    return key, counts
 
 
 def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
@@ -354,9 +380,9 @@ def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
     one on the top edge stays in the last bin.
     """
     edges = _bin_edges(ds.values, n_bin, bin_range)
-    key = _phase_indices(ds) * n_bin + _bin_index(ds.values, edges)
-    counts, n_per_phase = _phase_counts(key, ds.n_phi, n_bin)
-    freq = counts / n_per_phase[:, None]
+    key, n_per_phase = _cell_keys(ds, edges, ds.n_phi)
+    counts = np.bincount(key, minlength=n_bin * ds.n_phi).reshape(n_bin, ds.n_phi)
+    freq = (counts / n_per_phase).T
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Sinogram(
         n_phi=ds.n_phi, n_bin=n_bin, freq=freq,
@@ -901,34 +927,17 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     The checks of the bin range, the phase grid and the phase counts of
     each block run here, before any tile.  Every sample gets one key,
     bin C + b n_phi + j with C = nblks n_phi for block b and phase index
-    j, made _INDEX_CHUNK samples (or C, if more) at a time, and the sorted
-    keys of bins lo..hi-1 are one run.  Each tile's rows are made when
-    _binned_sums asks for them, from one bincount of its run, widened by
-    one bin on each side for the bin correction.  The tiles are
-    _BIN_TILE_ELEMENTS / M bins wide, narrower where their C w count cells
-    would pass _BIN_TILE_CELLS.
+    j (_cell_keys), and the sorted keys of bins lo..hi-1 are one run.
+    Each tile's rows are made when _binned_sums asks for them, from one
+    bincount of its run, widened by one bin on each side for the bin
+    correction.  The tiles are _BIN_TILE_ELEMENTS / M bins wide, narrower
+    where their C w count cells would pass _BIN_TILE_CELLS.
     """
     nblks, n_phi = ds.nblks, ds.n_phi
     cells = nblks * n_phi
     edges = _bin_edges(ds.values, n_bin, bin_range)
-    j = _phase_indices(ds)
-    key = np.empty(ds.N, np.int32 if n_bin * cells <= np.iinfo(np.int32).max else np.int64)
-    n_per_phase = np.zeros(cells, dtype=np.int64)
-    chunk = max(_INDEX_CHUNK, cells)  # no chunk's bincount is longer than it
-    for lo in range(0, ds.N, chunk):
-        c = slice(lo, lo + chunk)
-        cell = ds.block[c].astype(np.int64)
-        cell *= n_phi
-        cell += j[c]
-        n_per_phase += np.bincount(cell, minlength=cells)
-        idx = _bin_index(ds.values[c], edges)
-        idx *= cells
-        idx += cell
-        key[c] = idx
-    del j
+    key, n_per_phase = _cell_keys(ds, edges, cells)
     n_per_phase = n_per_phase.reshape(nblks, n_phi)
-    for counts in n_per_phase:
-        _check_phase_counts(counts)
     key.sort()
     # the keys of the bins first..stop-1 are key[start[first]:start[stop]]
     start = np.searchsorted(key, np.arange(n_bin + 1, dtype=key.dtype) * cells)
@@ -976,7 +985,8 @@ def block_statistics(
     nblks = ds.nblks
     # G[k, b]: band entry k of block b's estimate
     if n_bin is None:
-        picks = (np.flatnonzero(ds.block == b) for b in range(nblks))
+        # every block's samples in order, blocks of equal size (_check_blocks)
+        picks = np.argsort(ds.block, kind="stable").reshape(nblks, -1)
         G = np.stack([
             _moment_sums(ds.phases[pick], ds.values[pick], cfg, dmax,
                          want_var=False)[0] / pick.size

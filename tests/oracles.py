@@ -6,9 +6,10 @@ uses transforms or matrix products.  The estimator loops and
 biorthogonality_defect use hdtomo's pattern tables, to check what the
 library builds on them; the loops write the kernel rows out themselves
 (kernel_rows) rather than calling the library's kernel.  marginals_whole,
-sample_by_phase, midpoint_corrected, wigner_polar_per_radius,
-cartesian_resample_scipy and the read_*_by_line readers are the library's
-earlier code, kept to show that what replaced them gives the same results.
+sample_by_phase, bin_whole_array, midpoint_corrected,
+wigner_polar_per_radius, cartesian_resample_scipy and the read_*_by_line
+readers are the library's earlier code, kept to show that what replaced
+them gives the same results.
 """
 
 import math
@@ -421,6 +422,22 @@ def check_close_to_loop(est, ref, N, M):
         assert np.all(np.abs(new - old) <= 1e-10 * old_err + noise * size1 / N)
         assert np.all(np.abs(new_err**2 - old_err**2)
                       <= 2e-12 * old_err**2 + noise * size2 / (N * (N - 1.0)))
+
+
+def bin_whole_array(ds, n_bin, bin_range=None):
+    """bin as it was before the chunked walk: whole-array keys
+    j * n_bin + bin index, with j from _phase_indices, and one bincount
+    giving the (n_phi, n_bin) counts."""
+    from hdtomo.reconstruct import Sinogram, _bin_edges, _bin_index, _phase_indices
+
+    edges = _bin_edges(ds.values, n_bin, bin_range)
+    key = _phase_indices(ds) * n_bin + _bin_index(ds.values, edges)
+    counts = np.bincount(key, minlength=ds.n_phi * n_bin).reshape(ds.n_phi, n_bin)
+    n_per_phase = counts.sum(axis=1)
+    assert np.all(n_per_phase > 0)
+    return Sinogram(n_phi=ds.n_phi, n_bin=n_bin, freq=counts / n_per_phase[:, None],
+                    bin_edges=edges, bin_centers=0.5 * (edges[:-1] + edges[1:]),
+                    n_per_phase=n_per_phase)
 
 
 def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -390,6 +391,45 @@ def test_readers_match_line_oracles_on_single_faults(tmp_path):
                 assert _same(new, old), (lines, new, old)
             count += 1
     assert count > 500
+
+
+def test_readers_match_line_oracles_through_int_converters(tmp_path, monkeypatch):
+    # the integer columns as a numpy that reads 1.7 as int 1 has them
+    # parsed, through Python's int, give the same outcomes
+    monkeypatch.setattr(formats, "_loadtxt_rejects_fractions", lambda: False)
+    test_readers_match_line_oracles_on_single_faults(tmp_path)
+
+
+def test_reading_samples_leaves_other_threads_warnings_alone(tmp_path):
+    # another thread warns in a loop under an "ignore" filter while samples
+    # are read: no process-wide filter may turn its warnings into errors
+    p = tmp_path / "s.csv"
+    formats.write_samples(p, _small_dataset(n_phi=8, nsamples=5000))
+    stop, seen = threading.Event(), {"warned": 0, "raised": 0}
+
+    def warn():
+        while not stop.is_set():
+            try:
+                warnings.warn("probe", ResourceWarning)
+            except ResourceWarning:
+                seen["raised"] += 1
+            seen["warned"] += 1
+
+    interval = sys.getswitchinterval()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResourceWarning)
+        thread = threading.Thread(target=warn)
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            for _ in range(3):
+                formats.read_samples(p)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert seen["warned"] > 0 and seen["raised"] == 0, seen
 
 
 # ---------------------------------------------------------------------------

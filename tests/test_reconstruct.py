@@ -1,6 +1,7 @@
 """Tests for binning, phase DFT, and the density-matrix estimators."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -219,8 +220,10 @@ def test_bin_rejects_off_grid_phases():
 def test_phase_indices_in_chunks_match_one_pass(monkeypatch):
     # chunks of 3 samples: the indices of one pass, and the sample named for
     # an off-grid phase is the farthest from the grid over every chunk, the
-    # first of equals (samples 4 and 12 share a grid phase)
+    # first of equals (samples 4 and 12 share a grid phase), by the indices
+    # alone and by both binned paths, which index on the same walk
     n_phi = 8
+    cfg = PatternConfig(cutoff=2, beta=1.0)
     j = np.arange(20) % n_phi
     phases = 2.0 * math.pi * j / n_phi
     ds = QuadratureDataset(phases, np.zeros(20), n_phi=n_phi)
@@ -237,8 +240,61 @@ def test_phase_indices_in_chunks_match_one_pass(monkeypatch):
         off = phases.copy()
         for k, dphi in moved.items():
             off[k] = top if dphi == top else off[k] + dphi
-        with pytest.raises(DataError, match=message):
-            reconstruct._phase_indices(QuadratureDataset(off, np.zeros(20), n_phi=n_phi))
+        ds = QuadratureDataset(off, np.zeros(20), n_phi=n_phi,
+                               block=np.repeat([0, 1], 10), nblks=2)
+        for run in (reconstruct._phase_indices, lambda d: bin(d, 4),
+                    lambda d: block_statistics(d, cfg, n_bin=4, max_diag=0)):
+            with pytest.raises(DataError, match=message):
+                run(ds)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, None])
+def test_bin_matches_the_whole_array_oracle(monkeypatch, chunk):
+    # chunks of 3 or 7 samples or one chunk, over four blocks that bin
+    # pools, on the default range and on a given one
+    ds = _uneven_blocks(11)
+    monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", chunk or ds.N)
+    for bin_range in (None, (-4.0, 5.0)):
+        got, ref = bin(ds, 40, bin_range), oracles.bin_whole_array(ds, 40, bin_range)
+        for name in ("freq", "n_per_phase", "bin_edges", "bin_centers"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_bin_memory_is_a_few_bytes_per_sample():
+    # the int32 keys and bincount's int64 copy of them, 12 bytes per
+    # sample; whole-array int64 phase indices and keys took 32
+    N = 2**20
+    j = np.arange(N) % 8
+    ds = QuadratureDataset(2.0 * math.pi * j / 8,
+                           np.random.default_rng(2).normal(0.0, 1.0, N), n_phi=8)
+    tracemalloc.start()
+    try:
+        bin(ds, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * N
+
+
+def test_bin_ranges_need_a_finite_width():
+    # a range with an infinite end, or one whose width overflows, is named;
+    # so is a default range around values whose width overflows
+    ds = _uneven_blocks(4)
+    cfg = PatternConfig(cutoff=2, beta=1.0)
+    runs = (lambda d, r: bin(d, 40, bin_range=r),
+            lambda d, r: block_statistics(d, cfg, n_bin=40, bin_range=r, max_diag=0),
+            lambda d, r: reconstruct.estimate(d, cfg, "binned", n_bin=40, bin_range=r,
+                                              max_diag=0))
+    huge = QuadratureDataset(ds.phases, np.where(ds.values < 0.3, -1e308, 1e308),
+                             n_phi=4, block=ds.block, nblks=ds.nblks)
+    for run in runs:
+        for lo, hi in ((-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bin range must have a finite width, got [{lo}, {hi}]")):
+                run(ds, (lo, hi))
+        with pytest.raises(DataError, match=r"max \|x\| = 1e\+308 has no finite width"):
+            run(huge, None)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +484,9 @@ def test_binned_sums_in_row_blocks_match_the_oracles(monkeypatch, product):
 
 @pytest.mark.parametrize("chunk", [7, 53])
 def test_block_keys_in_chunks_match_one_chunk(monkeypatch, chunk):
-    # 1200 samples in chunks of 44 (no fewer than the nblks n_phi = 44
-    # count cells) or 53, each with a short last chunk, against one chunk
+    # 1200 samples in chunks of 7 or 53, fewer and more than the
+    # nblks n_phi = 44 count cells, each with a short last chunk, against
+    # one chunk
     ds = _uneven_blocks(11)
     cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
     monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", ds.N)
@@ -1011,7 +1068,7 @@ def test_block_validation_errors():
     two = dict(n_phi=2, block=np.array([0, 0, 1, 1]), nblks=2)
     values = np.array([0.1, 0.2, 0.3, 0.4])
     holes = QuadratureDataset(np.array([0.0, math.pi, 0.0, 0.0]), values, **two)
-    with pytest.raises(DataError, match="phase index 1 has no samples"):
+    with pytest.raises(DataError, match="phase index 1 has no samples in block 1"):
         block_statistics(holes, cfg, n_bin=4, max_diag=0)
     full = QuadratureDataset(np.array([0.0, math.pi] * 2), values, **two)
     with pytest.raises(DataError, match="outside the requested bin range"):
@@ -1033,7 +1090,7 @@ def test_block_checks_keep_their_order():
         (off_grid, [0, 0, 0, 1, 1, 1, 1, 1], (0.0, 1.0), "blocks must have equal sizes"),
         (off_grid, [0] * 4 + [1] * 4, (0.0, 1.0), "outside the requested bin range"),
         (off_grid, [0] * 4 + [1] * 4, None, "equispaced"),
-        (phases, [0] * 4 + [1] * 4, None, "phase index 2 has no samples"),
+        (phases, [0] * 4 + [1] * 4, None, "phase index 2 has no samples in block 0"),
     ]
     for ph, labels, bin_range, message in cases:
         ds = QuadratureDataset(ph, values, n_phi=4, block=np.array(labels), nblks=2)
