@@ -285,15 +285,20 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _read_matrix_pair(first, second):
+    """The matrices of two matrix files, which must have the same size."""
+    from . import formats
+
+    a, b = (formats.read_matrix(path)[0] for path in (first, second))
+    if a.shape != b.shape:
+        raise DataError(f"matrix files disagree on size: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def cmd_wigner(args) -> int:
     from . import formats, wigner
 
-    re_mat, _ = formats.read_matrix(args.rho_re)
-    im_mat, _ = formats.read_matrix(args.rho_im)
-    if re_mat.shape != im_mat.shape:
-        raise DataError(
-            f"matrix files disagree on size: {re_mat.shape} vs {im_mat.shape}"
-        )
+    re_mat, im_mat = _read_matrix_pair(args.rho_re, args.rho_im)
     dm = wigner.DiagonalDensityMatrix.from_matrix(re_mat + 1j * im_mat)
     r, theta = wigner.polar_grid(dm.M, n_r=args.n_r, n_theta=args.n_theta,
                                  r_max=args.r_max)
@@ -315,12 +320,7 @@ def cmd_report(args) -> int:
 
     from . import formats, reconstruct
 
-    rho_re, _ = formats.read_matrix(args.rho_re)
-    err_re, _ = formats.read_matrix(args.err_re)
-    if rho_re.shape != err_re.shape:
-        raise DataError(
-            f"matrix files disagree on size: {rho_re.shape} vs {err_re.shape}"
-        )
+    rho_re, err_re = _read_matrix_pair(args.rho_re, args.err_re)
     est = reconstruct.DensityMatrixEstimate.from_matrices(
         rho_re, err_re, np.zeros_like(err_re), meta={}
     )

@@ -11,8 +11,12 @@ one reader (_read_lines, _parse_rows) serve the four CSV kinds; after the
 metadata line, blank lines and lines starting with '#' are rows, and so
 rejected.  read_samples parses a file of printable ASCII and LF line ends
 straight from the file, without holding its text or a list of its lines,
-and walks the lines only to name a bad one.  Complex matrices are stored
-as separate real and imaginary files.  Reports are small JSON documents.
+and walks the lines only to name a bad one.  The samples files carry the
+phase grid index of each row: write_samples writes the dataset's
+phase_index, and read_samples checks the column against the phase_index
+of the dataset it reads, which so comes back indexed.  Complex matrices
+are stored as separate real and imaginary files.  Reports are small JSON
+documents.
 """
 
 from __future__ import annotations
@@ -235,15 +239,13 @@ def _parse_rows(path, rows, first_line, ncols, ints, count=None):
 
 
 def write_samples(path, ds, meta: dict | None = None):
-    """Samples CSV: one row per measurement, gridded phases required."""
-    from .reconstruct import _phase_indices
-
-    idx = _phase_indices(ds)
+    """Samples CSV: one row per measurement, gridded phases required; the
+    phase_index column is ds.phase_index."""
     header = dict(meta or {})
     header["n_phi"] = ds.n_phi
     header["nblks"] = ds.nblks
     _write_table(path, "samples", header, SAMPLES_HEADER,
-                 [idx, ds.phases, ds.block.astype(np.int64, copy=False), ds.values],
+                 [ds.phase_index, ds.phases, ds.block.astype(np.int64, copy=False), ds.values],
                  rows=_sample_rows)
 
 
@@ -253,9 +255,10 @@ def read_samples(path):
     The metadata counts n_phi and nblks must be at least 1, the
     phase_index column must agree with phase_radians on the grid of n_phi
     phases, every block label (kept also for nblks=1) must lie in
-    0..nblks-1, and the file must hold at least one sample row.
+    0..nblks-1, and the file must hold at least one sample row.  The
+    dataset's phase_index is made by that check.
     """
-    from .reconstruct import QuadratureDataset, _phase_indices
+    from .reconstruct import QuadratureDataset
 
     count = _plain_line_count(path)
     with open(path, "r", newline="") as fh:
@@ -275,7 +278,7 @@ def read_samples(path):
     ds = QuadratureDataset(phases=phases, values=values, n_phi=n_phi,
                            block=block, nblks=nblks)
     try:
-        expected = _phase_indices(ds)
+        expected = ds.phase_index
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     bad = np.flatnonzero(index != expected)

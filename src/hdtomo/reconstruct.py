@@ -22,19 +22,19 @@ clean (all of it for an odd n_phi >= M).  Every estimator records it in
 its meta and warns with PhaseAliasingWarning when its band goes past it.
 
 The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M, and
-the block estimator in narrower ones where its counts would pass
-_BIN_TILE_CELLS.  Per tile, the kernel rows of every diagonal are formed
-from one set of kernel factors while they are in cache and contracted at
-once against the tile's right-hand sides, which the estimator hands over
-once per tile for every diagonal: spectrum rows (estimate_binned) or
-every block's rows (block_statistics).  Each diagonal's product with
-them goes in blocks of rows of at most 2^18 multiply-adds, for the
-reason given for the unbinned sums below.  The sums over bins add tile
-by tile.  The bin correction, f - delta^2 f / 24 in place of the kernel
-f at the bin centres, is linear in f, so summation by parts moves it
-onto the data: the estimators correct their spectra (_bin_corrected), a
-tile at a time with one halo bin from each neighbour in the block
-estimator, and the tiles form plain kernel rows.
+the block estimator in narrower ones where its counts or its rows would
+pass _BIN_TILE_CELLS.  Per tile, the kernel rows of every diagonal are
+formed from one set of kernel factors while they are in cache and
+contracted at once against the tile's right-hand sides, which the
+estimator hands over once per tile for every diagonal: spectrum rows
+(estimate_binned) or every block's rows (block_statistics).  Each
+diagonal's product with them goes in blocks of rows of at most 2^18
+multiply-adds, for the reason given for the unbinned sums below.  The
+sums over bins add tile by tile.  The bin correction, f - delta^2 f / 24
+in place of the kernel f at the bin centres, is linear in f, so
+summation by parts moves it onto the data: the estimators correct their
+spectra (_bin_corrected), a tile at a time with one halo bin from each
+neighbour in the block estimator, and the tiles form plain kernel rows.
 
 The unbinned sums are real matrix products, one set per distinct phase.
 The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
@@ -65,30 +65,34 @@ samples, is reported as 0.
 Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
 (hi - lo)), corrected by one step against the linspace edges, which is
 the largest i with edges[i] <= x: an interior edge belongs to the bin on
-its right, and the top edge stays in the last bin.  Both binned paths
-index the samples in one walk over their phases, in chunks of 2^15
-samples whose scratch stays in cache (_phase_chunks), which gives each
-sample one key, bin C + cell for C cells (_cell_keys): the phase index
-j for bin, and b n_phi + j for block b in the block estimator.  bin
-counts the keys with one bincount.  The block estimator streams its
-spectra by bin tile.  It sorts the keys, so each tile's samples are one
-run of them.  Per tile, one bincount of its run gives every block's
-(n_phi, w) histogram, the rows 0..max_diag of their phase DFTs are
-formed (over one more bin on each side, the halo the bin correction
-reads) and the tile is contracted.  So the estimator holds 4 bytes of
-keys per sample plus one tile's counts and rows, whatever max_diag, the
-block count and n_bin are; the whole spectra would take 16 (max_diag + 1)
-nblks n_bin bytes, about 1 GB at M = 800 with 8000 bins and 10 blocks.
-When max_diag + 1 <= log2(n_phi) the rows come from real matrix products
-with a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
-1 / (n_phi n_j) and built once per call, against the counts; otherwise
-from the real FFT of the normalized histograms.  The counts are exact
-integers and their keys sorted, so both are exactly independent of the
-order of the samples within a block.
+its right, and the top edge stays in the last bin.  A dataset indexes
+its samples on the phase grid once, on first use (phase_index): one walk
+over its phases in chunks of 2^15 samples whose scratch stays in cache,
+which checks the grid and keeps j in the smallest unsigned dtype that
+holds n_phi - 1.  The samples writer and reader read the same index.
+Both binned paths give each sample one key from it, chunk by chunk, bin
+C + cell for C cells (_cell_keys): the phase index j for bin, and
+b n_phi + j for block b in the block estimator.  bin counts the keys
+with one bincount.  The block estimator streams its spectra by bin tile.
+It sorts the keys, so each tile's samples are one run of them.  Per
+tile, one bincount of its run gives every block's (n_phi, w) histogram,
+the rows 0..max_diag of their phase DFTs are formed (over one more bin
+on each side, the halo the bin correction reads) and the tile is
+contracted.  So the estimator holds 4 bytes of keys per sample, besides
+the dataset's index, plus one tile's counts and rows, whatever max_diag,
+the block count and n_bin are; the whole spectra would take 16
+(max_diag + 1) nblks n_bin bytes, about 1 GB at M = 800 with 8000 bins
+and 10 blocks.  When max_diag + 1 <= log2(n_phi) the rows come from real
+matrix products with a (max_diag + 1) x n_phi DFT matrix, scaled per
+phase row by 1 / (n_phi n_j) and built once per call, against the
+counts; otherwise from the real FFT of the normalized histograms.  The
+counts are exact integers and their keys sorted, so both are exactly
+independent of the order of the samples within a block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,11 +116,12 @@ _CHUNK = 512
 _BLOCK = 16
 _PRODUCT = 2**18
 # Binned sums (_binned_sums): kernel entries per bin tile, and count
-# cells (blocks x phases x bins) per tile of the block estimator at most.
+# cells (blocks x phases x bins), or doubles of rows, per tile of the
+# block estimator at most.
 _BIN_TILE_ELEMENTS = 2**16
 _BIN_TILE_CELLS = 2**21
-# Samples indexed at a time (_phase_chunks), so the scratch of each step
-# stays in cache.
+# Samples indexed at a time (QuadratureDataset.phase_index, _cell_keys),
+# so the scratch of each step stays in cache.
 _INDEX_CHUNK = 2**15
 
 
@@ -165,6 +170,44 @@ class QuadratureDataset:
     @property
     def N(self) -> int:
         return self.values.size
+
+    @functools.cached_property
+    def phase_index(self) -> np.ndarray:
+        """Grid index j of every sample, with phi_j = 2 pi j / n_phi, in the
+        smallest unsigned dtype that holds n_phi - 1; read-only.
+
+        The first use walks the phases once, in chunks of _INDEX_CHUNK whose
+        scratch stays in cache, and verifies that the dataset really is
+        gridded over the full circle.  A phase off the grid is reported by
+        the sample farthest from it, the first of equals.  The index is
+        kept, so the phases must not change after it is made."""
+        n_phi, step = self.n_phi, 2.0 * math.pi / self.n_phi
+        j = np.empty(self.N, np.min_scalar_type(n_phi - 1))
+        t = np.empty(min(self.N, _INDEX_CHUNK))
+        far, k, high = 0.0, 0, 0.0
+        for lo in range(0, self.N, _INDEX_CHUNK):
+            phases = self.phases[lo:lo + _INDEX_CHUNK]
+            c = t[:phases.size]
+            np.rint(np.divide(phases, step, out=c), out=c)
+            high = max(high, float(c.max()))
+            # clipped as a float, so an index n_phi neither wraps nor warns
+            np.minimum(c, n_phi - 1, out=j[lo:lo + c.size], casting="unsafe")
+            # distance to the grid, |j step - phi|, in the same buffer
+            c *= step
+            c -= phases
+            np.abs(c, out=c)
+            m = int(np.argmax(c))
+            if c[m] > far:
+                far, k = float(c[m]), lo + m
+        if far > PHASE_GRID_TOL:
+            raise DataError(
+                f"phases are not on the equispaced grid 2*pi*j/{n_phi}: "
+                f"sample {k} has phase {float(self.phases[k])!r}"
+            )
+        if high >= n_phi:
+            raise DataError("phase indices fall outside 0..n_phi-1")
+        j.flags.writeable = False
+        return j
 
 
 @dataclass
@@ -240,52 +283,6 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
     )
 
 
-def _phase_chunks(ds: QuadratureDataset):
-    """Walk the samples in chunks of _INDEX_CHUNK, yielding (chunk slice,
-    grid indices j with phi_j = 2 pi j / n_phi) for each, the indices
-    clipped to 0..n_phi-1 so they can index counts.  They go through one
-    reused buffer, so each chunk's are used before the next is asked for.
-
-    After the last chunk the walk verifies that the dataset really is
-    gridded over the full circle.  A phase off the grid is reported by the
-    sample farthest from it over all chunks, the first of equals."""
-    step = 2.0 * math.pi / ds.n_phi
-    t = np.empty(min(ds.N, _INDEX_CHUNK))
-    j = np.empty(t.size, dtype=np.int64)
-    far, k, low, high = 0.0, 0, 0, 0
-    for lo in range(0, ds.N, _INDEX_CHUNK):
-        phases = ds.phases[lo:lo + _INDEX_CHUNK]
-        c, jc = t[:phases.size], j[:phases.size]
-        np.divide(phases, step, out=c)
-        np.rint(c, out=c)
-        jc[...] = c
-        # distance to the grid, |j step - phi|, in the same buffer
-        c *= step
-        c -= phases
-        np.abs(c, out=c)
-        m = int(np.argmax(c))
-        if c[m] > far:
-            far, k = float(c[m]), lo + m
-        low, high = min(low, int(jc.min())), max(high, int(jc.max()))
-        yield slice(lo, lo + phases.size), np.clip(jc, 0, ds.n_phi - 1, out=jc)
-    if far > PHASE_GRID_TOL:
-        raise DataError(
-            f"phases are not on the equispaced grid 2*pi*j/{ds.n_phi}: "
-            f"sample {k} has phase {float(ds.phases[k])!r}"
-        )
-    if low < 0 or high >= ds.n_phi:
-        raise DataError("phase indices fall outside 0..n_phi-1")
-
-
-def _phase_indices(ds: QuadratureDataset) -> np.ndarray:
-    """Grid index j of every sample, with phi_j = 2 pi j / n_phi, after
-    _phase_chunks has verified the grid."""
-    j = np.empty(ds.N, dtype=np.int64)
-    for c, jc in _phase_chunks(ds):
-        j[c] = jc
-    return j
-
-
 def _default_edges(values: np.ndarray, n_bin: int) -> tuple[float, float]:
     amax = max(-float(values.min()), float(values.max()))  # max |x|, no temporary
     if amax == 0.0:
@@ -351,16 +348,19 @@ def _cell_keys(ds: QuadratureDataset, edges: np.ndarray, cells: int):
     bin on edges, and the sample count of each cell, none of which may be
     0.  A cell is the phase index j for cells = n_phi, whatever the block
     labels, and b n_phi + j for block b otherwise.  The keys are int32
-    where every key fits, and are made chunk by chunk on _phase_chunks.
+    where every key fits, and are made chunk by chunk of _INDEX_CHUNK
+    samples from ds.phase_index, cast to their dtype first.
 
     An empty cell is named by its phase index, and its block where cells
     hold blocks: the first in (block, phase) order."""
     n_phi, n_bin = ds.n_phi, edges.size - 1
     key = np.empty(ds.N, np.int32 if n_bin * cells <= np.iinfo(np.int32).max else np.int64)
     counts = np.zeros(cells, dtype=np.int64)
-    for c, cell in _phase_chunks(ds):
+    for lo in range(0, ds.N, _INDEX_CHUNK):
+        c = slice(lo, lo + _INDEX_CHUNK)
+        cell = ds.phase_index[c].astype(key.dtype)
         if cells > n_phi:
-            cell = ds.block[c].astype(np.int64) * n_phi + cell
+            cell += ds.block[c].astype(key.dtype) * n_phi
         counts += np.bincount(cell, minlength=cells)
         key[c] = _bin_index(ds.values[c], edges) * cells + cell
     if not counts.all():
@@ -931,7 +931,8 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     Each tile's rows are made when _binned_sums asks for them, from one
     bincount of its run, widened by one bin on each side for the bin
     correction.  The tiles are _BIN_TILE_ELEMENTS / M bins wide, narrower
-    where their C w count cells would pass _BIN_TILE_CELLS.
+    where their C w count cells, or the 2 (dmax + 1) nblks w doubles of
+    their rows, would pass _BIN_TILE_CELLS.
     """
     nblks, n_phi = ds.nblks, ds.n_phi
     cells = nblks * n_phi
@@ -941,7 +942,8 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     key.sort()
     # the keys of the bins first..stop-1 are key[start[first]:start[stop]]
     start = np.searchsorted(key, np.arange(n_bin + 1, dtype=key.dtype) * cells)
-    width = max(1, min(_BIN_TILE_ELEMENTS // M, _BIN_TILE_CELLS // cells))
+    width = max(1, min(_BIN_TILE_ELEMENTS // M,
+                       _BIN_TILE_CELLS // max(cells, 2 * (dmax + 1) * nblks)))
     dft = _phase_dft_matrix(n_per_phase, dmax)
 
     def rhs(tile):

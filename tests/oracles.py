@@ -426,12 +426,12 @@ def check_close_to_loop(est, ref, N, M):
 
 def bin_whole_array(ds, n_bin, bin_range=None):
     """bin as it was before the chunked walk: whole-array keys
-    j * n_bin + bin index, with j from _phase_indices, and one bincount
-    giving the (n_phi, n_bin) counts."""
-    from hdtomo.reconstruct import Sinogram, _bin_edges, _bin_index, _phase_indices
+    j * n_bin + bin index, with j the dataset's phase_index as int64, and
+    one bincount giving the (n_phi, n_bin) counts."""
+    from hdtomo.reconstruct import Sinogram, _bin_edges, _bin_index
 
     edges = _bin_edges(ds.values, n_bin, bin_range)
-    key = _phase_indices(ds) * n_bin + _bin_index(ds.values, edges)
+    key = ds.phase_index.astype(np.int64) * n_bin + _bin_index(ds.values, edges)
     counts = np.bincount(key, minlength=ds.n_phi * n_bin).reshape(ds.n_phi, n_bin)
     n_per_phase = counts.sum(axis=1)
     assert np.all(n_per_phase > 0)
@@ -517,7 +517,7 @@ def read_samples_by_line(path):
     phase_index column must agree with phase_radians on the grid of n_phi
     phases, and the file must hold at least one sample row.
     """
-    from hdtomo.reconstruct import QuadratureDataset, _phase_indices
+    from hdtomo.reconstruct import QuadratureDataset
 
     with open(path, "r", newline="") as fh:
         lines = fh.read().splitlines()
@@ -562,7 +562,7 @@ def read_samples_by_line(path):
         nblks=nblks if nblks > 1 else None,
     )
     try:
-        expected = _phase_indices(ds)
+        expected = ds.phase_index
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     bad = np.flatnonzero(index != expected)

@@ -1,6 +1,7 @@
 """File-format round trips and command-line pipeline tests."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -113,8 +114,6 @@ def test_samples_writer_matches_cell_by_cell_writer(tmp_path, nblks):
     # phases and blocks interleaved over several write chunks; a phase one
     # ulp off its grid point and -0.0 share a phase index with the grid
     # value but keep their own text
-    from hdtomo.reconstruct import _phase_indices
-
     rng = np.random.default_rng(nblks)
     n_phi, N = 6, 40000
     grid = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -125,7 +124,7 @@ def test_samples_writer_matches_cell_by_cell_writer(tmp_path, nblks):
     formats.write_samples(ours, ds, meta={"seed": 1})
     formats._write_table(cells, "samples", {"seed": 1, "n_phi": n_phi, "nblks": nblks},
                          formats.SAMPLES_HEADER,
-                         [_phase_indices(ds), ds.phases, ds.block, ds.values])
+                         [ds.phase_index, ds.phases, ds.block, ds.values])
     assert ours.read_bytes() == cells.read_bytes()
     assert b"\n0,-0.0," in ours.read_bytes()
 
@@ -584,6 +583,43 @@ def test_cli_symmetrize_fills_the_files_phase_grid(tmp_path, estimator):
         assert np.array_equal(formats.read_matrix(rec / f"{name}.csv")[0], mat), name
 
 
+def _count_phase_index(monkeypatch):
+    """The (n_phi, N) of every dataset whose phase_index gets computed."""
+    calls, walk = [], QuadratureDataset.__dict__["phase_index"].func
+
+    def spy(ds):
+        calls.append((ds.n_phi, ds.N))
+        return walk(ds)
+
+    prop = functools.cached_property(spy)
+    prop.__set_name__(QuadratureDataset, "phase_index")
+    monkeypatch.setattr(QuadratureDataset, "phase_index", prop)
+    return calls
+
+
+def test_cli_indexes_each_dataset_once(tmp_path, monkeypatch):
+    # simulate indexes its dataset for the samples file; reconstruct indexes
+    # the file's dataset in read_samples, and the estimator reads that index
+    calls = _count_phase_index(monkeypatch)
+    sim = _simulated_dir(tmp_path, nblks=2, nsamples=100)
+    assert calls == [(8, 1600)]
+    for estimator in ("binned", "block"):
+        calls.clear()
+        assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+                    "--estimator", estimator, "--out-dir", tmp_path / estimator) == 0
+        assert calls == [(8, 1600)], estimator
+
+
+def test_cli_symmetrize_never_indexes_the_half_circle_dataset(tmp_path, monkeypatch):
+    # the file's dataset and the doubled one are indexed; the half-circle
+    # one in between has phases off its own grid of 8 phases
+    ds = _half_circle_file(tmp_path / "half.csv", 16)
+    calls = _count_phase_index(monkeypatch)
+    assert _run("reconstruct", "--samples", tmp_path / "half.csv", "-M", "6",
+                "--estimator", "binned", "--symmetrize", "--out-dir", tmp_path / "rec") == 0
+    assert calls == [(16, ds.N), (16, 2 * ds.N)]
+
+
 def test_cli_symmetrize_rejects_other_files(tmp_path, capsys):
     _half_circle_file(tmp_path / "odd.csv", 15)
     assert _run("reconstruct", "--samples", tmp_path / "odd.csv", "-M", "6",
@@ -833,6 +869,13 @@ def test_cli_wigner_mismatched_matrices(tmp_path, capsys):
               "--out", tmp_path / "w.csv")
     assert rc == 2
     assert "disagree on size" in capsys.readouterr().err
+
+
+def test_cli_report_mismatched_matrices(tmp_path, capsys):
+    re, _ = _write_rho(tmp_path, np.diag([1.0, 0.0]))
+    _, err = _write_rho(tmp_path, np.zeros((3, 3)), stem="big")
+    assert _run("report", "--rho-re", re, "--err-re", err) == 2
+    assert "matrix files disagree on size: (2, 2) vs (3, 3)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, other", [("wigner", "--rho-im"), ("report", "--err-re")])

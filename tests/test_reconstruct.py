@@ -1,7 +1,11 @@
 """Tests for binning, phase DFT, and the density-matrix estimators."""
 
+import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -220,16 +224,16 @@ def test_bin_rejects_off_grid_phases():
 def test_phase_indices_in_chunks_match_one_pass(monkeypatch):
     # chunks of 3 samples: the indices of one pass, and the sample named for
     # an off-grid phase is the farthest from the grid over every chunk, the
-    # first of equals (samples 4 and 12 share a grid phase), by the indices
-    # alone and by both binned paths, which index on the same walk
+    # first of equals (samples 4 and 12 share a grid phase), by the index
+    # alone and by both binned paths, which read it.  The index is cached,
+    # so every check builds its dataset after the chunk is set.
     n_phi = 8
     cfg = PatternConfig(cutoff=2, beta=1.0)
     j = np.arange(20) % n_phi
     phases = 2.0 * math.pi * j / n_phi
-    ds = QuadratureDataset(phases, np.zeros(20), n_phi=n_phi)
-    assert np.array_equal(reconstruct._phase_indices(ds), j)
+    assert np.array_equal(QuadratureDataset(phases, np.zeros(20), n_phi=n_phi).phase_index, j)
     monkeypatch.setattr(reconstruct, "_INDEX_CHUNK", 3)
-    assert np.array_equal(reconstruct._phase_indices(ds), j)
+    assert np.array_equal(QuadratureDataset(phases, np.zeros(20), n_phi=n_phi).phase_index, j)
     top = 2.0 * math.pi - 1e-12  # grid index n_phi
     cases = [({4: 1e-3, 12: 2e-3}, "sample 12 has phase"),
              ({4: 2e-3, 12: 2e-3}, "sample 4 has phase"),
@@ -240,11 +244,45 @@ def test_phase_indices_in_chunks_match_one_pass(monkeypatch):
         off = phases.copy()
         for k, dphi in moved.items():
             off[k] = top if dphi == top else off[k] + dphi
-        ds = QuadratureDataset(off, np.zeros(20), n_phi=n_phi,
-                               block=np.repeat([0, 1], 10), nblks=2)
-        for run in (reconstruct._phase_indices, lambda d: bin(d, 4),
+        for run in (lambda d: d.phase_index, lambda d: bin(d, 4),
                     lambda d: block_statistics(d, cfg, n_bin=4, max_diag=0)):
+            ds = QuadratureDataset(off, np.zeros(20), n_phi=n_phi,
+                                   block=np.repeat([0, 1], 10), nblks=2)
             with pytest.raises(DataError, match=message):
+                run(ds)
+
+
+def test_phase_index_is_a_read_only_cache_of_the_dataset():
+    j = np.arange(30) % 6
+    ds = QuadratureDataset(2.0 * math.pi * j / 6, np.zeros(30), n_phi=6)
+    assert ds.phase_index is ds.phase_index
+    assert np.array_equal(ds.phase_index, j)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.phase_index[0] = 1
+    # replace builds a new dataset, which indexes its own phases
+    moved = dataclasses.replace(ds, phases=2.0 * math.pi * (5 - j) / 6)
+    assert np.array_equal(moved.phase_index, 5 - j)
+    assert np.array_equal(ds.phase_index, j)
+
+
+@pytest.mark.parametrize("n_phi, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_phase_index_takes_the_smallest_unsigned_dtype(n_phi, dtype):
+    j = np.arange(3 * n_phi) % n_phi
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi, np.zeros(j.size), n_phi=n_phi)
+    assert ds.phase_index.dtype == dtype and np.array_equal(ds.phase_index, j)
+
+
+def test_phase_index_of_the_top_phase_neither_wraps_nor_warns():
+    # 2 pi - 1e-12 rounds to grid index 256, which a uint8 would wrap to 0;
+    # it is reported, with no float -> uint cast warning on the way
+    j = np.arange(512) % 256
+    phases = 2.0 * math.pi * j / 256
+    phases[300] = 2.0 * math.pi - 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda d: d.phase_index, lambda d: bin(d, 4)):
+            ds = QuadratureDataset(phases, np.zeros(512), n_phi=256)
+            with pytest.raises(DataError, match=r"fall outside 0\.\.n_phi-1"):
                 run(ds)
 
 
@@ -263,7 +301,8 @@ def test_bin_matches_the_whole_array_oracle(monkeypatch, chunk):
 
 def test_bin_memory_is_a_few_bytes_per_sample():
     # the int32 keys and bincount's int64 copy of them, 12 bytes per
-    # sample; whole-array int64 phase indices and keys took 32
+    # sample, and the dataset's uint8 phase index, made on this first use;
+    # whole-array int64 phase indices and keys took 32
     N = 2**20
     j = np.arange(N) % 8
     ds = QuadratureDataset(2.0 * math.pi * j / 8,
@@ -510,10 +549,12 @@ def _block_tile_widths(monkeypatch):
 
 
 # 40 bins of an M = 6 band over 4 blocks: tiles of 1 and 2 bins, tiles of 7
-# with a short last one of 5, and 13 tiles of 3, capped by the count cells
-# nblks n_phi w, with a last one of 1
+# with a short last one of 5, and, under a cap of 3 nblks n_phi cells, 13
+# tiles of 3 with a last one of 1, capped by the count cells nblks n_phi w
+# (n_phi = 64, 3 rows), or 20 tiles of 2, capped by the rows'
+# 2 (max_diag + 1) nblks w doubles (n_phi = 11, 6 rows: 48 > 44 per bin)
 _TILE_CASES = {"width 1": (6, None, 1), "width 2": (12, None, 2),
-               "short last": (42, None, 7), "capped": (None, 3, 3)}
+               "short last": (42, None, 7), "capped": (None, 3, {64: 3, 11: 2})}
 
 
 @pytest.mark.parametrize("case", sorted(_TILE_CASES))
@@ -532,7 +573,7 @@ def test_block_tiles_match_the_per_block_oracle(monkeypatch, case, n_phi, max_di
     cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
     est = block_statistics(ds, cfg, n_bin=40, max_diag=max_diag,
                            bin_correction=bin_correction)
-    assert widths == [(40, width)]
+    assert widths == [(40, width[n_phi] if isinstance(width, dict) else width)]
     _check_matches_oracle(est, oracles.block_statistics_per_block(
         ds, cfg, 40, max_diag=max_diag, bin_correction=bin_correction))
 
@@ -575,6 +616,79 @@ def test_block_statistics_memory_follows_the_tile_not_the_bins(monkeypatch, bin_
     finally:
         tracemalloc.stop()
     assert peak < 16 * M * nblks * n_bin / 4
+
+
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_block_tiles_bound_their_rows_as_well_as_their_counts(bin_correction):
+    # a full band of 64 rows over 40 blocks: the rows take 2 * 64 * 40 = 5120
+    # doubles per bin against 2600 count cells, so the tiles are cut by their
+    # rows.  A tile's counts, rows and corrected rows each stay within
+    # 8 _BIN_TILE_CELLS bytes; tiles cut by the counts alone traced 95.5 MB,
+    # and 111.8 MB with the bin correction.
+    M, n_phi, nblks, n_bin = 64, 65, 40, 4000
+    j = np.tile(np.repeat(np.arange(n_phi), 20), nblks)
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi,
+                           np.random.default_rng(4).normal(0.0, 2.0, j.size), n_phi=n_phi,
+                           block=np.repeat(np.arange(nblks), 20 * n_phi), nblks=nblks)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    ds.phase_index  # the dataset's own, made before the trace
+    tracemalloc.start()
+    try:
+        block_statistics(ds, cfg, n_bin=n_bin, bin_correction=bin_correction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * reconstruct._BIN_TILE_CELLS
+
+
+_BLAS_PROBE = """
+import os, time
+import numpy as np
+from hdtomo import reconstruct
+from hdtomo.patterns import PatternConfig, choose_beta
+rng = np.random.default_rng(1)
+M, n_phi, n_bin = 64, 65, 4000
+x = rng.normal(0.0, 2.0, 50000)
+phases = 2.0 * np.pi * rng.integers(0, n_phi, x.size) / n_phi
+cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+R = rng.normal(size=(M, n_bin, 20))
+tiles = reconstruct._bin_tiles(n_bin, reconstruct._BIN_TILE_ELEMENTS // M)
+start = sum(os.times()[:2]), time.perf_counter(), time.thread_time()
+reconstruct._moment_sums(phases, x, cfg, M - 1, want_var=True)
+reconstruct._binned_sums(np.linspace(-8.0, 8.0, n_bin), cfg, M - 1,
+                         ((t, (R[:, t], R[:, t])) for t in tiles))
+cpu, wall, thread = (now - then for now, then in zip(
+    (sum(os.times()[:2]), time.perf_counter(), time.thread_time()), start))
+print(cpu / wall, cpu / thread)
+"""
+
+
+def _blas_name():
+    """The name of numpy's BLAS library, or None where numpy cannot say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return None
+
+
+def test_sums_keep_their_products_on_the_calling_thread():
+    # products of at most _PRODUCT multiply-adds stay on the calling thread
+    # in OpenBLAS, even with 2 BLAS threads allowed; a threaded product wakes
+    # a helper thread that spins between calls, so the process's CPU time
+    # passes its wall time (1.2-1.8 times with _PRODUCT = 2^22) and the
+    # calling thread's CPU time (1.7-1.9 times; this ratio does not fall
+    # when other processes load the second CPU)
+    if "openblas" not in (_blas_name() or "").lower():
+        pytest.skip(f"numpy's BLAS is {_blas_name()}, not OpenBLAS")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("a second BLAS thread needs a second CPU")
+    src = os.path.dirname(os.path.dirname(reconstruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    per_wall, per_thread = map(float, out.split())
+    assert per_wall <= 1.25 and per_thread <= 1.25, out
 
 
 def test_binned_sums_keep_the_kernel_values():
