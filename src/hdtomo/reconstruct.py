@@ -21,20 +21,32 @@ of the state for q != 0; alias_free_max_diag is the band this leaves
 clean (all of it for an odd n_phi >= M).  Every estimator records it in
 its meta and warns with PhaseAliasingWarning when its band goes past it.
 
+Pattern tables, in both the binned and the unbinned sums, are built for
+slabs of columns (bin centres or sorted samples) at a time, never for
+all of them: max(2048, 5e5 / (M + 2)) columns, so each table array
+holds about 5e5 doubles (4 MB) whatever M and the data's size are.  The
+floor of 2048 columns keeps the builds few: the backward recurrence
+runs 4M numpy steps per build, whatever its width.  build_table and
+kernel_factors act on each column on its own, so the slabs change no
+bit of the binned sums.
+
+phase_dft takes the real FFT of the sinogram a tile of bins at a time
+and writes it, with its conjugate mirror, straight into the spectrum.
 The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M, and
 the block estimator in narrower ones where its counts or its rows would
-pass _BIN_TILE_CELLS.  Per tile, the kernel rows of every diagonal are
-formed from one set of kernel factors while they are in cache and
-contracted at once against the tile's right-hand sides, which the
-estimator hands over once per tile for every diagonal: spectrum rows
-(estimate_binned) or every block's rows (block_statistics).  Each
-diagonal's product with them goes in blocks of rows of at most 2^18
-multiply-adds, for the reason given for the unbinned sums below.  The
-sums over bins add tile by tile.  The bin correction, f - delta^2 f / 24
-in place of the kernel f at the bin centres, is linear in f, so
-summation by parts moves it onto the data: the estimators correct their
-spectra (_bin_corrected), a tile at a time with one halo bin from each
-neighbour in the block estimator, and the tiles form plain kernel rows.
+pass _BIN_TILE_CELLS.  A slab of bins is a whole number of tiles, at
+least one.  Per tile, the kernel rows of every diagonal are formed from
+the slab's kernel factors while they are in cache and contracted at
+once against the tile's right-hand sides, which the estimator hands over
+once per tile for every diagonal: spectrum rows (estimate_binned) or
+every block's rows (block_statistics).  Each diagonal's product with
+them goes in blocks of rows of at most 2^18 multiply-adds, for the
+reason given for the unbinned sums below.  The sums over bins add tile
+by tile.  The bin correction, f - delta^2 f / 24 in place of the kernel
+f at the bin centres, is linear in f, so summation by parts moves it
+onto the data: the estimators correct the spectrum rows they read
+(_bin_corrected) a tile at a time, with one halo bin from each
+neighbour, and the tiles form plain kernel rows.
 
 The unbinned sums are real matrix products, one set per distinct phase.
 The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
@@ -47,15 +59,14 @@ variance sums follow from (Re F)^2 = f^2 (1 + cos 2(m-n)phi)/2 and
 f^2 = A^2 v^2 + u^2 v~^2 - 2 A u v v~ is three more real products.  Rows
 n go in tiles of 64, each against columns m >= n0 only, with the u side
 scaled down and the v side up by one exact power of two per sample so the
-squares stay inside the double range up to M ~ 1000.  Pattern tables are
-built for slabs of 2e6 / (M + 2) sorted samples, so each table array
-holds 2e6 doubles whatever M is, and the products run on chunks of at
-most 65536 / M and 512 samples of one phase, whose operands take a few
-MB.  Each product is split into blocks of the band of at most 2^18
-multiply-adds, a size OpenBLAS runs on the calling thread: at these
-sizes a second BLAS thread gains nothing and spins between calls, and
-each threaded call waits for it whenever the other core is busy, so the
-time would follow the machine's load.  Each distinct phase in a slab costs a few passes over every tile, so the sums
+squares stay inside the double range up to M ~ 1000.  The products run
+on chunks of at most 65536 / M and 512 samples of one phase of a slab,
+whose operands take a few MB.  Each product is split into blocks of the
+band of at most 2^18 multiply-adds, a size OpenBLAS runs on the calling
+thread: at these sizes a second BLAS thread gains nothing and spins
+between calls, and each threaded call waits for it whenever the other
+core is busy, so the time would follow the machine's load.  Each
+distinct phase in a slab costs a few passes over every tile, so the sums
 take longer per sample the fewer samples share a phase.  The expanded
 f^2 and the long sums leave a rounding residue where a variance is
 exactly 0; a variance numerator at or below the rounding bound of its
@@ -105,12 +116,15 @@ from .patterns import PatternConfig, build_table, kernel_factors
 
 PHASE_GRID_TOL = 1e-8
 
-# Unbinned sums (_moment_sums): rows n per tile, pattern table entries
-# built at a time, factor entries and samples contracted at a time at
-# most, rows per product block, and multiply-adds per matrix product at
-# most (in the binned sums too).
+# Pattern tables (_slab_columns): entries built at a time in both the
+# unbinned and the binned sums, and columns at least, below which the
+# 4M steps of the backward recurrence per build start to cost time.
+_SLAB_ELEMENTS = 500_000
+_SLAB_MIN_COLUMNS = 2048
+# Unbinned sums (_moment_sums): rows n per tile, factor entries and
+# samples contracted at a time at most, rows per product block, and
+# multiply-adds per matrix product at most (in the binned sums too).
 _TILE = 64
-_SLAB_ELEMENTS = 2_000_000
 _CHUNK_ELEMENTS = 65_536
 _CHUNK = 512
 _BLOCK = 16
@@ -397,27 +411,39 @@ def _half_spectrum(freq: np.ndarray, n_phi: int, axis: int = 0) -> np.ndarray:
     return half
 
 
-def _mirror_rows(half: np.ndarray, n_phi: int, dmax: int) -> np.ndarray:
+def _mirror_rows(half: np.ndarray, n_phi: int, dmax: int, out=None) -> np.ndarray:
     """Rows 0..dmax of the full DFT, built from the real-input half
-    spectrum (rows along the first axis) so conjugate symmetry is exact."""
+    spectrum (rows along the first axis) so conjugate symmetry is exact:
+    row 0, and the Nyquist row of an even n_phi, are made real in half.
+    The rows go into out where it is given; otherwise they are a view of
+    half where it holds them all, else a new array."""
     nused = half.shape[0]
     half[0] = half[0].real
     if n_phi % 2 == 0:
         half[-1] = half[-1].real
-    if dmax < nused:
-        return half[:dmax + 1]
-    out = np.empty((dmax + 1,) + half.shape[1:], dtype=np.complex128)
-    out[:nused] = half
+    if out is None:
+        if dmax < nused:
+            return half[:dmax + 1]
+        out = np.empty((dmax + 1,) + half.shape[1:], dtype=np.complex128)
+    out[:nused] = half[:dmax + 1]
     mirror = n_phi - np.arange(nused, dmax + 1)
     np.conjugate(half[mirror], out=out[nused:])
     return out
 
 
 def phase_dft(s: Sinogram) -> PhaseSpectrum:
-    """Full complex spectrum of the sinogram along the phase axis."""
-    shat = _mirror_rows(_half_spectrum(s.freq, s.n_phi), s.n_phi, s.n_phi - 1)
+    """Full complex spectrum of the sinogram along the phase axis.
+
+    The bins go in tiles of _BIN_TILE_ELEMENTS / n_phi, and the real FFT
+    of each tile goes with its conjugate mirror straight into the
+    spectrum, so no whole half spectrum is held."""
+    n_phi = s.n_phi
+    shat = np.empty((n_phi, s.n_bin), dtype=np.complex128)
+    for tile in _bin_tiles(s.n_bin, max(1, _BIN_TILE_ELEMENTS // n_phi)):
+        _mirror_rows(_half_spectrum(s.freq[:, tile], n_phi), n_phi, n_phi - 1,
+                     out=shat[:, tile])
     return PhaseSpectrum(
-        n_phi=s.n_phi, n_bin=s.n_bin, shat=shat,
+        n_phi=n_phi, n_bin=s.n_bin, shat=shat,
         bin_centers=s.bin_centers, n_per_phase=s.n_per_phase,
     )
 
@@ -498,6 +524,12 @@ def _bin_tiles(n_bin: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + width, n_bin)) for lo in range(0, n_bin, width)]
 
 
+def _slab_columns(M: int) -> int:
+    """Columns of one pattern table slab: _SLAB_ELEMENTS over the M + 2
+    rows of a table array, and never fewer than _SLAB_MIN_COLUMNS."""
+    return max(_SLAB_MIN_COLUMNS, _SLAB_ELEMENTS // (M + 2))
+
+
 def _binned_sums(centers, cfg: PatternConfig, dmax: int, tiles):
     """Sums over the bins i of f_{n,n+d}(centers[i]) R1[d, i, :], and of
     f_{n,n+d}(centers[i])^2 R2[d, i, :], along the band (n, n + d),
@@ -508,27 +540,38 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, tiles):
     a (dmax + 1, w, k) float64 array.  Returns one (len(band), k) array
     per right-hand side.
 
-    The kernel f_{n,n+d} = A_n V_{n+d} - U_n W_{n+d} comes from one set of
-    kernel factors.  Each tile copies its factor columns once, then forms
-    the rows of every diagonal in reused contiguous buffers while they are
-    in cache, so no (M - d) x n_bin row block is ever held.  Every factor
-    entry enters the rows d = 0, so their finiteness is checked on those,
-    tile by tile.  The rows are the plain kernel values; a bin correction
-    reaches the sums through right-hand sides passed through _bin_corrected.
+    The kernel f_{n,n+d} = A_n V_{n+d} - U_n W_{n+d} comes from kernel
+    factors built for a slab of bins at a time: _slab_columns(M) bins,
+    rounded down to whole tiles of the width of the tile that opens the
+    slab, and never less than that tile.  When a tile leaves the slab,
+    the slab's factors are dropped and the next slab's built from that
+    tile on.  build_table and kernel_factors act on each column on its
+    own, so the slabs give the bits of one whole table.  Each tile copies
+    its factor columns once, then forms the rows of every diagonal in
+    reused contiguous buffers while they are in cache, so no
+    (M - d) x n_bin row block is ever held.  Every factor entry enters the
+    rows d = 0, so their finiteness is checked on those, tile by tile.
+    The rows are the plain kernel values; a bin correction reaches the
+    sums through right-hand sides passed through _bin_corrected.
     Each product goes in blocks of rows of at most _PRODUCT multiply-adds,
     which OpenBLAS runs on the calling thread.
     """
     M = cfg.cutoff
-    factors = kernel_factors(build_table(centers, cfg))
     n_band = (dmax + 1) * M - dmax * (dmax + 1) // 2
     sums, buffers = None, np.empty((6, 0))
+    factors, slab = None, slice(0, 0)
     for tile, R in tiles:
         w = tile.stop - tile.start
+        if tile.start < slab.start or tile.stop > slab.stop:
+            factors = None  # before the next slab's are built
+            span = max(w, _slab_columns(M) // w * w)
+            slab = slice(tile.start, min(tile.start + span, centers.size))
+            factors = kernel_factors(build_table(centers[slab], cfg))
         if buffers.shape[1] < M * w:
             buffers = np.empty((6, M * w))
         A, U, V, W = (t[:M * w].reshape(M, w) for t in buffers[:4])
         for t, full in zip((A, U, V, W), factors):
-            t[...] = full[:, tile]
+            t[...] = full[:, tile.start - slab.start:tile.stop - slab.start]
         if sums is None:
             sums = [np.zeros((n_band, Rp.shape[2])) for Rp in R]
         rows = max(1, _PRODUCT // (w * max(Rp.shape[2] for Rp in R)))
@@ -604,24 +647,30 @@ def estimate_binned(
     acquisition); with mild imbalance the bars are approximate.
 
     bin_correction takes the O(h^2) midpoint bias of the bin width h out
-    of both sums by evaluating them against a corrected copy of the
-    spectrum (_bin_corrected): the mean gets f - delta^2 f / 24 and the
-    second moment f^2 - delta^2(f^2) / 24.
+    of both sums by evaluating them against a corrected spectrum
+    (_bin_corrected): the mean gets f - delta^2 f / 24 and the second
+    moment f^2 - delta^2(f^2) / 24.  Each bin tile corrects only the rows
+    it reads, 0..max_diag and 2d, with one halo bin from each neighbour.
     """
     M = cfg.cutoff
     dmax, band, alias_free = _diagonals(M, max_diag, spec.n_phi)
-    N = int(spec.n_per_phase.sum())
-    shat = _bin_corrected(spec.shat) if bin_correction else spec.shat
+    N, n_bin = int(spec.n_per_phase.sum()), spec.bin_centers.size
     twice = 2 * np.arange(dmax + 1) % spec.n_phi
 
     def rhs(tile):
         # row d as (re, im) columns against f; rows 0 and 2d against f^2
-        s0, s2d = shat[0, tile].real, shat[twice, tile].real
-        rows = np.ascontiguousarray(shat[:dmax + 1, tile], dtype=np.complex128)
+        near = tile
+        if bin_correction:  # with a halo bin from each neighbouring tile
+            near = slice(max(tile.start - 1, 0), min(tile.stop + 1, n_bin))
+        rows, doubled = spec.shat[:dmax + 1, near], spec.shat[twice, near]
+        if bin_correction:
+            rows, doubled = (_bin_corrected(r, tile, n_bin) for r in (rows, doubled))
+        s0, s2d = rows[0].real, doubled.real
+        rows = np.ascontiguousarray(rows, dtype=np.complex128)
         return tile, (rows.view(np.float64).reshape(dmax + 1, -1, 2),
                       np.stack((s0 + s2d, s0 - s2d), axis=2))
 
-    tiles = _bin_tiles(spec.bin_centers.size, max(1, _BIN_TILE_ELEMENTS // M))
+    tiles = _bin_tiles(n_bin, max(1, _BIN_TILE_ELEMENTS // M))
     sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, map(rhs, tiles))
     (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
     denom = max(N - 1, 1)  # a single sample gives a zero numerator too
@@ -713,12 +762,13 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     docstring.
 
     The samples are sorted by phase, so each distinct phase is one run.
-    Pattern tables are built for slabs of _SLAB_ELEMENTS / (M + 2) sorted
-    samples.  Per slab, rows n go in tiles of _TILE, each against the
-    columns n0 <= m < n1 + dmax only, and each phase's run is contracted
-    in chunks of at most _CHUNK_ELEMENTS / M and _CHUNK samples
-    (_add_chunk) into the real phase sums T = sum f and H = sum f^2.  At the end of the run the
-    tile's accumulators get the phase's factor Z = E_n conj(E_m), with
+    Pattern tables are built for slabs of _slab_columns(M) sorted
+    samples, and a slab's are dropped before the next slab's are built.
+    Per slab, rows n go in tiles of _TILE, each against the columns
+    n0 <= m < n1 + dmax only, and each phase's run is contracted in chunks
+    of at most _CHUNK_ELEMENTS / M and _CHUNK samples (_add_chunk) into
+    the real phase sums T = sum f and H = sum f^2.  At the end of the run
+    the tile's accumulators get the phase's factor Z = E_n conj(E_m), with
     E_n = e^{i n phi}, once: sum F gets Z T, sum f^2 gets H and the
     cosine sum gets Re(Z^2) H = H cos 2(m-n) phi.  Then sum (Re F)^2 and
     sum (Im F)^2 are (sum f^2 +- cosine sum) / 2.  Before squaring, a
@@ -758,7 +808,7 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     # sum f^2, its cosine sum, the magnitude sum; then the bound of sums
     sq = np.zeros((4, M, M)) if want_var else None
     tile = min(_TILE, M)
-    slab = max(256, _SLAB_ELEMENTS // (M + 2))
+    slab = _slab_columns(M)
     chunk = min(_CHUNK, max(64, _CHUNK_ELEMENTS // M))
     order = np.argsort(phases, kind="stable")
     phases, values = phases[order], values[order]
@@ -804,6 +854,7 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
                         sq[0][blk] += phase_sums[1]
                         phase_sums[1] *= np.multiply(zj, zj, out=zj).real
                         sq[1][blk] += phase_sums[1]
+        del factors, rows  # before the next slab's are built
     n, m = _band(M, dmax)
     sums = sums[n, m]
     if want_var:

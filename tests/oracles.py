@@ -6,10 +6,11 @@ uses transforms or matrix products.  The estimator loops and
 biorthogonality_defect use hdtomo's pattern tables, to check what the
 library builds on them; the loops write the kernel rows out themselves
 (kernel_rows) rather than calling the library's kernel.  marginals_whole,
-sample_by_phase, bin_whole_array, midpoint_corrected,
-wigner_polar_per_radius, cartesian_resample_scipy and the read_*_by_line
-readers are the library's earlier code, kept to show that what replaced
-them gives the same results.
+sample_by_phase, bin_whole_array, phase_dft_whole_array,
+binned_sums_whole_table, estimate_binned_whole_correction,
+midpoint_corrected, wigner_polar_per_radius, cartesian_resample_scipy
+and the read_*_by_line readers are the library's earlier code, kept to
+show that what replaced them gives the same results.
 """
 
 import math
@@ -140,6 +141,24 @@ def dft_direct(S: np.ndarray) -> np.ndarray:
     out = np.empty((n_phi, S.shape[1]), dtype=np.complex128)
     for d in range(n_phi):
         out[d] = np.exp(-2j * math.pi * j * d / n_phi) @ S / n_phi
+    return out
+
+
+def phase_dft_whole_array(s):
+    """phase_dft's spectrum as it was before the bin tiles: the real FFT of
+    the whole sinogram along its phase axis, divided by n_phi, with row 0
+    and the Nyquist row of an even n_phi made real, then each row d past
+    the half spectrum as the conjugate of row n_phi - d."""
+    n_phi = s.n_phi
+    half = np.fft.rfft(s.freq, axis=0)
+    half /= n_phi
+    half[0] = half[0].real
+    if n_phi % 2 == 0:
+        half[-1] = half[-1].real
+    nused = half.shape[0]
+    out = np.empty((n_phi, s.n_bin), dtype=np.complex128)
+    out[:nused] = half[:n_phi]
+    np.conjugate(half[n_phi - np.arange(nused, n_phi)], out=out[nused:])
     return out
 
 
@@ -438,6 +457,61 @@ def bin_whole_array(ds, n_bin, bin_range=None):
     return Sinogram(n_phi=ds.n_phi, n_bin=n_bin, freq=counts / n_per_phase[:, None],
                     bin_edges=edges, bin_centers=0.5 * (edges[:-1] + edges[1:]),
                     n_per_phase=n_per_phase)
+
+
+def binned_sums_whole_table(centers, cfg, dmax, tiles):
+    """reconstruct._binned_sums as it was before the slabs: one pattern
+    table and one set of kernel factors over every bin centre, from which
+    each tile copies its columns; the tiles, their rows and their product
+    blocks are the library's."""
+    from hdtomo import reconstruct
+    from hdtomo.patterns import build_table, kernel_factors
+
+    M = cfg.cutoff
+    factors = kernel_factors(build_table(centers, cfg))
+    n_band = (dmax + 1) * M - dmax * (dmax + 1) // 2
+    sums, buffers = None, np.empty((6, 0))
+    for tile, R in tiles:
+        w = tile.stop - tile.start
+        if buffers.shape[1] < M * w:
+            buffers = np.empty((6, M * w))
+        A, U, V, W = (t[:M * w].reshape(M, w) for t in buffers[:4])
+        for t, full in zip((A, U, V, W), factors):
+            t[...] = full[:, tile]
+        if sums is None:
+            sums = [np.zeros((n_band, Rp.shape[2])) for Rp in R]
+        rows = max(1, reconstruct._PRODUCT // (w * max(Rp.shape[2] for Rp in R)))
+        off = 0
+        for d in range(dmax + 1):
+            r = M - d
+            f, p = (b[:r * w].reshape(r, w) for b in buffers[4:])
+            np.multiply(A[:r], V[d:], out=f)
+            np.multiply(U[:r], W[d:], out=p)
+            f -= p
+            assert d > 0 or np.all(np.isfinite(f))
+            if len(R) == 2:
+                np.multiply(f, f, out=p)
+            for a in range(0, r, rows):
+                b = min(a + rows, r)
+                sums[0][off + a:off + b] += f[a:b] @ R[0][d]
+                if len(R) == 2:
+                    sums[1][off + a:off + b] += p[a:b] @ R[1][d]
+            off += r
+    return sums
+
+
+def estimate_binned_whole_correction(spec, cfg, max_diag=None):
+    """estimate_binned with the bin correction as it was before the tiles
+    corrected their own rows: the whole spectrum, every row and bin,
+    corrected in one call, then the uncorrected estimator on it."""
+    import dataclasses
+
+    from hdtomo import reconstruct
+
+    whole = dataclasses.replace(spec, shat=reconstruct._bin_corrected(spec.shat))
+    est = reconstruct.estimate_binned(whole, cfg, max_diag=max_diag)
+    est.meta["bin_correction"] = True
+    return est
 
 
 def block_statistics_per_block(ds, cfg, n_bin, bin_range=None, max_diag=None,

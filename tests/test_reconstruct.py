@@ -399,6 +399,21 @@ def test_phase_dft_conjugate_symmetry_exact():
             assert np.all(spec.shat[n_phi // 2].imag == 0.0)
 
 
+@pytest.mark.parametrize("n_phi", [1, 2, 7, 8])
+@pytest.mark.parametrize("width", [1, 3, None])
+def test_phase_dft_by_tile_matches_the_whole_array_oracle(monkeypatch, n_phi, width):
+    # 10 bins in tiles of 1 or 3 (a short last tile of 1) or in one tile:
+    # the same bits as one real FFT of the whole sinogram and its mirror
+    if width is not None:
+        monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", width * n_phi)
+    freq = np.random.default_rng(n_phi).random((n_phi, 10))
+    sino = _sinogram_from_freq(freq / freq.sum(axis=1, keepdims=True))
+    shat = phase_dft(sino).shat
+    ref = oracles.phase_dft_whole_array(sino)
+    assert shat.shape == ref.shape and np.array_equal(shat, ref)
+    assert np.array_equal(np.signbit(shat.view(np.float64)), np.signbit(ref.view(np.float64)))
+
+
 # ---------------------------------------------------------------------------
 # estimate_binned
 
@@ -521,6 +536,26 @@ def test_binned_sums_in_row_blocks_match_the_oracles(monkeypatch, product):
         ds, cfg, 120, bin_correction=True))
 
 
+def _same_estimates(a, b):
+    for x, y in ((a.rho, b.rho), (a.err_re, b.err_re), (a.err_im, b.err_im)):
+        assert np.array_equal(x, y)
+    assert a.meta == b.meta
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+@pytest.mark.parametrize("max_diag", [None, 2])
+def test_binned_bin_correction_by_tile_matches_the_whole_grid(monkeypatch, width, max_diag):
+    # 40 bins in tiles of 1, 2 or 3 bins (the last of 1) or of 7 (the last
+    # of 5); on 11 phases, rows 2d pass max_diag and wrap past n_phi
+    M = 6
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", width * M)
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    spec = phase_dft(bin(ds, n_bin=40))
+    _same_estimates(estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=True),
+                    oracles.estimate_binned_whole_correction(spec, cfg, max_diag=max_diag))
+
+
 @pytest.mark.parametrize("chunk", [7, 53])
 def test_block_keys_in_chunks_match_one_chunk(monkeypatch, chunk):
     # 1200 samples in chunks of 7 or 53, fewer and more than the
@@ -641,6 +676,49 @@ def test_block_tiles_bound_their_rows_as_well_as_their_counts(bin_correction):
     assert peak < 5 * 8 * reconstruct._BIN_TILE_CELLS
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def m128_data():
+    """A dataset and its spectrum of the unbinned-m128 benchmark's shape:
+    M = 128 on 128 phases, 64000 samples and 20000 bins."""
+    M, n_phi = 128, 128
+    j = np.tile(np.arange(n_phi), 500)
+    x = np.random.default_rng(6).normal(0.0, 1.0, j.size)
+    x += 3.0 * np.cos(2.0 * math.pi * j / n_phi)
+    ds = QuadratureDataset(2.0 * math.pi * j / n_phi, x, n_phi=n_phi)
+    return ds, phase_dft(bin(ds, 20_000)), PatternConfig(cutoff=M, beta=choose_beta(x))
+
+
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_binned_memory_follows_the_slab_not_the_bins(m128_data, bin_correction):
+    # the whole (M + 2) x 20000 pattern table, four arrays of 20.8 MB,
+    # traced 104 MB with its kernel factors (145 MB with the spectrum's
+    # whole-grid bin correction); the slabs of 3584 bins trace 28 MB
+    ds, spec, cfg = m128_data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhaseAliasingWarning)
+        peak = _traced_peak(lambda: estimate_binned(spec, cfg, bin_correction=bin_correction))
+    assert peak < 4 * 8 * (cfg.cutoff + 2) * spec.n_bin
+
+
+def test_unbinned_memory_follows_the_slab_not_the_samples(m128_data):
+    # one pattern table of a 2e6-element slab, four arrays of 16 MB: slabs
+    # of 2e6 / (M + 2) samples traced 151 MB; slabs of 3846 trace 27 MB
+    ds, _, cfg = m128_data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhaseAliasingWarning)
+        peak = _traced_peak(lambda: estimate_unbinned(ds, cfg))
+    assert peak < 4 * 8 * 2_000_000
+
+
 _BLAS_PROBE = """
 import os, time
 import numpy as np
@@ -706,6 +784,69 @@ def test_binned_sums_keep_the_kernel_values():
     rows = np.concatenate([oracles.kernel_rows(table, d) for d in range(dmax + 1)])
     assert np.array_equal(got, rows)
     assert np.array_equal(got2, rows * rows)
+
+
+def _slabs(monkeypatch, columns):
+    """Set the pattern table slabs to `columns` columns whatever M is, and
+    record the column count of every build_table call."""
+    monkeypatch.setattr(reconstruct, "_SLAB_ELEMENTS", 0)
+    monkeypatch.setattr(reconstruct, "_SLAB_MIN_COLUMNS", columns)
+    builds, build = [], reconstruct.build_table
+
+    def spy(x, cfg):
+        builds.append(np.size(x))
+        return build(x, cfg)
+
+    monkeypatch.setattr(reconstruct, "build_table", spy)
+    return builds
+
+
+# (tile width, slab columns, column count of every slab) over 120 bins:
+# slabs of one tile; 30 columns rounded down to 4 tiles of 7, with a short
+# last slab of one 7-bin tile and the 1-bin tile; 50 columns rounded down
+# to 4 tiles of 12, with a short last slab of 2 tiles; one whole slab
+_SLAB_CASES = {"one tile": (7, 1, [7] * 17 + [1]),
+               "7 into 30": (7, 30, [28] * 4 + [8]),
+               "12 into 50": (12, 50, [48, 48, 24]),
+               "whole": (7, 2048, [120])}
+
+
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+@pytest.mark.parametrize("dmax", [9, 2])
+def test_binned_sums_by_slab_match_one_whole_table(monkeypatch, case, dmax):
+    width, columns, slabs = _SLAB_CASES[case]
+    M, n_bin = 10, 120
+    centers = np.linspace(-5.0, 5.0, n_bin)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(centers))
+    rng = np.random.default_rng(width)
+    R1, R2 = rng.normal(size=(2, dmax + 1, n_bin, 3))
+    tiles = reconstruct._bin_tiles(n_bin, width)
+    ref = oracles.binned_sums_whole_table(centers, cfg, dmax,
+                                          ((t, (R1[:, t], R2[:, t])) for t in tiles))
+    builds = _slabs(monkeypatch, columns)
+    got = reconstruct._binned_sums(centers, cfg, dmax,
+                                   ((t, (R1[:, t], R2[:, t])) for t in tiles))
+    assert builds == slabs
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_binned_estimators_by_slab_match_one_whole_table(monkeypatch, bin_correction):
+    # at the defaults one slab holds all 120 bins; slabs of 3 tiles of 7
+    # bins change no bit of either binned estimator
+    M = 10
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", 7 * M)
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    spec = phase_dft(bin(ds, n_bin=120))
+    runs = (lambda: estimate_binned(spec, cfg, bin_correction=bin_correction),
+            lambda: block_statistics(ds, cfg, n_bin=120, bin_correction=bin_correction))
+    whole = [run() for run in runs]
+    builds = _slabs(monkeypatch, 21)
+    for run, ref in zip(runs, whole):
+        _same_estimates(run(), ref)
+    assert builds == 2 * ([21] * 5 + [15])
 
 
 @pytest.mark.parametrize("n_bin", [1, 2, 3, 4, 120])
@@ -863,6 +1004,21 @@ def test_unbinned_product_blocks_match_loop_oracle(monkeypatch, max_diag):
         sub = QuadratureDataset(ds.phases[pick], ds.values[pick], n_phi=M)
         means.append(oracles.estimate_unbinned_loop(sub, cfg, max_diag=max_diag)[0])
     np.testing.assert_allclose(est.rho, np.mean(means, axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("columns", [1, 37, 1000])
+def test_unbinned_slabs_that_cut_phase_runs_match_loop_oracle(monkeypatch, columns):
+    # 9 phases of 60 samples each in slabs of 1 or 37 sorted samples, so
+    # slab edges cut the phases' runs, or in one slab
+    M = 8
+    ds = _simulate("coherent", 0.6 + 0.3j, M, nsamples=60, n_phi=9, seed=31)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+    ref = oracles.estimate_unbinned_loop(ds, cfg)
+    builds = _slabs(monkeypatch, columns)
+    est = estimate_unbinned(ds, cfg)
+    assert builds == [columns] * (ds.N // columns) + [ds.N % columns] * (ds.N % columns > 0)
+    oracles.check_close_to_loop(est, ref, ds.N, M)
+    _check_resolved(est, ref, rel_rho=1e-10, rel_err=1e-12)
 
 
 @pytest.mark.parametrize("M, x_max", [(800, 26.0), (1024, 27.0)])
