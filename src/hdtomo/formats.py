@@ -12,11 +12,17 @@ metadata line, blank lines and lines starting with '#' are rows, and so
 rejected.  read_samples parses a file of printable ASCII and LF line ends
 straight from the file, without holding its text or a list of its lines,
 and walks the lines only to name a bad one.  The samples files carry the
-phase grid index of each row: write_samples writes the dataset's
-phase_index, and read_samples checks the column against the phase_index
-of the dataset it reads, which so comes back indexed.  Complex matrices
-are stored as separate real and imaginary files.  Reports are small JSON
-documents.
+phase grid index of each row.  write_samples writes the dataset's
+phase_index, and the phase column of a dataset that derives its phases
+is derived a chunk of rows at a time.  read_samples hands the file's
+index column to the dataset it returns, in place of the phases, when the
+phase column is the grid phase of its index bit for bit, as write_samples
+writes every gridded dataset: that dataset derives its phases and is never
+walked.  Any other phase column is kept as explicit phases, and the index
+column is checked against the phase_index walked from them.  The block
+labels come back in uint16, as simulate.sample makes them, or wider where
+nblks - 1 needs it.  Complex matrices are stored as separate real and
+imaginary files.  Reports are small JSON documents.
 """
 
 from __future__ import annotations
@@ -127,12 +133,19 @@ def _write_table(path, kind, meta, header, columns, rows=_cell_rows):
             fh.write("\n".join(rows([col[a:a + step] for col in columns])) + "\n")
 
 
-def _sample_rows(columns):
+def _sample_rows(columns, n_phi=None):
     """Row strings of a samples chunk, as _cell_rows gives them.  Phase
     index, phase and block take few distinct values, so their text is made
     once per distinct (phase, block) pair of the chunk; the phase's bits
-    fix its index, and keep -0.0 apart from 0.0."""
+    fix its index, and keep -0.0 apart from 0.0.  Where n_phi is given, the
+    phase column holds the phase index, and the chunk's phases are derived
+    from it as the dataset derives them."""
     index, phases, block, values = columns
+    if n_phi is not None:
+        from .reconstruct import _grid_phases
+
+        phases = _grid_phases(phases, n_phi)
+    block = block.astype(np.int64, copy=False)
     _, phase_key = np.unique(phases.view(np.int64), return_inverse=True)
     _, first, key = np.unique(phase_key * (int(block.max()) + 1) + block,
                               return_index=True, return_inverse=True)
@@ -240,13 +253,17 @@ def _parse_rows(path, rows, first_line, ncols, ints, count=None):
 
 def write_samples(path, ds, meta: dict | None = None):
     """Samples CSV: one row per measurement, gridded phases required; the
-    phase_index column is ds.phase_index."""
+    phase_index column is ds.phase_index.  Derived phases are derived a
+    chunk at a time, never for the whole dataset."""
     header = dict(meta or {})
     header["n_phi"] = ds.n_phi
     header["nblks"] = ds.nblks
+    # a derived phase column goes as the index, mapped chunk by chunk
+    derived = ds.phases_derived
+    phases = ds.phase_index if derived else ds.phases
     _write_table(path, "samples", header, SAMPLES_HEADER,
-                 [ds.phase_index, ds.phases, ds.block.astype(np.int64, copy=False), ds.values],
-                 rows=_sample_rows)
+                 [ds.phase_index, phases, ds.block, ds.values],
+                 rows=functools.partial(_sample_rows, n_phi=ds.n_phi if derived else None))
 
 
 def read_samples(path):
@@ -255,10 +272,15 @@ def read_samples(path):
     The metadata counts n_phi and nblks must be at least 1, the
     phase_index column must agree with phase_radians on the grid of n_phi
     phases, every block label (kept also for nblks=1) must lie in
-    0..nblks-1, and the file must hold at least one sample row.  The
-    dataset's phase_index is made by that check.
+    0..nblks-1, and the file must hold at least one sample row.
+
+    When every phase is phase_grid(n_phi)[phase_index] bit for bit, checked
+    a chunk at a time, the dataset takes the index column in place of the
+    phases and derives them.  Otherwise it keeps the phases, and its
+    phase_index is made by the check against the column.  Labels in
+    0..nblks-1 are kept in uint16, or wider where nblks - 1 needs it.
     """
-    from .reconstruct import QuadratureDataset
+    from .reconstruct import QuadratureDataset, _on_grid
 
     count = _plain_line_count(path)
     with open(path, "r", newline="") as fh:
@@ -275,6 +297,10 @@ def read_samples(path):
             raise DataError(f"{path}: no sample rows after the column header")
         index, phases, block, values = _parse_rows(
             path, rows, 3, 4, {0: "phase_index", 2: "block"}, count - 2)
+    if 0 <= block.min() and block.max() < nblks:  # else the dataset's check names them
+        block = block.astype(np.promote_types(np.uint16, np.min_scalar_type(nblks - 1)))
+    if _on_grid(index, phases, n_phi):
+        return QuadratureDataset(None, values, n_phi, block, nblks, phase_index=index), meta
     ds = QuadratureDataset(phases=phases, values=values, n_phi=n_phi,
                            block=block, nblks=nblks)
     try:

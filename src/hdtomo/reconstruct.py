@@ -53,7 +53,11 @@ The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
 A_n = 2x u_n - u~_{n+1}, so over the samples k of one phase,
 sum_k f = A V^T - U V~^T.  Every sample of a phase shares its factor
 e^{-i(m-n)phi} = E_n conj(E_m), E_n = e^{i n phi}, so the samples are
-sorted by phase and each phase's real sum gets its factor once.  The
+sorted by phase and each phase's real sum gets its factor once.  They are
+sorted by an integer key per sample, with a table of the keys' angles:
+the phase index and the grid phases for a dataset that derives its
+phases, and np.unique's inverse and the distinct phases for explicit
+ones, so no slab of samples runs np.unique.  The
 variance sums follow from (Re F)^2 = f^2 (1 + cos 2(m-n)phi)/2 and
 (Im F)^2 = f^2 (1 - cos 2(m-n)phi)/2, where the phase's sum of
 f^2 = A^2 v^2 + u^2 v~^2 - 2 A u v v~ is three more real products.  Rows
@@ -76,15 +80,23 @@ samples, is reported as 0.
 Binning has one rule.  A value x goes to bin floor((x - lo) n_bin /
 (hi - lo)), corrected by one step against the linspace edges, which is
 the largest i with edges[i] <= x: an interior edge belongs to the bin on
-its right, and the top edge stays in the last bin.  A dataset indexes
-its samples on the phase grid once, on first use (phase_index): one walk
-over its phases in chunks of 2^15 samples whose scratch stays in cache,
-which checks the grid and keeps j in the smallest unsigned dtype that
-holds n_phi - 1.  The samples writer and reader read the same index.
-Both binned paths give each sample one key from it, chunk by chunk, bin
-C + cell for C cells (_cell_keys): the phase index j for bin, and
-b n_phi + j for block b in the block estimator.  bin counts the keys
-with one bincount.  The block estimator streams its spectra by bin tile.
+its right, and the top edge stays in the last bin.  Every dataset has
+one index of its samples on the phase grid (phase_index), j in the
+smallest unsigned dtype that holds n_phi - 1.  simulate.sample and
+formats.read_samples hand it in whenever their phases are the grid's bit
+for bit, and the dataset then derives its phases from it on each read,
+in phase_grid's order of operations, and never stores them: 12 bytes per
+sample with uint16 labels, where stored phases take 8 more.  A dataset
+of explicit phases makes it on first use, by one walk over its phases
+in chunks of 2^15 samples whose scratch stays in cache, which checks the
+grid.  The samples writer reads the same index, and the unbinned sums
+(_phase_keys) sort by it.  Both binned paths give each sample one key
+from it, chunk by chunk, bin C + cell for C cells (_cell_keys): the
+phase index j for bin, and b n_phi + j for block b in the block
+estimator.  bin counts the keys with one bincount, and divides the
+counts by each phase's total into their own memory, a chunk of rows at
+a time, so it holds one (n_bin, n_phi) array.  The block estimator
+streams its spectra by bin tile.
 It sorts the keys, so each tile's samples are one run of them.  Per
 tile, one bincount of its run gives every block's (n_phi, w) histogram,
 the rows 0..max_diag of their phase DFTs are formed (over one more bin
@@ -139,7 +151,36 @@ _BIN_TILE_CELLS = 2**21
 _INDEX_CHUNK = 2**15
 
 
-@dataclass
+def phase_grid(n_phi: int) -> np.ndarray:
+    """Equispaced phases 2 pi j / n_phi on [0, 2 pi)."""
+    _check_count("n_phi", n_phi)
+    return _grid_phases(np.arange(n_phi), n_phi)
+
+
+def _grid_phases(j, n_phi: int):
+    """Grid phases 2 pi j / n_phi of integer indices j, in phase_grid's
+    order of operations, so each has the bits of phase_grid(n_phi)[j]."""
+    phi = np.multiply(j, 2.0 * math.pi, dtype=np.float64)
+    phi /= n_phi
+    return phi
+
+
+def _on_grid(j, phases, n_phi: int) -> bool:
+    """Whether phases is phase_grid(n_phi)[j] bit for bit: every index j in
+    0..n_phi-1, and every phase with the bits of its grid phase.  Checked a
+    chunk of _INDEX_CHUNK samples at a time."""
+    j, phases = np.asarray(j), np.asarray(phases, dtype=np.float64)
+    if j.shape != phases.shape or j.ndim != 1:
+        return False
+    for lo in range(0, j.size, _INDEX_CHUNK):
+        c, phi = j[lo:lo + _INDEX_CHUNK], phases[lo:lo + _INDEX_CHUNK]
+        if c.min() < 0 or c.max() >= n_phi or not np.array_equal(
+                _grid_phases(c, n_phi).view(np.int64), phi.view(np.int64)):
+            return False
+    return True
+
+
+@dataclass(init=False)
 class QuadratureDataset:
     """Measurement record (phases, values) split into statistical blocks.
 
@@ -148,26 +189,60 @@ class QuadratureDataset:
     double_by_symmetry before binning.  Block labels are integers in
     0..nblks-1; without them the data is one block, nblks = 1 with uint16
     labels all 0 as simulate.sample makes them, and nblks > 1 is an error.
+
+    The phases come in one of two forms.  Explicit phases, a float array,
+    are stored, and the first use of phase_index walks them.  A
+    phase_index given in place of them (phases None) is all the dataset
+    keeps of its phases: integers j in 0..n_phi-1, held in the smallest
+    unsigned dtype that holds n_phi - 1.  phases then derives
+    phase_grid(n_phi)[j] on every read and never stores it, so such a
+    dataset holds 12 bytes per sample with uint16 labels and the index of
+    up to 65536 phases, where explicit phases make it 18.  No check makes
+    a whole-array temporary.  dataclasses.replace copies the phases,
+    derived ones as floats, and never the index: a copy with another n_phi
+    indexes its phases anew, on its own grid.
     """
 
+    # the fields, for repr and dataclasses.replace; phases is the property
+    # below, over the stored floats or the index
     phases: np.ndarray
     values: np.ndarray
     n_phi: int
-    block: np.ndarray | None = None
-    nblks: int | None = None
+    block: np.ndarray
+    nblks: int
 
-    def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.phases.shape != self.values.shape or self.phases.ndim != 1:
-            raise ValueError("phases and values must be 1-d arrays of equal length")
-        _check_count("n_phi", self.n_phi)
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, phases, values, n_phi, block=None, nblks=None, *,
+                 phase_index=None):
+        if (phases is None) == (phase_index is None):
+            raise ValueError("a dataset takes either phases or a phase_index")
+        self.values = np.asarray(values, dtype=np.float64)
+        self.n_phi, self.block, self.nblks = n_phi, block, nblks
+        if phase_index is None:
+            self._phases = np.asarray(phases, dtype=np.float64)
+            given, name = self._phases, "phases"
+        else:
+            self._phases = None
+            given, name = np.asarray(phase_index), "phase_index"
+        if given.shape != self.values.shape or given.ndim != 1:
+            raise ValueError(f"{name} and values must be 1-d arrays of equal length")
+        _check_count("n_phi", n_phi)
+        # NaN reaches the min and the max, and so does an infinity of its sign
+        if self.values.size and not (math.isfinite(self.values.min())
+                                     and math.isfinite(self.values.max())):
             raise DataError("quadrature values contain NaN or Inf")
-        if self.phases.size and not (
-            np.all(self.phases >= 0.0) and np.all(self.phases < 2.0 * math.pi)
-        ):
-            raise DataError("phases must lie in [0, 2*pi)")
+        if phase_index is None:
+            if self._phases.size and not (
+                0.0 <= self._phases.min() and self._phases.max() < 2.0 * math.pi
+            ):
+                raise DataError("phases must lie in [0, 2*pi)")
+        else:
+            if not np.issubdtype(given.dtype, np.integer):
+                raise ValueError(f"phase_index must be integers, got {given.dtype}")
+            if given.size and not 0 <= given.min() <= given.max() < n_phi:
+                raise DataError("phase indices fall outside 0..n_phi-1")
+            j = given.astype(np.min_scalar_type(n_phi - 1), copy=False).view()
+            j.flags.writeable = False
+            self.__dict__["phase_index"] = j  # the cached property's value
         if self.block is None:
             if self.nblks not in (None, 1):
                 raise ValueError(f"nblks={self.nblks} needs block labels")
@@ -185,16 +260,32 @@ class QuadratureDataset:
     def N(self) -> int:
         return self.values.size
 
+    @property
+    def phases_derived(self) -> bool:
+        """Whether the dataset keeps only its phase_index and derives its
+        phases from it."""
+        return self._phases is None
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The phase of every sample: the stored floats, or else
+        phase_grid(n_phi)[phase_index], made anew on every read."""
+        if self._phases is None:
+            return _grid_phases(self.phase_index, self.n_phi)
+        return self._phases
+
     @functools.cached_property
     def phase_index(self) -> np.ndarray:
         """Grid index j of every sample, with phi_j = 2 pi j / n_phi, in the
         smallest unsigned dtype that holds n_phi - 1; read-only.
 
-        The first use walks the phases once, in chunks of _INDEX_CHUNK whose
-        scratch stays in cache, and verifies that the dataset really is
-        gridded over the full circle.  A phase off the grid is reported by
-        the sample farthest from it, the first of equals.  The index is
-        kept, so the phases must not change after it is made."""
+        A dataset given its phase_index holds it from the start.  For
+        explicit phases the first use walks them once, in chunks of
+        _INDEX_CHUNK whose scratch stays in cache, and verifies that the
+        dataset really is gridded over the full circle.  A phase off the
+        grid is reported by the sample farthest from it, the first of
+        equals.  The index is kept, so the phases must not change after it
+        is made."""
         n_phi, step = self.n_phi, 2.0 * math.pi / self.n_phi
         j = np.empty(self.N, np.min_scalar_type(n_phi - 1))
         t = np.empty(min(self.N, _INDEX_CHUNK))
@@ -283,18 +374,26 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
     Every sample (phi, x) gains a partner (phi + pi, -x); the declared
     phase count doubles.  Data already containing phases >= pi would be
     double-counted, so that is rejected.
+
+    A dataset that derives its phases maps its index onto the doubled
+    grid, j to 2j and its partner to 2j + n_phi, and the result derives
+    its phases too.  Explicit phases gain explicit partners phi + pi.
     """
-    if ds.phases.size and float(ds.phases.max()) >= math.pi:
-        raise DataError(
-            "double_by_symmetry needs all phases in [0, pi); "
-            f"found phase {float(ds.phases.max()):.6g}"
-        )
-    phases = np.concatenate([ds.phases, ds.phases + math.pi])
+    n_phi, derived = ds.n_phi, ds.phases_derived
+    if ds.N:
+        top = _grid_phases(ds.phase_index.max(), n_phi) if derived else ds.phases.max()
+        if top >= math.pi:
+            raise DataError("double_by_symmetry needs all phases in [0, pi); "
+                            f"found phase {float(top):.6g}")
     values = np.concatenate([ds.values, -ds.values])
-    return QuadratureDataset(
-        phases=phases, values=values, n_phi=2 * ds.n_phi,
-        block=np.concatenate([ds.block, ds.block]), nblks=ds.nblks,
-    )
+    block = np.concatenate([ds.block, ds.block])
+    if not derived:
+        return QuadratureDataset(np.concatenate([ds.phases, ds.phases + math.pi]),
+                                 values, 2 * n_phi, block, ds.nblks)
+    j = ds.phase_index.astype(np.min_scalar_type(2 * n_phi - 1))
+    j *= 2
+    return QuadratureDataset(None, values, 2 * n_phi, block, ds.nblks,
+                             phase_index=np.concatenate([j, j + n_phi]))
 
 
 def _default_edges(values: np.ndarray, n_bin: int) -> tuple[float, float]:
@@ -396,7 +495,14 @@ def bin(ds: QuadratureDataset, n_bin: int, bin_range=None) -> Sinogram:
     edges = _bin_edges(ds.values, n_bin, bin_range)
     key, n_per_phase = _cell_keys(ds, edges, ds.n_phi)
     counts = np.bincount(key, minlength=n_bin * ds.n_phi).reshape(n_bin, ds.n_phi)
-    freq = (counts / n_per_phase).T
+    del key
+    # the frequencies overwrite the counts, a chunk of rows at a time, each
+    # chunk divided before it is written back, so no second array is held
+    freq = counts.view(np.float64)
+    rows = max(1, _INDEX_CHUNK // ds.n_phi)
+    for a in range(0, n_bin, rows):
+        freq[a:a + rows] = counts[a:a + rows] / n_per_phase
+    freq = freq.T
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Sinogram(
         n_phi=ds.n_phi, n_bin=n_bin, freq=freq,
@@ -756,12 +862,27 @@ def _add_chunk(acc, g, buf, ops, first, A, U, V, W, dmax):
         out += np.matmul(left[rows, 4 * K:], right[cols, 4 * K:].T, out=part)
 
 
-def _moment_sums(phases, values, cfg, dmax, want_var):
+def _phase_keys(ds: QuadratureDataset):
+    """(keys, angles) of a dataset for _moment_sums: an integer key per
+    sample, and the phase angles[k] of key k.  A dataset that derives its
+    phases is keyed by its phase_index, with the grid phases as angles;
+    explicit phases, on a grid or not, by np.unique's inverse, with the
+    distinct phases as angles."""
+    if ds.phases_derived:
+        j = ds.phase_index  # angles up to the largest key, however large n_phi is
+        return j, _grid_phases(np.arange(int(j.max(initial=0)) + 1), ds.n_phi)
+    angles, keys = np.unique(ds.phases, return_inverse=True)
+    return keys, angles
+
+
+def _moment_sums(keys, angles, values, cfg, dmax, want_var):
     """Sums over the samples of F_{n,m} = e^{-i(m-n) phi} f_{n,m}(x) and
     of (Re F)^2, (Im F)^2, as the real matrix products of the module
-    docstring.
+    docstring, for samples of phase phi = angles[k] with integer key k
+    (_phase_keys).
 
-    The samples are sorted by phase, so each distinct phase is one run.
+    The samples are stably sorted by key, so each distinct phase is one
+    run, in the order of its phase.
     Pattern tables are built for slabs of _slab_columns(M) sorted
     samples, and a slab's are dropped before the next slab's are built.
     Per slab, rows n go in tiles of _TILE, each against the columns
@@ -810,8 +931,9 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     tile = min(_TILE, M)
     slab = _slab_columns(M)
     chunk = min(_CHUNK, max(64, _CHUNK_ELEMENTS // M))
-    order = np.argsort(phases, kind="stable")
-    phases, values = phases[order], values[order]
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    del order
     # per-tile scratch: phase sums, product output, the factor Z and Z T
     acc = np.empty((2, tile * M))
     buf = np.empty(tile * M)
@@ -822,11 +944,12 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
     for start in range(0, values.size, slab):
         stop = min(start + slab, values.size)
         factors = kernel_factors(build_table(values[start:stop], cfg))
-        # the phase factors once per distinct phase (a gridded dataset has n_phi)
-        uniq, first = np.unique(phases[start:stop], return_index=True)
+        # the phase factors once per run of one key (a gridded dataset has n_phi)
+        k = keys[start:stop]
+        first = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
         runs = np.append(first, stop - start)
-        E = np.exp(1j * np.outer(uniq, np.arange(M)))
-        n_phases += uniq.size
+        E = np.exp(1j * np.outer(angles[k[first]], np.arange(M)))
+        n_phases += first.size
         n_chunks += int(np.sum(-(-np.diff(runs) // chunk)))
         # overflow shows up as a non-finite sum, checked below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -842,7 +965,7 @@ def _moment_sums(phases, values, cfg, dmax, want_var):
                 out = buf[:t * r].reshape(t, r)
                 zj, ztj = z[:t * r].reshape(t, r), zt[:t * r].reshape(t, r)
                 g = sq[2][blk] if want_var else None
-                for j in range(uniq.size):
+                for j in range(first.size):
                     for c0 in range(runs[j], runs[j + 1], chunk):
                         cols = slice(c0, min(c0 + chunk, runs[j + 1]))
                         _add_chunk(phase_sums, g, out, ops, c0 == runs[j],
@@ -899,7 +1022,7 @@ def estimate_unbinned(
             f"estimate_unbinned needs at least 2 samples (got {N}); "
             "the sample variance is undefined"
         )
-    sums, sq = _moment_sums(ds.phases, ds.values, cfg, dmax, want_var=True)
+    sums, sq = _moment_sums(*_phase_keys(ds), ds.values, cfg, dmax, want_var=True)
     mean = sums / N
     sum_re2, sum_im2, round2, round1 = sq
     var_re = sum_re2 - N * mean.real**2
@@ -1040,8 +1163,9 @@ def block_statistics(
     if n_bin is None:
         # every block's samples in order, blocks of equal size (_check_blocks)
         picks = np.argsort(ds.block, kind="stable").reshape(nblks, -1)
+        keys, angles = _phase_keys(ds)
         G = np.stack([
-            _moment_sums(ds.phases[pick], ds.values[pick], cfg, dmax,
+            _moment_sums(keys[pick], angles, ds.values[pick], cfg, dmax,
                          want_var=False)[0] / pick.size
             for pick in picks
         ], axis=1)

@@ -15,11 +15,17 @@ threads, up to W in flight; W is the number of CPUs the process may run
 on, at most OMP_NUM_THREADS when that is set (as `hdtomo --threads` sets
 it).  Each worker reuses its own scratch buffers from chunk to chunk
 (about 5 MB at 2^17 grid points), so sample's memory is the table plus W
-chunks' scratch.  A table of one chunk, or W = 1, runs the plain serial
-loop.  Phase j's draws depend only on (seed, j) and table row j, so
-tables and samples are bit-identical for every W.
-draw alone composes marginals and sample on a plan's grids, and
-run_experiment is draw followed by reconstruct.estimate.
+chunks' scratch, plus the dataset it returns.  From a table on
+phase_grid(n_phi), bit for bit (as draw makes it), that dataset holds 12
+bytes per sample: the values, the phase index in the smallest unsigned
+dtype and uint16 block labels.  Its phases are derived from the index,
+never stored; a table on any other phases keeps them per sample.  A
+table of one chunk, or W = 1, runs the plain serial loop.  Phase j's
+draws depend only on (seed, j) and table row j, so tables and samples
+are bit-identical for every W.  draw alone composes marginals and
+sample on a plan's grids, and run_experiment is draw followed by
+reconstruct.estimate.  phase_grid lives in reconstruct, whose datasets
+derive their phases with it, and is exported here too.
 """
 
 from __future__ import annotations
@@ -34,7 +40,9 @@ import numpy as np
 
 from .errors import DataError, _check_count, _warn
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
-from .reconstruct import QuadratureDataset, check_normalization, estimate
+from .reconstruct import (
+    QuadratureDataset, _on_grid, check_normalization, estimate, phase_grid,
+)
 
 TRUNCATION_WARN = 1e-6
 TRUNCATION_FAIL = 1e-2
@@ -164,12 +172,6 @@ def quadrature_grid(M: int, n_points: int) -> np.ndarray:
     most M photons (classical turning point sqrt(M + 1/2) plus tails)."""
     span = math.sqrt(M + 0.5) + 3.0
     return np.linspace(-span, span, n_points)
-
-
-def phase_grid(n_phi: int) -> np.ndarray:
-    """Equispaced phases 2 pi j / n_phi on [0, 2 pi)."""
-    _check_count("n_phi", n_phi)
-    return 2.0 * math.pi * np.arange(n_phi) / n_phi
 
 
 def _chunk_rows(n_points: int) -> int:
@@ -326,6 +328,11 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     Each phase's draws are interpolated in sorted order and put back in
     draw order.
 
+    A table on phase_grid(n_phi), bit for bit, gives a dataset that keeps
+    each sample's phase index alone and derives its phases: 12 bytes per
+    sample with the values and the uint16 block labels.  Any other table's
+    phases are repeated per draw and stored, as explicit phases.
+
     Raises ValueError when the table's shapes do not fit together, and
     DataError naming the first phase index whose row has a negative entry
     or a trapezoid total that is not positive and finite.
@@ -395,12 +402,15 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
                 xw[lo] = x[lo]
 
     _run_chunks(range(0, n_phi, rows), scratch, draw_chunk)
-    phases = np.repeat(table.phases, draws)
     block = np.tile(
         np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi
     )
+    if _on_grid(np.arange(n_phi), table.phases, n_phi):
+        index = np.repeat(np.arange(n_phi, dtype=np.min_scalar_type(n_phi - 1)), draws)
+        return QuadratureDataset(None, values, n_phi, block, plan.nblks, phase_index=index)
     return QuadratureDataset(
-        phases=phases, values=values, n_phi=n_phi, block=block, nblks=plan.nblks
+        phases=np.repeat(table.phases, draws), values=values, n_phi=n_phi, block=block,
+        nblks=plan.nblks,
     )
 
 

@@ -630,6 +630,9 @@ def read_samples_by_line(path):
             block[i - 3] = int(cells[2])
         except ValueError:
             raise DataError(f"{path}: line {i}: block {cells[2]!r} is not an integer") from None
+    if nblks > 1 and 0 <= block.min() and block.max() < nblks:
+        # labels in uint16, as simulate.sample makes them, or wider where needed
+        block = block.astype(np.promote_types(np.uint16, np.min_scalar_type(nblks - 1)))
     ds = QuadratureDataset(
         phases=phases, values=values, n_phi=n_phi,
         block=block if nblks > 1 else None,

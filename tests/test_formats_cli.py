@@ -79,6 +79,9 @@ def test_samples_roundtrip_byte_identical(tmp_path):
         p2 = tmp_path / f"b{nblks}.csv"
         formats.write_samples(p1, ds, meta={"state": "vacuum", "seed": 3})
         back, meta = formats.read_samples(p1)
+        # the file's index column comes back in place of the phases
+        assert ds.phases_derived and back.phases_derived
+        assert back.block.dtype == np.uint16
         assert back.N == ds.N
         assert np.array_equal(back.phases, ds.phases)
         assert np.array_equal(back.values, ds.values)
@@ -127,6 +130,50 @@ def test_samples_writer_matches_cell_by_cell_writer(tmp_path, nblks):
                          [ds.phase_index, ds.phases, ds.block, ds.values])
     assert ours.read_bytes() == cells.read_bytes()
     assert b"\n0,-0.0," in ours.read_bytes()
+
+
+def test_samples_writer_derives_the_phases_of_an_indexed_dataset(tmp_path):
+    # 40000 rows are three write chunks; each derives its phases from the
+    # index, and the file is the one the dataset's explicit copy gives
+    n_phi, N = 7, 40000
+    j = np.random.default_rng(5).integers(0, n_phi, N)
+    ds = QuadratureDataset(None, np.random.default_rng(6).normal(size=N), n_phi,
+                           np.arange(N) % 3, 3, phase_index=j)
+    explicit = QuadratureDataset(ds.phases, ds.values, n_phi, ds.block, 3)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    formats.write_samples(a, ds)
+    formats.write_samples(b, explicit)
+    assert a.read_bytes() == b.read_bytes()
+    back, _ = formats.read_samples(b)
+    assert back.phases_derived and np.array_equal(back.phase_index, j)
+
+
+def test_read_samples_keeps_phases_that_are_not_grid_bits(tmp_path):
+    # a phase one ulp off its grid point, and -0.0, keep their bits as
+    # explicit phases; the index column is checked against their walk
+    grid = 2.0 * math.pi * np.arange(6) / 6
+    for odd in (np.nextafter(grid[4], 7.0), -0.0):
+        phases = np.append(np.tile(grid, 3), odd)
+        ds = QuadratureDataset(phases, np.linspace(-1.0, 1.0, phases.size), n_phi=6)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        formats.write_samples(p1, ds)
+        back, meta = formats.read_samples(p1)
+        assert not back.phases_derived
+        assert np.array_equal(back.phases.view(np.int64), phases.view(np.int64))
+        assert np.array_equal(back.phase_index, ds.phase_index)
+        formats.write_samples(p2, back, meta=meta)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("nblks, dtype", [(1, np.uint16), (3, np.uint16),
+                                          (65536, np.uint16), (65537, np.uint32)])
+def test_read_samples_keeps_labels_in_uint16_or_wider(tmp_path, nblks, dtype):
+    N = min(nblks, 4) if nblks < 65536 else nblks
+    ds = QuadratureDataset(None, np.zeros(N), 2, np.arange(N) % nblks, nblks,
+                           phase_index=np.arange(N) % 2)
+    formats.write_samples(tmp_path / "s.csv", ds)
+    back, _ = formats.read_samples(tmp_path / "s.csv")
+    assert back.block.dtype == dtype and np.array_equal(back.block, ds.block)
 
 
 def test_state_roundtrip_byte_identical(tmp_path):
@@ -346,6 +393,11 @@ def _outcome(read, path):
 def _same(a, b):
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, QuadratureDataset):
+        # what a dataset gives, whether it stores its phases or derives them
+        return type(a) is type(b) and all(
+            _same(getattr(a, k), getattr(b, k))
+            for k in ("phases", "values", "n_phi", "block", "nblks", "phase_index"))
     if hasattr(a, "__dataclass_fields__"):
         return type(a) is type(b) and _same(tuple(vars(a).values()), tuple(vars(b).values()))
     if isinstance(a, np.ndarray):
@@ -598,26 +650,27 @@ def _count_phase_index(monkeypatch):
 
 
 def test_cli_indexes_each_dataset_once(tmp_path, monkeypatch):
-    # simulate indexes its dataset for the samples file; reconstruct indexes
-    # the file's dataset in read_samples, and the estimator reads that index
+    # no dataset of the flow walks its phases: simulate's dataset carries
+    # its index from sample into the samples file, and read_samples hands
+    # the file's index column to the dataset the estimators read
     calls = _count_phase_index(monkeypatch)
     sim = _simulated_dir(tmp_path, nblks=2, nsamples=100)
-    assert calls == [(8, 1600)]
-    for estimator in ("binned", "block"):
-        calls.clear()
+    assert calls == []
+    for estimator in ("binned", "block", "unbinned"):
         assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
                     "--estimator", estimator, "--out-dir", tmp_path / estimator) == 0
-        assert calls == [(8, 1600)], estimator
+        assert calls == [], estimator
 
 
 def test_cli_symmetrize_never_indexes_the_half_circle_dataset(tmp_path, monkeypatch):
-    # the file's dataset and the doubled one are indexed; the half-circle
-    # one in between has phases off its own grid of 8 phases
+    # the file's dataset comes with its index, and the doubled one, of
+    # explicit phases, is indexed; the half-circle one in between has
+    # phases off its own grid of 8 phases
     ds = _half_circle_file(tmp_path / "half.csv", 16)
     calls = _count_phase_index(monkeypatch)
     assert _run("reconstruct", "--samples", tmp_path / "half.csv", "-M", "6",
                 "--estimator", "binned", "--symmetrize", "--out-dir", tmp_path / "rec") == 0
-    assert calls == [(16, ds.N), (16, 2 * ds.N)]
+    assert calls == [(16, 2 * ds.N)]
 
 
 def test_cli_symmetrize_rejects_other_files(tmp_path, capsys):

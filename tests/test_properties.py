@@ -241,7 +241,8 @@ def _doubles(data, *shape):
 def _draw_samples(data):
     n_phi, nblks, N = (data.draw(st.integers(1, k)) for k in (5, 3, 20))
     j = data.draw(arrays(np.int64, N, elements=st.integers(0, n_phi - 1)))
-    block = data.draw(arrays(np.int64, N, elements=st.integers(0, nblks - 1)))
+    # labels in uint16, as simulate.sample makes them and read_samples keeps them
+    block = data.draw(arrays(np.uint16, N, elements=st.integers(0, nblks - 1)))
     return (QuadratureDataset(2.0 * math.pi * j / n_phi, _doubles(data, N), n_phi,
                               block, nblks),)
 

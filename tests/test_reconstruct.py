@@ -98,6 +98,87 @@ def test_dataset_block_label_validation():
     assert ds.block.dtype == np.uint16 and np.array_equal(ds.block, [0, 0, 0])
 
 
+def test_dataset_takes_a_phase_index_in_place_of_phases():
+    # the index is kept in the smallest unsigned dtype, read-only, and the
+    # phases are derived from it with phase_grid's bits; the caller's array
+    # stays writeable
+    j = np.arange(30) % 7
+    ds = QuadratureDataset(None, np.zeros(30), n_phi=7, phase_index=j)
+    assert ds.phases_derived
+    assert ds.phase_index.dtype == np.uint8 and np.array_equal(ds.phase_index, j)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.phase_index[0] = 1
+    assert j.flags.writeable
+    assert ds.phases.dtype == np.float64
+    assert np.array_equal(ds.phases.view(np.int64), phase_grid(7)[j].view(np.int64))
+    explicit = QuadratureDataset(phase_grid(7)[j], np.zeros(30), n_phi=7)
+    assert not explicit.phases_derived
+    assert np.array_equal(explicit.phase_index, ds.phase_index)
+    # one uint16 index is handed over as it is, with no copy
+    j16 = (np.arange(30) % 7).astype(np.uint16)
+    ds16 = QuadratureDataset(None, np.zeros(30), n_phi=300, phase_index=j16)
+    assert np.shares_memory(ds16.phase_index, j16) and j16.flags.writeable
+
+
+@pytest.mark.parametrize("phases, index, error, message", [
+    (np.zeros(3), np.zeros(3, int), ValueError, "either phases or a phase_index"),
+    (None, None, ValueError, "either phases or a phase_index"),
+    (None, np.zeros(2, int), ValueError, "phase_index and values must be 1-d"),
+    (None, np.zeros((3, 1), int), ValueError, "phase_index and values must be 1-d"),
+    (None, np.zeros(3), ValueError, "phase_index must be integers, got float64"),
+    (None, np.zeros(3, bool), ValueError, "phase_index must be integers, got bool"),
+    (None, np.array([0, 4, 1]), DataError, r"phase indices fall outside 0\.\.n_phi-1"),
+    (None, np.array([0, -1, 1]), DataError, r"phase indices fall outside 0\.\.n_phi-1"),
+])
+def test_dataset_checks_its_phase_index(phases, index, error, message):
+    with pytest.raises(error, match=message):
+        QuadratureDataset(phases, np.zeros(3), n_phi=4, phase_index=index)
+
+
+def test_dataset_checks_make_no_whole_array_temporary():
+    # the checks of values, phases, index and labels read their min and max;
+    # elementwise tests made a bool temporary of one byte per sample each
+    n = 1 << 20
+    values = np.random.default_rng(0).normal(size=n)
+    j = (np.arange(n) % 300).astype(np.uint16)
+    phases, block = phase_grid(300)[j], (np.arange(n) % 4).astype(np.uint16)
+    for make in (lambda: QuadratureDataset(phases, values, 300, block, 4),
+                 lambda: QuadratureDataset(None, values, 300, block, 4, phase_index=j)):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n // 8
+    for bad in (np.nan, np.inf, -np.inf):
+        v = values.copy()
+        v[n // 2] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            QuadratureDataset(None, v, 300, phase_index=j)
+    p = phases.copy()
+    p[n // 3] = np.nan
+    with pytest.raises(DataError, match=r"\[0, 2\*pi\)"):
+        QuadratureDataset(p, values, 300)
+
+
+def test_replace_never_reinterprets_a_phase_index():
+    # an index on 16 phases, replaced onto 8: the phases are copied as the
+    # floats they are, and the new dataset indexes them on its own grid,
+    # where the odd indices are off it
+    j = np.arange(40) % 8
+    ds = QuadratureDataset(None, np.linspace(-1.0, 1.0, 40), n_phi=16, phase_index=j)
+    half = dataclasses.replace(ds, n_phi=8)
+    assert not half.phases_derived and half.n_phi == 8
+    assert np.array_equal(half.phases.view(np.int64), ds.phases.view(np.int64))
+    with pytest.raises(DataError, match="not on the equispaced grid 2\\*pi\\*j/8"):
+        half.phase_index
+    # the same n_phi keeps the phases and their index
+    same = dataclasses.replace(ds, values=-ds.values)
+    assert np.array_equal(same.phases, ds.phases)
+    assert np.array_equal(same.phase_index, ds.phase_index)
+
+
 # ---------------------------------------------------------------------------
 # double_by_symmetry
 
@@ -131,6 +212,41 @@ def test_double_by_symmetry_counts_and_mean():
     assert out.N == 2 * ds.N
     # every sample gains a mirrored partner, so the doubled set has zero mean
     assert abs(out.values.sum()) <= 1e-12 * np.abs(vals).sum()
+
+
+@pytest.mark.parametrize("n_phi", [6, 200])
+def test_double_by_symmetry_maps_a_phase_index(n_phi):
+    # j goes to 2j and its partner to 2j + n_phi on the doubled grid, in the
+    # dtype that holds 2 n_phi - 1; explicit phases gain phi + pi.  Both give
+    # the same index, values and labels, which are all the binned paths read.
+    rng = np.random.default_rng(n_phi)
+    j = np.arange(n_phi // 2).repeat(30)
+    values, block = rng.normal(size=j.size), np.arange(j.size) % 3
+    ds = QuadratureDataset(None, values, n_phi, block, 3, phase_index=j)
+    explicit = QuadratureDataset(ds.phases, values, n_phi, block, 3)
+    out, out_ex = double_by_symmetry(ds), double_by_symmetry(explicit)
+    assert out.phases_derived and not out_ex.phases_derived
+    assert out.n_phi == out_ex.n_phi == 2 * n_phi
+    index = np.concatenate([2 * j, 2 * j + n_phi])
+    assert out.phase_index.dtype == np.min_scalar_type(2 * n_phi - 1)
+    assert np.array_equal(out.phase_index, index)
+    assert np.array_equal(out_ex.phase_index, index)
+    for got in (out, out_ex):
+        assert np.array_equal(got.values, np.concatenate([values, -values]))
+        assert np.array_equal(got.block, np.concatenate([block, block]))
+    # the first half keeps its bits; the partners are the grid's own phases
+    assert np.array_equal(out.phases[:j.size].view(np.int64), ds.phases.view(np.int64))
+    assert np.array_equal(out.phases.view(np.int64),
+                          phase_grid(2 * n_phi)[index].view(np.int64))
+    assert np.array_equal(out_ex.phases, np.concatenate([ds.phases, ds.phases + math.pi]))
+    assert np.allclose(out.phases, out_ex.phases, rtol=1e-15, atol=0.0)
+    cfg = PatternConfig(cutoff=4, beta=choose_beta(values))
+    a, b = (estimate_unbinned(d, cfg) for d in (out, out_ex))
+    assert np.allclose(a.rho, b.rho, rtol=0.0, atol=1e-13)
+    # an index at the half circle is the phase pi
+    top = QuadratureDataset(None, np.zeros(2), n_phi, phase_index=[0, n_phi // 2])
+    with pytest.raises(DataError, match="found phase 3.14159"):
+        double_by_symmetry(top)
 
 
 def test_double_by_symmetry_rejects_full_circle_data():
@@ -709,6 +825,16 @@ def test_binned_memory_follows_the_slab_not_the_bins(m128_data, bin_correction):
     assert peak < 4 * 8 * (cfg.cutoff + 2) * spec.n_bin
 
 
+def test_bin_holds_its_counts_or_its_frequencies_not_both(m128_data):
+    # 20000 bins of 128 phases: the int64 counts and the float64 frequencies
+    # take 20.5 MB each; both at once traced 41 MB, and the frequencies now
+    # overwrite the counts a chunk of rows at a time
+    ds, _, _ = m128_data
+    ds.phase_index  # the dataset's own, made before the trace
+    peak = _traced_peak(lambda: bin(ds, 20_000))
+    assert peak < 1.25 * 8 * ds.n_phi * 20_000
+
+
 def test_unbinned_memory_follows_the_slab_not_the_samples(m128_data):
     # one pattern table of a 2e6-element slab, four arrays of 16 MB: slabs
     # of 2e6 / (M + 2) samples traced 151 MB; slabs of 3846 trace 27 MB
@@ -727,12 +853,12 @@ from hdtomo.patterns import PatternConfig, choose_beta
 rng = np.random.default_rng(1)
 M, n_phi, n_bin = 64, 65, 4000
 x = rng.normal(0.0, 2.0, 50000)
-phases = 2.0 * np.pi * rng.integers(0, n_phi, x.size) / n_phi
+j = rng.integers(0, n_phi, x.size)
 cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
 R = rng.normal(size=(M, n_bin, 20))
 tiles = reconstruct._bin_tiles(n_bin, reconstruct._BIN_TILE_ELEMENTS // M)
 start = sum(os.times()[:2]), time.perf_counter(), time.thread_time()
-reconstruct._moment_sums(phases, x, cfg, M - 1, want_var=True)
+reconstruct._moment_sums(j, reconstruct.phase_grid(n_phi), x, cfg, M - 1, want_var=True)
 reconstruct._binned_sums(np.linspace(-8.0, 8.0, n_bin), cfg, M - 1,
                          ((t, (R[:, t], R[:, t])) for t in tiles))
 cpu, wall, thread = (now - then for now, then in zip(

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,6 +402,61 @@ def test_sampler_checks_table_shapes():
         sample(MarginalTable(phase_grid(3), x, np.ones(192)), plan)
     with pytest.raises(ValueError, match="at least 2 points"):
         sample(MarginalTable(phase_grid(3), x[:1], np.ones((3, 1))), plan)
+
+
+def test_sampler_on_the_phase_grid_keeps_the_index_alone():
+    # a table on phase_grid(n_phi) gives each sample its index, in the
+    # smallest unsigned dtype, and derives the phases, with the oracle's bits
+    state = make_state("coherent", 0.5, 8)
+    for n_phi, dtype in ((7, np.uint8), (300, np.uint16)):
+        table = marginals(state, phase_grid(n_phi), quadrature_grid(8, 256))
+        plan = SimulationPlan(nsamples=4, nblks=2, n_phi=n_phi, seed=2)
+        ds, ref = sample(table, plan), oracles.sample_by_phase(table, plan)
+        assert ds.phases_derived and ds.phase_index.dtype == dtype
+        assert np.array_equal(ds.phase_index, np.repeat(np.arange(n_phi), 8))
+        for field in ("values", "phases", "block", "phase_index"):
+            a, b = getattr(ds, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("order", ["permuted", "off the grid", "float32"])
+def test_sampler_on_another_table_keeps_its_phases(order):
+    # any table whose phases are not phase_grid(n_phi) bit for bit keeps
+    # them as explicit phases, as the oracle does
+    state = make_state("cat", 1.5, 16)
+    grid = phase_grid(7)
+    phases = {"permuted": grid[[3, 0, 6, 1, 5, 2, 4]], "off the grid": grid + 0.01,
+              "float32": grid.astype(np.float32)}[order]
+    table = marginals(state, phases, quadrature_grid(16, 1024))
+    table.phases = phases
+    plan = SimulationPlan(nsamples=50, nblks=2, n_phi=7, seed=8)
+    ds, ref = sample(table, plan), oracles.sample_by_phase(table, plan)
+    assert not ds.phases_derived
+    for field in ("values", "phases", "block"):
+        a, b = getattr(ds, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    if order == "permuted":
+        assert np.array_equal(ds.phase_index, ref.phase_index)
+        assert np.array_equal(ds.phase_index, np.repeat([3, 0, 6, 1, 5, 2, 4], 100))
+
+
+def test_sampler_holds_12_bytes_per_sample():
+    # the values, the uint16 index and the uint16 labels, 7.7 MB here, and
+    # the workers' scratch; float phases add 8 bytes per sample (5.1 MB), and
+    # a dataset that stored them, with a bool temporary of its checks,
+    # traced 12.9 MB
+    n_phi, draws = 64, 10_000
+    table = MarginalTable(phases=phase_grid(n_phi), x=np.linspace(-3.0, 3.0, 512),
+                          p=np.ones((n_phi, 512)))
+    plan = SimulationPlan(nsamples=draws // 4, nblks=4, n_phi=n_phi, seed=1)
+    tracemalloc.start()
+    try:
+        ds = sample(table, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.phases_derived and ds.N == n_phi * draws
+    assert peak <= 12 * ds.N + 2_000_000
 
 
 def test_sampler_is_deterministic():
