@@ -7,27 +7,33 @@ single leading metadata line
 
 Floats are written with repr(), which round-trips doubles exactly, so
 write -> read -> write is byte-identical.  One writer (_write_table) and
-one reader (_read_lines, _parse_rows) serve the four CSV kinds; after the
-metadata line, blank lines and lines starting with '#' are rows, and so
-rejected.  read_samples parses a file of printable ASCII and LF line ends
-straight from the file, without holding its text or a list of its lines,
-and walks the lines only to name a bad one.  The samples files carry the
-phase grid index of each row.  write_samples writes the dataset's
+one reader (_read_lines, _parse_chunks) serve the four CSV kinds; after
+the metadata line, blank lines and lines starting with '#' are rows, and
+so rejected.  The rows are parsed by numpy's loadtxt, a chunk at a time,
+and the lines are walked only to name a bad one.
+read_samples parses a file of printable ASCII and LF line ends straight
+from the file, _READ_ROWS = 16384 rows at a time, and writes each chunk
+into the dataset's own arrays, so it holds the dataset (12 bytes per row
+on a grid of up to 65536 phases) and one chunk's table, never the file's
+text, a list of its lines or a whole-file table.  The samples files carry
+the phase grid index of each row.  write_samples writes the dataset's
 phase_index, and the phase column of a dataset that derives its phases
 is derived a chunk of rows at a time.  read_samples hands the file's
 index column to the dataset it returns, in place of the phases, when the
-phase column is the grid phase of its index bit for bit, as write_samples
-writes every gridded dataset: that dataset derives its phases and is never
-walked.  Any other phase column is kept as explicit phases, and the index
-column is checked against the phase_index walked from them.  The block
-labels come back in uint16, as simulate.sample makes them, or wider where
-nblks - 1 needs it.  Complex matrices are stored as separate real and
-imaginary files.  Reports are small JSON documents.
+phase column is the grid phase of its index bit for bit, checked chunk by
+chunk, as write_samples writes every gridded dataset: that dataset
+derives its phases and is never walked.  Any other phase column is kept
+as explicit phases, and the index column is checked against the
+phase_index walked from them.  The block labels come back in uint16, as
+simulate.sample makes them, or wider where nblks - 1 needs it.  Complex
+matrices are stored as separate real and imaginary files.  Reports are
+small JSON documents.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 
@@ -41,7 +47,9 @@ FORMAT_VERSION = "v1"
 SAMPLES_HEADER = "phase_index,phase_radians,block,value"
 
 _CHUNK_CELLS = 1 << 16
-# read_samples: bytes scanned at a time, and the bytes of a plain file
+# read_samples: rows parsed at a time, bytes scanned at a time, and the
+# bytes of a plain file
+_READ_ROWS = 1 << 14
 _READ_BYTES = 1 << 20
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
@@ -210,45 +218,73 @@ def _loadtxt_rejects_fractions() -> bool:
     return False
 
 
-def _parse_rows(path, rows, first_line, ncols, ints, count=None):
-    """Parse row lines of ncols cells, numbered from first_line in messages.
+def _parse_chunks(path, rows, first_line, ncols, ints, count, step):
+    """Parse count row lines of ncols cells, numbered from first_line in
+    messages, step rows at a time; yields (a, chunk) for the rows from a.
 
     rows is the list of row lines, or a text file open at its first row
-    line, whose count rows numpy reads line by line.  ints maps the
-    integer columns to their names.  Without them the result is an
-    (n, ncols) float64 array, with them the list of the columns.  One
-    loadtxt pass reads all rows, its integer columns through Python's int
-    where numpy itself would accept a fraction; if it fails, a walk of the
-    lines names the first bad one.
+    line, which numpy reads line by line.  ints maps the integer columns
+    to their names.  Without them a chunk is an (n, ncols) float64 array,
+    with them the list of its columns.  Each loadtxt call reads its
+    integer columns through Python's int where numpy itself would accept
+    a fraction.  If one fails, comes back short or holds a value that is
+    not finite, a walk of all the lines names the first bad one
+    (_bad_row).
     """
-    count = len(rows) if count is None else count
     dtype = np.dtype([(f"f{k}", np.int64 if k in ints else np.float64)
                       for k in range(ncols)] if ints else np.float64)
     # Python's int rejects 1.7 where an older numpy would read it as 1
     converters = None if _loadtxt_rejects_fractions() else dict.fromkeys(ints, int)
-    reason = "rows do not parse"
-    try:
-        table = (np.loadtxt(rows, dtype=dtype, comments=None, delimiter=",",
-                            converters=converters, ndmin=1 if ints else 2)
-                 if count else np.empty((0,) if ints else (0, ncols), dtype))
-    except (ValueError, OverflowError) as exc:
-        reason = str(exc)
-    else:
+    source = iter(rows)
+    for a in range(0, count, step):
+        n = min(step, count - a)
+        try:  # n lines: a blank one is a row short, not a warning
+            table = np.loadtxt(itertools.islice(source, n), dtype=dtype, comments=None,
+                               delimiter=",", converters=converters,
+                               ndmin=1 if ints else 2)
+        except (ValueError, OverflowError):
+            break
         columns = [table[f] for f in dtype.names] if ints else list(table.T)
-        if len(table) == count and len(columns) == ncols and all(
+        if len(table) != n or len(columns) != ncols or not all(
                 np.isfinite(c).all() for c in columns):
-            return [np.ascontiguousarray(c) for c in columns] if ints else table
+            break
+        yield a, columns if ints else table
+    else:
+        return
     if not isinstance(rows, list):
         rows.seek(0)
         rows = rows.read().splitlines()[first_line - 1:]
+    _bad_row(path, rows, first_line, ncols, ints, dtype, converters)
+
+
+def _bad_row(path, rows, first_line, ncols, ints, dtype, converters):
+    """Raise DataError naming the first bad line of rows, the row lines
+    from first_line on, or else numpy's reason for rejecting them all."""
     for i, line in enumerate(rows, start=first_line):
         cells = line.split(",")
         if len(cells) != ncols:
             raise DataError(f"{path}: line {i}: expected {ncols} columns, got {len(cells)}")
         for k, cell in enumerate(cells):
             _cell(cell, path, i, ints.get(k))
-    # a cell that Python reads and numpy does not, such as 1_0
+    # a cell that Python reads and numpy does not, such as 1_0: numpy's
+    # reason, with its row number in the whole file
+    reason = "rows do not parse"
+    try:
+        np.loadtxt(rows, dtype=dtype, comments=None, delimiter=",",
+                   converters=converters, ndmin=1 if ints else 2)
+    except (ValueError, OverflowError) as exc:
+        reason = str(exc)
     raise DataError(f"{path}: {reason}")
+
+
+def _parse_rows(path, rows, first_line, ncols, ints):
+    """_parse_chunks over every line of the list rows at once: the
+    (n, ncols) float64 table, or with ints the list of its columns, each
+    contiguous."""
+    for _, chunk in _parse_chunks(path, rows, first_line, ncols, ints, len(rows),
+                                  max(len(rows), 1)):
+        return [np.ascontiguousarray(c) for c in chunk] if ints else chunk
+    return np.empty((0, ncols))  # a Wigner file of no radii
 
 
 def write_samples(path, ds, meta: dict | None = None):
@@ -274,13 +310,19 @@ def read_samples(path):
     phases, every block label (kept also for nblks=1) must lie in
     0..nblks-1, and the file must hold at least one sample row.
 
-    When every phase is phase_grid(n_phi)[phase_index] bit for bit, checked
-    a chunk at a time, the dataset takes the index column in place of the
-    phases and derives them.  Otherwise it keeps the phases, and its
-    phase_index is made by the check against the column.  Labels in
-    0..nblks-1 are kept in uint16, or wider where nblks - 1 needs it.
+    The rows are parsed _READ_ROWS at a time (_parse_chunks), each chunk
+    written straight into the dataset's arrays: the values, the phase
+    index in the smallest unsigned dtype that holds n_phi - 1, and the
+    labels in uint16, or wider where nblks - 1 needs it.  While every
+    phase is phase_grid(n_phi)[phase_index] bit for bit, checked chunk by
+    chunk, no phase is stored, and the dataset takes the index in place
+    of the phases and derives them.  From the first chunk off the grid on,
+    the phases are stored, those of the chunks before it rebuilt from
+    their index, which gives their bits; the dataset keeps them, and its
+    phase_index is made by the check against the column.  Labels outside
+    0..nblks-1 are kept as read, for the dataset's check to name.
     """
-    from .reconstruct import QuadratureDataset, _on_grid
+    from .reconstruct import QuadratureDataset, _grid_phases, _on_grid
 
     count = _plain_line_count(path)
     with open(path, "r", newline="") as fh:
@@ -295,11 +337,24 @@ def read_samples(path):
         nblks = _meta_count(meta, "nblks", path)
         if count == 2:
             raise DataError(f"{path}: no sample rows after the column header")
-        index, phases, block, values = _parse_rows(
-            path, rows, 3, 4, {0: "phase_index", 2: "block"}, count - 2)
-    if 0 <= block.min() and block.max() < nblks:  # else the dataset's check names them
-        block = block.astype(np.promote_types(np.uint16, np.min_scalar_type(nblks - 1)))
-    if _on_grid(index, phases, n_phi):
+        n = count - 2
+        values = np.empty(n)
+        index = np.empty(n, np.min_scalar_type(n_phi - 1))
+        block = np.empty(n, np.promote_types(np.uint16, np.min_scalar_type(nblks - 1)))
+        phases = None  # stored from the first chunk off the grid on
+        for a, (j, phi, b, v) in _parse_chunks(
+                path, rows, 3, 4, {0: "phase_index", 2: "block"}, n, _READ_ROWS):
+            if phases is None and not _on_grid(j, phi, n_phi):
+                phases = np.empty(n)
+                phases[:a] = _grid_phases(index[:a], n_phi)
+                index = index.astype(np.int64)  # as read, for the messages
+            if block.dtype != np.int64 and not (0 <= b.min() and b.max() < nblks):
+                block = block.astype(np.int64)
+            rows_a = slice(a, a + v.size)
+            values[rows_a], index[rows_a], block[rows_a] = v, j, b
+            if phases is not None:
+                phases[rows_a] = phi
+    if phases is None:
         return QuadratureDataset(None, values, n_phi, block, nblks, phase_index=index), meta
     ds = QuadratureDataset(phases=phases, values=values, n_phi=n_phi,
                            block=block, nblks=nblks)

@@ -23,12 +23,12 @@ its meta and warns with PhaseAliasingWarning when its band goes past it.
 
 Pattern tables, in both the binned and the unbinned sums, are built for
 slabs of columns (bin centres or sorted samples) at a time, never for
-all of them: max(2048, 5e5 / (M + 2)) columns, so each table array
-holds about 5e5 doubles (4 MB) whatever M and the data's size are.  The
-floor of 2048 columns keeps the builds few: the backward recurrence
-runs 4M numpy steps per build, whatever its width.  build_table and
-kernel_factors act on each column on its own, so the slabs change no
-bit of the binned sums.
+all of them: max(1024, 5e5 / (M + 2)) columns, so each table array
+holds about 5e5 doubles (4 MB) whatever M and the data's size are, and
+at most 8 MB at M = 1000.  The floor of 1024 columns keeps the builds
+few: the backward recurrence runs 4M numpy steps per build, whatever its
+width.  build_table and kernel_factors act on each column on its own,
+so the slabs change no bit of the binned sums.
 
 phase_dft takes the real FFT of the sinogram a tile of bins at a time
 and writes it, with its conjugate mirror, straight into the spectrum.
@@ -98,19 +98,26 @@ counts by each phase's total into their own memory, a chunk of rows at
 a time, so it holds one (n_bin, n_phi) array.  The block estimator
 streams its spectra by bin tile.
 It sorts the keys, so each tile's samples are one run of them.  Per
-tile, one bincount of its run gives every block's (n_phi, w) histogram,
-the rows 0..max_diag of their phase DFTs are formed (over one more bin
-on each side, the halo the bin correction reads) and the tile is
-contracted.  So the estimator holds 4 bytes of keys per sample, besides
-the dataset's index, plus one tile's counts and rows, whatever max_diag,
-the block count and n_bin are; the whole spectra would take 16
-(max_diag + 1) nblks n_bin bytes, about 1 GB at M = 800 with 8000 bins
-and 10 blocks.  When max_diag + 1 <= log2(n_phi) the rows come from real
-matrix products with a (max_diag + 1) x n_phi DFT matrix, scaled per
-phase row by 1 / (n_phi n_j) and built once per call, against the
-counts; otherwise from the real FFT of the normalized histograms.  The
-counts are exact integers and their keys sorted, so both are exactly
-independent of the order of the samples within a block.
+tile, the rows 0..max_diag of every block's phase DFT are formed from
+the (n_phi, w) histograms its run gives (over one more bin on each side,
+the halo the bin correction reads) and the tile is contracted.  When
+max_diag + 1 <= log2(n_phi) the rows come from real matrix products with
+a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
+1 / (n_phi n_j) and built once per call, against the counts of one
+bincount of the tile's run.  Otherwise they come from the real FFT of
+the normalized histograms, written into one contiguous
+(max_diag + 1, w, nblks) complex array a sub-chunk of 2^16 / (nblks n_phi)
+bins at a time, each from one bincount of its own run, so the tile's
+whole counts and half spectrum are never held.  So the estimator holds
+4 bytes of keys per sample, besides the dataset's index, plus one tile's
+rows and one sub-chunk's counts and spectrum (or, on the DFT-matrix
+path, one tile's counts), whatever max_diag, the block count and n_bin
+are; the whole spectra would take 16 (max_diag + 1) nblks n_bin bytes,
+about 1 GB at M = 800 with 8000 bins and 10 blocks.  The counts are
+exact integers and their keys sorted, and each transform's bits do not
+depend on the sub-chunk it is taken in, so the rows are exactly
+independent of the order of the samples within a block and of the
+sub-chunks.
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ PHASE_GRID_TOL = 1e-8
 # unbinned and the binned sums, and columns at least, below which the
 # 4M steps of the backward recurrence per build start to cost time.
 _SLAB_ELEMENTS = 500_000
-_SLAB_MIN_COLUMNS = 2048
+_SLAB_MIN_COLUMNS = 1024
 # Unbinned sums (_moment_sums): rows n per tile, factor entries and
 # samples contracted at a time at most, rows per product block, and
 # multiply-adds per matrix product at most (in the binned sums too).
@@ -141,9 +148,10 @@ _CHUNK_ELEMENTS = 65_536
 _CHUNK = 512
 _BLOCK = 16
 _PRODUCT = 2**18
-# Binned sums (_binned_sums): kernel entries per bin tile, and count
-# cells (blocks x phases x bins), or doubles of rows, per tile of the
-# block estimator at most.
+# Binned sums (_binned_sums): kernel entries per bin tile (and count
+# cells per sub-chunk of the block estimator's FFT rows), and count cells
+# (blocks x phases x bins), or doubles of rows, per tile of the block
+# estimator at most.
 _BIN_TILE_ELEMENTS = 2**16
 _BIN_TILE_CELLS = 2**21
 # Samples indexed at a time (QuadratureDataset.phase_index, _cell_keys),
@@ -374,6 +382,15 @@ def double_by_symmetry(ds: QuadratureDataset) -> QuadratureDataset:
     Every sample (phi, x) gains a partner (phi + pi, -x); the declared
     phase count doubles.  Data already containing phases >= pi would be
     double-counted, so that is rejected.
+
+    The input's n_phi counts the half-circle grid: its phases are
+    pi j / n_phi, j < n_phi, as hdtomo reconstruct --symmetrize makes it
+    with replace(ds, n_phi=n_phi // 2) from a file on its own grid of
+    n_phi phases, and the doubled grid of 2 n_phi phases is then full.  A
+    dataset on its own full grid, phases 2 pi j / n_phi with j < n_phi / 2,
+    is doubled too, but fills only the even cells of the doubled grid:
+    every odd cell is empty.  The unbinned estimator takes that dataset;
+    bin and block_statistics refuse it ("phase index 1 has no samples").
 
     A dataset that derives its phases maps its index onto the doubled
     grid, j to 2j and its partner to 2j + n_phi, and the result derives
@@ -1068,11 +1085,13 @@ def _phase_dft_matrix(n_per_phase: np.ndarray, dmax: int):
     return dft / (n_phi * n_per_phase[:, None, :])
 
 
-def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int, dft) -> np.ndarray:
+def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int, dft,
+                out=None) -> np.ndarray:
     """Rows 0..dmax of the phase DFT of every block's histogram over w
     bins, with its phase rows normalized by their counts as phase_dft has
     them.  counts is (w, nblks, n_phi) float64, and is overwritten; the
-    rows are a (dmax + 1, w, nblks) complex array.
+    rows are a (dmax + 1, w, nblks) complex array, written into out where
+    it is given (the real FFT only).
 
     They come from the scaled DFT matrices dft (_phase_dft_matrix), row 0
     exactly real, or from the real FFT where dft is None.
@@ -1081,7 +1100,7 @@ def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int, dft) -> 
     if dft is None:
         counts /= n_per_phase
         half = _half_spectrum(counts, n_phi, axis=-1)
-        return _mirror_rows(half.transpose(2, 0, 1), n_phi, dmax)
+        return _mirror_rows(half.transpose(2, 0, 1), n_phi, dmax, out=out)
     # (nblks, w, 2 dmax + 1): each block's counts against its matrix
     re_im = np.matmul(counts.transpose(1, 0, 2), dft.transpose(0, 2, 1)).transpose(2, 1, 0)
     rows = np.empty((dmax + 1, w, nblks), dtype=np.complex128)
@@ -1102,11 +1121,14 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     each block run here, before any tile.  Every sample gets one key,
     bin C + b n_phi + j with C = nblks n_phi for block b and phase index
     j (_cell_keys), and the sorted keys of bins lo..hi-1 are one run.
-    Each tile's rows are made when _binned_sums asks for them, from one
-    bincount of its run, widened by one bin on each side for the bin
-    correction.  The tiles are _BIN_TILE_ELEMENTS / M bins wide, narrower
-    where their C w count cells, or the 2 (dmax + 1) nblks w doubles of
-    their rows, would pass _BIN_TILE_CELLS.
+    Each tile's rows are made when _binned_sums asks for them, widened by
+    one bin on each side for the bin correction: on the DFT-matrix path
+    from one bincount of its run, and on the FFT path into one contiguous
+    (dmax + 1, w, nblks) array, a sub-chunk of _BIN_TILE_ELEMENTS / C bins
+    at a time, each from a bincount of its own run.  The tiles are
+    _BIN_TILE_ELEMENTS / M bins wide, narrower where their C w count
+    cells, or the 2 (dmax + 1) nblks w doubles of their rows, would pass
+    _BIN_TILE_CELLS.
     """
     nblks, n_phi = ds.nblks, ds.n_phi
     cells = nblks * n_phi
@@ -1119,18 +1141,28 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     width = max(1, min(_BIN_TILE_ELEMENTS // M,
                        _BIN_TILE_CELLS // max(cells, 2 * (dmax + 1) * nblks)))
     dft = _phase_dft_matrix(n_per_phase, dmax)
+    sub = max(1, _BIN_TILE_ELEMENTS // cells)
+
+    def counts(first, stop):
+        # the counts of the bins first..stop-1 as exact float64 integers (a
+        # bincount of no keys is int64), (bins, nblks, n_phi)
+        lo, hi = start[first], start[stop]
+        c = np.bincount(key[lo:hi] - first * cells, np.ones(hi - lo),
+                        (stop - first) * cells).astype(np.float64, copy=False)
+        return c.reshape(stop - first, nblks, n_phi)
 
     def rhs(tile):
         first, stop = tile.start, tile.stop
         if bin_correction:  # with a halo bin from each neighbouring tile
             first, stop = max(first - 1, 0), min(stop + 1, n_bin)
-        lo, hi = start[first], start[stop]
-        # the counts as exact float64 integers (a bincount of no keys is
-        # int64), (bins, nblks, n_phi)
-        counts = np.bincount(key[lo:hi] - first * cells, np.ones(hi - lo),
-                             (stop - first) * cells).astype(np.float64, copy=False)
-        rows = _phase_rows(counts.reshape(stop - first, nblks, n_phi), n_per_phase, dmax, dft)
-        del counts
+        if dft is None:  # the FFT rows, a sub-chunk of bins at a time
+            rows = np.empty((dmax + 1, stop - first, nblks), dtype=np.complex128)
+            for a in range(first, stop, sub):
+                b = min(a + sub, stop)
+                _phase_rows(counts(a, b), n_per_phase, dmax, None,
+                            out=rows[:, a - first:b - first])
+        else:
+            rows = _phase_rows(counts(first, stop), n_per_phase, dmax, dft)
         if bin_correction:
             rows = _bin_corrected(rows.transpose(0, 2, 1), tile, n_bin).transpose(0, 2, 1)
         # (dmax + 1, w, nblks) complex as (dmax + 1, w, 2 nblks) float

@@ -7,23 +7,32 @@ are computed analytically from the coefficients,
 
 with psi_n the oscillator eigenfunctions in the convention psi_0(x) =
 (2/pi)^{1/4} e^{-x^2} (vacuum quadrature variance 1/4), and samples are
-drawn by inverse-CDF interpolation on a tabulated grid.  marginals and
-sample walk the table in chunks of rows of about _CHUNK entries, in order.
-marginals runs on the calling thread with one chunk's scratch (about
-16 MB at 2^17 grid points).  Only sample runs its chunks on worker
-threads, up to W in flight; W is the number of CPUs the process may run
-on, at most OMP_NUM_THREADS when that is set (as `hdtomo --threads` sets
-it).  Each worker reuses its own scratch buffers from chunk to chunk
-(about 5 MB at 2^17 grid points), so sample's memory is the table plus W
-chunks' scratch, plus the dataset it returns.  From a table on
-phase_grid(n_phi), bit for bit (as draw makes it), that dataset holds 12
-bytes per sample: the values, the phase index in the smallest unsigned
-dtype and uint16 block labels.  Its phases are derived from the index,
-never stored; a table on any other phases keeps them per sample.  A
-table of one chunk, or W = 1, runs the plain serial loop.  Phase j's
-draws depend only on (seed, j) and table row j, so tables and samples
-are bit-identical for every W.  draw alone composes marginals and
-sample on a plan's grids, and run_experiment is draw followed by
+drawn by inverse-CDF interpolation on a tabulated grid.  All three of
+marginals, sample and draw walk the phases in chunks of rows, in order,
+and share one copy of each step: a chunk's marginal rows
+(_marginal_rows) and its draws (_draw_rows).  marginals fills a whole
+table on the calling thread with one chunk's scratch (12 MB at _CHUNK,
+2^19 entries).  sample draws from a table, and draw is the fused path:
+each of its chunks computes its marginal rows into its own buffers and
+draws from them, so no table is ever held.  Both run their chunks on
+worker threads, up to W in flight; W is the number of CPUs the process
+may run on, at most OMP_NUM_THREADS when that is set (as
+`hdtomo --threads` sets it).  Each worker reuses its own scratch buffers
+from chunk to chunk: about 5 MB for sample, and 4.3 MB for draw, whose
+chunks are a quarter of the size (_DRAW_CHUNK) but also hold their
+complex amplitudes and rows.  So sample's memory is the table plus W
+chunks' scratch plus the dataset it returns, and draw's the dataset plus
+W chunks' scratch (hdtomo simulate peaks at 64 MB of RSS at M = 800 on
+1600 phases of 2^17 points, whose table alone would take 1.7 GB).  From
+a table on phase_grid(n_phi), bit for bit (as draw has it), that dataset
+holds 12 bytes per sample: the values, the phase index in the smallest
+unsigned dtype and uint16 block labels.  Its phases are derived from the
+index, never stored; a table on any other phases keeps them per sample.
+A run of one chunk, or W = 1, is the plain serial loop.  Phase j's draws
+depend only on (seed, j) and table row j, and each row has the same bits
+whatever chunk computes it, so tables and samples are bit-identical for
+every W, and draw's samples are sample(marginals(...))'s.  draw takes a
+plan's grids, and run_experiment is draw followed by
 reconstruct.estimate.  phase_grid lives in reconstruct, whose datasets
 derive their phases with it, and is exported here too.
 """
@@ -41,7 +50,7 @@ import numpy as np
 from .errors import DataError, _check_count, _warn
 from .patterns import PatternConfig, _regular_recurrence, choose_beta
 from .reconstruct import (
-    QuadratureDataset, _on_grid, check_normalization, estimate, phase_grid,
+    _PRODUCT, QuadratureDataset, _on_grid, check_normalization, estimate, phase_grid,
 )
 
 TRUNCATION_WARN = 1e-6
@@ -49,8 +58,11 @@ TRUNCATION_FAIL = 1e-2
 
 # Table entries per chunk of rows in marginals and sample (4 rows at 2^17
 # grid points, 128 at 4096): their scratch stays cache-sized however large
-# the table is.
+# the table is.  draw's chunks are a quarter of that (2 rows at 2^17, 32
+# at 4096): each of its W workers holds 33 bytes per entry, and no table
+# dwarfs them.
 _CHUNK = 2**19
+_DRAW_CHUNK = 2**17
 
 
 @dataclass
@@ -143,15 +155,16 @@ def oscillator_wavefunctions(x, nmax: int) -> np.ndarray:
     return _wavefunction_rows(x, np.arange(nmax + 1))
 
 
-def _wavefunction_rows(x, rows) -> np.ndarray:
+def _wavefunction_rows(x, rows, dtype=np.float64) -> np.ndarray:
     """Selected psi_n rows only, shape (len(rows), len(x)), from the
-    pattern functions' regular recurrence started at psi_0.  Memory stays
-    O(len(x)) however high the requested indices reach, which matters for
-    sparse Fock superpositions on fine grids.
+    pattern functions' regular recurrence started at psi_0, written into
+    an array of dtype (complex for the simulator's products).  Memory
+    stays O(len(x)) however high the requested indices reach, which
+    matters for sparse Fock superpositions on fine grids.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
-    out = np.empty((rows.size, x.size))
+    out = np.empty((rows.size, x.size), dtype)
     psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
     for n, (_, psi) in enumerate(_regular_recurrence(x, psi0, int(rows.max()) + 1)):
         out[rows == n] = psi
@@ -174,11 +187,11 @@ def quadrature_grid(M: int, n_points: int) -> np.ndarray:
     return np.linspace(-span, span, n_points)
 
 
-def _chunk_rows(n_points: int) -> int:
-    """Table rows per chunk: _CHUNK entries, never fewer than two rows,
+def _chunk_rows(n_points: int, entries: int) -> int:
+    """Table rows per chunk of entries, never fewer than two rows,
     because numpy sends a one-row product to BLAS's matrix-vector kernel,
     which rounds differently from the matrix-matrix kernel."""
-    return max(2, _CHUNK // n_points)
+    return max(2, entries // n_points)
 
 
 def _workers() -> int:
@@ -197,11 +210,12 @@ def _workers() -> int:
 
 def _run_chunks(starts, scratch, work):
     """work(a, buf) for each chunk start a, in order, with at most
-    _workers() chunks in flight: sample's chunk loop.  Each chunk runs on
-    a worker thread with its own scratch buffers buf = scratch(), reused
-    by every chunk that worker slot takes.  Exceptions from work come back
-    in chunk order.  With one worker or one chunk this is the plain serial
-    loop on the calling thread, and concurrent.futures is not imported."""
+    _workers() chunks in flight: sample's and draw's chunk loop.  Each
+    chunk runs on a worker thread with its own scratch buffers
+    buf = scratch(), reused by every chunk that worker slot takes.
+    Exceptions from work come back in chunk order.  With one worker or one
+    chunk this is the plain serial loop on the calling thread, and
+    concurrent.futures is not imported."""
     workers = min(_workers(), len(starts))
     if workers < 2:
         buf = scratch()
@@ -232,63 +246,92 @@ def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
+def _amplitudes(state: FockVector, phases: np.ndarray, x: np.ndarray):
+    """(rot, psi): the rotated coefficients c_n e^{-i n phi}, one row per
+    phase, and the complex wavefunction rows psi_n(x), over the state's
+    support, so that a table row is |rot[j] @ psi|^2.  One phase gets two
+    equal rows, of which the first is kept: numpy sends a one-row product
+    to BLAS's matrix-vector kernel, which rounds differently."""
+    support = np.flatnonzero(np.abs(state.c) > 0.0)
+    if support.size == 0:
+        raise ValueError("the state has no nonzero Fock coefficient")
+    psi = _wavefunction_rows(x, support, np.complex128)
+    n_rows = max(phases.size, 2)
+    rot = np.exp(-1j * np.outer(np.resize(phases, n_rows), support)) * state.c[support]
+    return rot, psi
+
+
+def _marginal_rows(rot, psi, dx, p, amp, terms, cols=None) -> np.ndarray:
+    """Table rows |rot @ psi|^2 written to p, through the complex buffer
+    amp, and their trapezoid masses, returned; the rows are normalised
+    unless one of them keeps less than 0.999 of its mass.  terms takes the
+    trapezoid terms.  The product goes in blocks of cols grid points, all
+    at once by default.  Every entry goes through the same operations in
+    the same order whatever the row count and the blocks, so each row has
+    the bits of a whole-table evaluation (given the BLAS property
+    marginals states)."""
+    cols = cols or psi.shape[1]
+    for a in range(0, psi.shape[1], cols):
+        np.matmul(rot, psi[:, a:a + cols], out=amp[:, a:a + cols])
+    np.multiply(amp.real, amp.real, out=p)
+    np.multiply(amp.imag, amp.imag, out=amp.imag)
+    p += amp.imag
+    mass = _trapezoid_terms(p, dx, terms).sum(axis=1)
+    if not np.any(mass < 0.999):
+        p /= mass[:, None]
+    return mass
+
+
+def _narrow_grid(phase: float, mass: float) -> DataError:
+    """The error for a phase whose row keeps only mass of its probability
+    on the x grid."""
+    return DataError(
+        f"marginal grid too narrow: phase {phase:.4f} keeps only "
+        f"{mass:.6f} of its probability mass; widen the x grid"
+    )
+
+
 def marginals(state: FockVector, phases, x) -> MarginalTable:
     """Analytic quadrature distributions of the state at the given phases.
 
     The table is filled on the calling thread in chunks of rows of about
-    _CHUNK entries.  Per chunk: one complex matrix product into a reused
-    buffer, |amp|^2 written into the table rows, their trapezoid mass,
-    and their normalisation while the chunk is still in cache.  The last
-    chunk is moved back to end at n_phi, full-sized, and recomputes the
-    rows it shares with the chunk before it.  Memory is the table plus
-    one chunk's scratch (about 16 MB at 2^17 grid points).  Every entry
-    goes through the same operations in the same order as in a
-    whole-table evaluation, so the table is bit-identical to one,
+    _CHUNK entries (_marginal_rows).  Per chunk: one complex matrix
+    product into a reused buffer, |amp|^2 written into the table rows,
+    their trapezoid mass, and their normalisation while the chunk is still
+    in cache.  The last chunk is moved back to end at n_phi, full-sized,
+    and recomputes the rows it shares with the chunk before it.  Memory is
+    the table plus one chunk's scratch (12 MB).
+    Every entry goes through the same operations in the same order as in
+    a whole-table evaluation, so the table is bit-identical to one,
     provided the BLAS complex matrix product gives each row the same bits
     whatever the product's row count and the row's place in it (true of
     OpenBLAS 0.3.31; the oracle tests check it).  One phase is computed
     as a two-row product, so its row has the same bits as in a table of
-    more phases: a one-row product would go to BLAS's matrix-vector
-    kernel, which rounds differently.  An empty phase list gives an empty
-    table.
+    more phases.  An empty phase list gives an empty table.  A table with
+    a phase that keeps less than 0.999 of its mass raises DataError naming
+    the worst phase of the whole table.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
-    support = np.flatnonzero(np.abs(state.c) > 0.0)
-    if support.size == 0:
-        raise ValueError("the state has no nonzero Fock coefficient")
+    rot, psi = _amplitudes(state, phases, x)
     n_phi = phases.size
     if n_phi == 0:
         return MarginalTable(phases=phases, x=x, p=np.empty((0, x.size)))
-    psi = _wavefunction_rows(x, support).astype(np.complex128)
-    # one phase is formed as two equal rows, of which the first is kept:
-    # numpy sends a one-row product to BLAS's matrix-vector kernel
-    n_rows = max(n_phi, 2)
-    rot = np.exp(-1j * np.outer(np.resize(phases, n_rows), support)) * state.c[support]
+    n_rows = rot.shape[0]
     p = np.empty((n_rows, x.size))
     mass = np.empty(n_rows)
     dx = np.diff(x)
-    rows = min(_chunk_rows(x.size), n_rows)
+    rows = min(_chunk_rows(x.size, _CHUNK), n_rows)
     amp = np.empty((rows, x.size), dtype=np.complex128)
-    imag2 = np.empty((rows, x.size))
     terms = np.empty((rows, x.size - 1))
     for a in range(0, n_rows, rows):
         a = min(a, n_rows - rows)  # the last chunk ends at n_rows, full-sized
-        chunk = p[a:a + rows]
-        np.matmul(rot[a:a + rows], psi, out=amp)
-        np.multiply(amp.real, amp.real, out=chunk)
-        np.multiply(amp.imag, amp.imag, out=imag2)
-        chunk += imag2
-        m = mass[a:a + rows] = _trapezoid_terms(chunk, dx, terms).sum(axis=1)
-        if not np.any(m < 0.999):
-            chunk /= m[:, None]
+        mass[a:a + rows] = _marginal_rows(rot[a:a + rows], psi, dx, p[a:a + rows],
+                                          amp, terms)
     p, mass = p[:n_phi], mass[:n_phi]
     if np.any(mass < 0.999):
         j = int(np.argmin(mass))
-        raise DataError(
-            f"marginal grid too narrow: phase {phases[j]:.4f} keeps only "
-            f"{mass[j]:.6f} of its probability mass; widen the x grid"
-        )
+        raise _narrow_grid(phases[j], mass[j])
     return MarginalTable(phases=phases, x=x, p=p)
 
 
@@ -315,18 +358,94 @@ class SimulationPlan:
         return self.nsamples * self.nblks * self.n_phi
 
 
+def _draw_scratch(rows: int, x: np.ndarray, draws: int):
+    """A worker's buffers for _draw_rows over at most rows phases.  cdf
+    column 0 is never written: every CDF starts at 0, and its first point
+    is always kept.  xw is x, except at a row's anchor."""
+    return (np.zeros((rows, x.size)), np.ones((rows, x.size), dtype=bool),
+            np.empty(draws), x.copy())
+
+
+def _draw_rows(p, first: int, x, dx, seed: int, values, buf):
+    """Draw phases first..first + len(p) - 1 from their table rows p, by
+    inverse CDF, into values[first:first + len(p)], one row of draws per
+    phase, with the buffers buf of _draw_scratch.
+
+    The trapezoid terms, their cumulative sum and its normalisation form
+    the CDF rows, then each phase is drawn.  Phase j's generator is seeded
+    from SeedSequence((seed, j)), and its draws are interpolated in sorted
+    order and put back in draw order.  Raises DataError naming the first
+    phase whose row has a negative entry or a trapezoid total that is not
+    positive and finite, before any phase is drawn.
+    """
+    cdf, keep, u, xw = buf
+    n = p.shape[0]
+    # inside the worker: numpy's error state does not pass to threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _trapezoid_terms(p, dx, cdf[:n, 1:])
+        np.cumsum(terms, axis=1, out=terms)
+    total = cdf[:n, -1].copy()
+    low = p.min(axis=1)
+    bad = np.flatnonzero((low < 0.0) | ~(np.isfinite(total) & (total > 0.0)))
+    if bad.size:
+        i = bad[0]
+        if low[i] < 0.0:
+            raise DataError(f"marginal table phase {first + i} has a negative "
+                            f"density {low[i]:.6g}")
+        raise DataError(f"marginal table phase {first + i} has probability mass "
+                        f"{total[i]:.6g}; it must be positive and finite")
+    cdf[:n] /= total[:, None]
+    # interp needs rising abscissae: of each flat run of the CDF only the
+    # first point is kept (for finite doubles, b > a iff b - a > 0)
+    np.greater(cdf[:n, 1:], cdf[:n, :-1], out=keep[:n, 1:])
+    for i in range(n):
+        j = first + i
+        row, flags = cdf[i], keep[i]
+        lo = int(np.argmax(flags[1:]))  # end of a leading flat run, or 0
+        hi = x.size - int(np.argmax(flags[:0:-1]))  # one past the last kept point
+        tails = np.count_nonzero(flags) == hi - lo
+        if tails:
+            # the only flat runs are the tails: the kept points are the
+            # view lo:hi once its first point is the anchor (cdf[0], x[0])
+            row[lo], xw[lo] = row[0], x[0]
+            cdf_j, x_j = row[lo:hi], xw[lo:hi]
+        else:
+            cdf_j, x_j = row[flags], x[flags]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, j)))
+        rng.random(out=u)
+        order = np.argsort(u)
+        values[j][order] = np.interp(u[order], cdf_j, x_j)
+        if tails:
+            xw[lo] = x[lo]
+
+
+def _dataset(values: np.ndarray, phases: np.ndarray, plan: SimulationPlan):
+    """The dataset of the (n_phi, draws) values drawn at phases: block
+    labels in draw order, and the phase index alone when phases is
+    phase_grid(n_phi) bit for bit, else the phases repeated per draw."""
+    n_phi, draws = values.shape
+    block = np.tile(
+        np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi
+    )
+    values = values.reshape(-1)
+    if _on_grid(np.arange(n_phi), phases, n_phi):
+        index = np.repeat(np.arange(n_phi, dtype=np.min_scalar_type(n_phi - 1)), draws)
+        return QuadratureDataset(None, values, n_phi, block, plan.nblks, phase_index=index)
+    return QuadratureDataset(
+        phases=np.repeat(phases, draws), values=values, n_phi=n_phi, block=block,
+        nblks=plan.nblks,
+    )
+
+
 def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
     """Draw the planned dataset from tabulated marginals by inverse CDF.
 
     The table is read in chunks of rows of about _CHUNK entries, each
-    chunk on a worker thread of _run_chunks with its own reused buffers:
-    the trapezoid terms, their cumulative sum and its normalisation form
-    the CDF rows, then each phase is drawn.  Phase j's draws depend only
-    on (plan.seed, j) and table row j: its generator is seeded from
+    chunk on a worker thread of _run_chunks with its own reused buffers,
+    and drawn by _draw_rows.  Phase j's draws depend only on (plan.seed,
+    j) and table row j: its generator is seeded from
     SeedSequence((plan.seed, j)), so a run over a prefix of the phases
     reproduces that prefix, and every worker count gives the same bits.
-    Each phase's draws are interpolated in sorted order and put back in
-    draw order.
 
     A table on phase_grid(n_phi), bit for bit, gives a dataset that keeps
     each sample's phase index alone and derives its phases: 12 bytes per
@@ -350,75 +469,69 @@ def sample(table: MarginalTable, plan: SimulationPlan) -> QuadratureDataset:
         raise ValueError(f"the marginal table's p has shape {p.shape}, "
                          f"expected {(n_phi, x.size)}")
     draws = plan.nsamples * plan.nblks
-    values = np.empty(n_phi * draws)
+    values = np.empty((n_phi, draws))
     dx = np.diff(x)
-    rows = min(_chunk_rows(x.size), n_phi)
-
-    def scratch():
-        # cdf column 0 is never written: every CDF starts at 0, and its
-        # first point is always kept.  xw is x, except at a row's anchor.
-        return (np.zeros((rows, x.size)), np.ones((rows, x.size), dtype=bool),
-                np.empty(draws), x.copy())
+    rows = min(_chunk_rows(x.size, _CHUNK), n_phi)
 
     def draw_chunk(a, buf):
-        cdf, keep, u, xw = buf
-        n = min(rows, n_phi - a)
-        # inside the worker: numpy's error state does not pass to threads
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = _trapezoid_terms(p[a:a + n], dx, cdf[:n, 1:])
-            np.cumsum(terms, axis=1, out=terms)
-        total = cdf[:n, -1].copy()
-        low = p[a:a + n].min(axis=1)
-        bad = np.flatnonzero((low < 0.0) | ~(np.isfinite(total) & (total > 0.0)))
-        if bad.size:
-            i = bad[0]
-            if low[i] < 0.0:
-                raise DataError(f"marginal table phase {a + i} has a negative "
-                                f"density {low[i]:.6g}")
-            raise DataError(f"marginal table phase {a + i} has probability mass "
-                            f"{total[i]:.6g}; it must be positive and finite")
-        cdf[:n] /= total[:, None]
-        # interp needs rising abscissae: of each flat run of the CDF only the
-        # first point is kept (for finite doubles, b > a iff b - a > 0)
-        np.greater(cdf[:n, 1:], cdf[:n, :-1], out=keep[:n, 1:])
-        for i in range(n):
-            j = a + i
-            row, flags = cdf[i], keep[i]
-            lo = int(np.argmax(flags[1:]))  # end of a leading flat run, or 0
-            hi = x.size - int(np.argmax(flags[:0:-1]))  # one past the last kept point
-            tails = np.count_nonzero(flags) == hi - lo
-            if tails:
-                # the only flat runs are the tails: the kept points are the
-                # view lo:hi once its first point is the anchor (cdf[0], x[0])
-                row[lo], xw[lo] = row[0], x[0]
-                cdf_j, x_j = row[lo:hi], xw[lo:hi]
-            else:
-                cdf_j, x_j = row[flags], x[flags]
-            rng = np.random.default_rng(np.random.SeedSequence((plan.seed, j)))
-            rng.random(out=u)
-            order = np.argsort(u)
-            values[j * draws:(j + 1) * draws][order] = np.interp(u[order], cdf_j, x_j)
-            if tails:
-                xw[lo] = x[lo]
+        _draw_rows(p[a:a + rows], a, x, dx, plan.seed, values, buf)
 
-    _run_chunks(range(0, n_phi, rows), scratch, draw_chunk)
-    block = np.tile(
-        np.repeat(np.arange(plan.nblks, dtype=np.uint16), plan.nsamples), n_phi
-    )
-    if _on_grid(np.arange(n_phi), table.phases, n_phi):
-        index = np.repeat(np.arange(n_phi, dtype=np.min_scalar_type(n_phi - 1)), draws)
-        return QuadratureDataset(None, values, n_phi, block, plan.nblks, phase_index=index)
-    return QuadratureDataset(
-        phases=np.repeat(table.phases, draws), values=values, n_phi=n_phi, block=block,
-        nblks=plan.nblks,
-    )
+    _run_chunks(range(0, n_phi, rows), lambda: _draw_scratch(rows, x, draws), draw_chunk)
+    return _dataset(values, table.phases, plan)
 
 
 def draw(state: FockVector, plan: SimulationPlan) -> QuadratureDataset:
-    """The planned dataset, sampled from the state's marginals tabulated on
-    phase_grid(plan.n_phi) x quadrature_grid(state.M, plan.grid_points)."""
+    """The planned dataset, sampled from the state's marginals on
+    phase_grid(plan.n_phi) x quadrature_grid(state.M, plan.grid_points),
+    bit for bit as sample(marginals(...), plan) draws it, without the
+    table.
+
+    Each chunk of phases, of about _DRAW_CHUNK entries, runs on a worker
+    of _run_chunks: it computes its marginal rows into the worker's own
+    buffers (_marginal_rows, as marginals does), checks their masses, and
+    draws its phases from them (_draw_rows, as sample does).  As in
+    marginals, the last chunk ends at n_phi, full-sized, and recomputes
+    the rows it shares with the chunk before it, but it draws only the
+    phases it owns.  Memory is the dataset plus W chunks' scratch (about
+    4.3 MB each).
+
+    Raises DataError naming the first phase, in chunk order, that keeps
+    less than 0.999 of its mass on the grid, before its chunk draws
+    anything; marginals names the worst phase of the whole table instead.
+    """
     x = quadrature_grid(state.M, plan.grid_points)
-    return sample(marginals(state, phase_grid(plan.n_phi), x), plan)
+    phases = phase_grid(plan.n_phi)
+    rot, psi = _amplitudes(state, phases, x)
+    n_phi, n_rows = plan.n_phi, rot.shape[0]
+    draws = plan.nsamples * plan.nblks
+    values = np.empty((n_phi, draws))
+    dx = np.diff(x)
+    rows = min(_chunk_rows(x.size, _DRAW_CHUNK), n_rows)
+    # complex products of fewer than _PRODUCT / 4 multiply-adds, which
+    # OpenBLAS runs on the calling thread (BLAS threads under each worker
+    # fight over the cores: on 2 cores, draw at M = 800 on 1600 phases of
+    # 2^17 points took 4.0 s with them and 2.3 s without), but never
+    # narrower than 1024 grid points, below which the calls cost more
+    cols = max(1024, (_PRODUCT // 4 - 1) // (rows * psi.shape[0]))
+
+    def scratch():
+        return (np.empty((rows, x.size), dtype=np.complex128), np.empty((rows, x.size)),
+                _draw_scratch(rows, x, draws))
+
+    def draw_chunk(a, buf):
+        amp, p, drawn = buf
+        c = min(a, n_rows - rows)  # the first row computed; rows c..a-1 are not ours
+        # the trapezoid terms go into the CDF buffer, which _draw_rows overwrites
+        mass = _marginal_rows(rot[c:c + rows], psi, dx, p, amp, drawn[0][:, 1:], cols)
+        own = slice(a - c, min(rows, n_phi - c))
+        bad = np.flatnonzero(mass[own] < 0.999)
+        if bad.size:
+            j = a + int(bad[0])
+            raise _narrow_grid(phases[j], mass[j - c])
+        _draw_rows(p[own], a, x, dx, plan.seed, values, drawn)
+
+    _run_chunks(range(0, n_phi, rows), scratch, draw_chunk)
+    return _dataset(values, phases, plan)
 
 
 def run_experiment(

@@ -112,6 +112,28 @@ def test_read_samples_streams_a_plain_file(tmp_path):
     assert peak < 3 * 32 * n
 
 
+def test_read_samples_holds_the_dataset_and_one_chunk(tmp_path):
+    # each chunk of _READ_ROWS rows goes straight into the dataset's arrays:
+    # float values, uint16 index and uint16 labels, 12 bytes per row, and
+    # one chunk's table and checks (about 67 bytes per row of the chunk);
+    # the whole-file parse held about 61 bytes per row of the file
+    plan = SimulationPlan(nsamples=100, nblks=4, n_phi=500, seed=5, grid_points=256)
+    ds = draw(make_state("coherent", 0.5, 12), plan)
+    p = tmp_path / "s.csv"
+    formats.write_samples(p, ds)
+    tracemalloc.start()
+    try:
+        back, _ = formats.read_samples(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.N == 200_000 and back.phases_derived
+    assert back.phase_index.dtype == back.block.dtype == np.uint16
+    assert np.array_equal(back.values, ds.values)
+    assert np.array_equal(back.phase_index, ds.phase_index)
+    assert peak <= 12 * back.N + 100 * formats._READ_ROWS
+
+
 @pytest.mark.parametrize("nblks", [1, 3])
 def test_samples_writer_matches_cell_by_cell_writer(tmp_path, nblks):
     # phases and blocks interleaved over several write chunks; a phase one
@@ -449,6 +471,55 @@ def test_readers_match_line_oracles_through_int_converters(tmp_path, monkeypatch
     # parsed, through Python's int, give the same outcomes
     monkeypatch.setattr(formats, "_loadtxt_rejects_fractions", lambda: False)
     test_readers_match_line_oracles_on_single_faults(tmp_path)
+
+
+# a chunk of blank lines alone is a chunk of no rows, which numpy warns of
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_samples_reader_chunks_match_the_line_oracle(tmp_path, monkeypatch, rows):
+    # chunks of 1, 2 or 4 rows over 9 rows whose phases leave the grid's
+    # bits at row 5 (one ulp off) and row 8 (-0.0), so the phases of the
+    # chunks before row 5 are rebuilt from their index.  Single faults, and
+    # labels or indices out of range in a later chunk, give the line
+    # oracle's values or DataError text.  A cell that only Python reads
+    # gives the whole-file read's text, numpy's row number included.
+    n_phi = 3
+    j = np.array([0, 1, 2, 2, 1, 0, 1, 2, 0])
+    phases = reconstruct.phase_grid(n_phi)[j]
+    phases[5] = np.nextafter(0.0, 1.0)
+    phases[8] = -0.0
+    ds = QuadratureDataset(phases, np.linspace(-2.0, 2.0, 9), n_phi,
+                           np.arange(9) % 2, 2)
+    p = tmp_path / "t.csv"
+    formats.write_samples(p, ds)
+    text = p.read_text()
+    lines = text.splitlines()
+    variants = [(None, lines)]
+    for k, edit in ((7, "0,{},9,{}"), (7, "0,{},-1,{}"), (6, "7,{},1,{}"), (3, "0,{},0,{}")):
+        cells = lines[k].split(",")
+        variants.append((None, lines[:k] + [edit.format(cells[1], cells[3])] + lines[k + 1:]))
+    variants += list(_mutations(text))
+
+    def whole(path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_READ_ROWS", 1 << 20)
+            return _outcome(formats.read_samples, path)
+
+    monkeypatch.setattr(formats, "_READ_ROWS", rows)
+    explicit = 0
+    for bad, variant in variants:
+        p.write_text("\n".join(variant) + "\n", newline="")
+        new = _outcome(formats.read_samples, p)
+        if bad in (_PYTHON_ONLY, _HUGE):
+            assert _same(new, whole(p)), variant
+        elif bad == _HEADER_ROW:
+            old = _outcome(oracles.read_samples_by_line, p)
+            assert new.split(": ")[:2] == old.split(": ")[:2], (new, old)
+        else:
+            old = _outcome(oracles.read_samples_by_line, p)
+            assert _same(new, old), (variant, new, old)
+            explicit += not isinstance(new, str) and not new[0].phases_derived
+    assert explicit > 100
 
 
 def test_reading_samples_leaves_other_threads_warnings_alone(tmp_path):

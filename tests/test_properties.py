@@ -6,12 +6,13 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
 from hdtomo import formats, simulate
+from hdtomo.errors import DataError
 from hdtomo.patterns import (
     PatternConfig,
     build_table,
@@ -227,6 +228,57 @@ def test_chunked_sampler_matches_per_phase_oracle(data):
         mp.setattr(simulate, "_CHUNK", chunk)
         ds = simulate.sample(table, plan)
     assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_draw_matches_sample_of_marginals(data):
+    # random coefficients, some of them 0, on a coarse or fine grid; chunks
+    # of 2-5 rows over n_phi phases, so the last chunk is often short and
+    # moved back over rows of the chunk before it, which it recomputes but
+    # must not draw again
+    M = data.draw(st.integers(1, 8), label="M")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    c = (rng.normal(size=M) + 1j * rng.normal(size=M)) * (rng.random(M) < 0.7)
+    c[data.draw(st.integers(0, M - 1), label="nonzero level")] += 1.0
+    state = FockVector(M, c / np.linalg.norm(c))
+    n_x = data.draw(st.integers(16, 300), label="grid points")
+    plan = SimulationPlan(
+        nsamples=data.draw(st.integers(1, 20), label="nsamples"),
+        nblks=data.draw(st.integers(1, 3), label="nblks"),
+        n_phi=data.draw(st.integers(1, 40), label="n_phi"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="plan seed"), grid_points=n_x)
+    chunk = data.draw(st.integers(1, 5 * n_x), label="_CHUNK")
+    draw_chunk = data.draw(st.integers(1, 5 * n_x), label="_DRAW_CHUNK")
+    workers = data.draw(st.sampled_from([1, 2, 8]), label="workers")
+    drawn = []
+    rows = simulate._draw_rows
+
+    def spy(p, first, *args):
+        drawn.append(range(first, first + len(p)))
+        return rows(p, first, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK", chunk)
+        mp.setattr(simulate, "_DRAW_CHUNK", draw_chunk)
+        mp.setattr(simulate, "_workers", lambda: workers)
+        try:
+            ref = simulate.sample(simulate.marginals(
+                state, simulate.phase_grid(plan.n_phi),
+                simulate.quadrature_grid(M, n_x)), plan)
+        except DataError:  # a grid too coarse: some phase loses mass
+            event("a phase loses mass")
+            with pytest.raises(DataError, match="marginal grid too narrow"):
+                simulate.draw(state, plan)
+            return
+        mp.setattr(simulate, "_draw_rows", spy)
+        ds = simulate.draw(state, plan)
+    # every phase drawn exactly once
+    assert sorted(j for r in drawn for j in r) == list(range(plan.n_phi))
+    for field in ("values", "phase_index", "block"):
+        a, b = getattr(ds, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert ds.phases_derived and ref.phases_derived
 
 
 # finite doubles, with the signed zero, subnormals and the largest magnitudes

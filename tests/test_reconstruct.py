@@ -249,6 +249,37 @@ def test_double_by_symmetry_maps_a_phase_index(n_phi):
         double_by_symmetry(top)
 
 
+@pytest.mark.parametrize("derived", [True, False])
+def test_double_by_symmetry_counts_the_half_circle_grid(derived):
+    # a file of 6 phases measured at j = 0, 1, 2, on [0, pi).  As the CLI
+    # passes it, with n_phi = 3 counting its half-circle grid, it fills all
+    # 6 cells of the doubled grid.  On its own full grid it fills only the
+    # even cells of a grid of 12: the unbinned estimator takes that, the
+    # binned paths refuse it.
+    n_phi, nblks = 6, 2
+    j = np.tile(np.arange(3).repeat(20), nblks)
+    values = np.random.default_rng(7).normal(size=j.size)
+    block = np.repeat(np.arange(nblks), 60)
+    ds = QuadratureDataset(None, values, n_phi, block, nblks, phase_index=j)
+    if not derived:
+        ds = QuadratureDataset(ds.phases, values, n_phi, block, nblks)
+    cfg = PatternConfig(cutoff=3, beta=choose_beta(values))
+    half = double_by_symmetry(dataclasses.replace(ds, n_phi=n_phi // 2))
+    assert half.n_phi == n_phi
+    assert np.array_equal(np.bincount(half.phase_index, minlength=n_phi), [40] * n_phi)
+    bin(half, 40)
+    block_statistics(half, cfg, n_bin=40)
+    full = double_by_symmetry(ds)
+    assert full.n_phi == 2 * n_phi and full.phases_derived == derived
+    counts = np.bincount(full.phase_index, minlength=2 * n_phi)
+    assert np.all(counts[::2] == 40) and np.all(counts[1::2] == 0)
+    assert np.all(np.isfinite(estimate_unbinned(full, cfg).rho))
+    with pytest.raises(DataError, match="phase index 1 has no samples;"):
+        bin(full, 40)
+    with pytest.raises(DataError, match="phase index 1 has no samples in block 0;"):
+        block_statistics(full, cfg, n_bin=40)
+
+
 def test_double_by_symmetry_rejects_full_circle_data():
     ds = QuadratureDataset(np.array([math.pi]), np.array([0.3]), n_phi=2)
     with pytest.raises(DataError, match=r"\[0, pi\)"):
@@ -729,6 +760,26 @@ def test_block_tiles_match_the_per_block_oracle(monkeypatch, case, n_phi, max_di
         ds, cfg, 40, max_diag=max_diag, bin_correction=bin_correction))
 
 
+@pytest.mark.parametrize("bin_correction", [False, True])
+def test_block_fft_rows_keep_their_bits_in_every_sub_chunk(monkeypatch, bin_correction):
+    # tiles of 7 bins, capped by their rows' 48 doubles per bin, filled by
+    # sub-chunks of 1, 3 or 7 bins, or of 40 (the whole tile at once, as the
+    # rows were made before the sub-chunks): the same bits from each
+    ds = _uneven_blocks(11)
+    cfg = PatternConfig(cutoff=6, beta=choose_beta(ds.values))
+    monkeypatch.setattr(reconstruct, "_BIN_TILE_CELLS", 7 * 48)
+    widths = _block_tile_widths(monkeypatch)
+    ests = []
+    for sub in (40, 1, 3, 7):
+        monkeypatch.setattr(reconstruct, "_BIN_TILE_ELEMENTS", sub * ds.nblks * 11)
+        ests.append(block_statistics(ds, cfg, n_bin=40, bin_correction=bin_correction))
+    assert widths == [(40, 7)] * 4
+    for est in ests[1:]:
+        for a, b in ((est.rho, ests[0].rho), (est.err_re, ests[0].err_re),
+                     (est.err_im, ests[0].err_im)):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("n_phi, max_diag", [(64, 2), (11, None)], ids=["dft", "rfft"])
 def test_block_tiles_of_one_bin_ignore_the_order_within_blocks(monkeypatch, n_phi,
                                                                max_diag):
@@ -790,6 +841,25 @@ def test_block_tiles_bound_their_rows_as_well_as_their_counts(bin_correction):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 8 * reconstruct._BIN_TILE_CELLS
+
+
+def test_block_fft_tile_holds_its_rows_and_one_sub_chunk():
+    # the FFT path (max_diag + 1 = 20 > log2(200)) over one tile of 1000
+    # bins of 10 blocks: the tile's rows take 16 (max_diag + 1) w nblks =
+    # 3.2 MB, filled a sub-chunk of 2^16 / 2000 = 32 bins at a time, whose
+    # counts and half spectra take about 1 MB.  The whole tile's counts and
+    # half spectrum, with a contiguous copy of the rows, traced 32 MB.
+    M, n_phi, nblks, n_bin = 20, 200, 10, 1000
+    j = np.tile(np.repeat(np.arange(n_phi), 20), nblks)
+    ds = QuadratureDataset(None, np.random.default_rng(3).normal(0.0, 2.0, j.size), n_phi,
+                           np.repeat(np.arange(nblks), 20 * n_phi), nblks, phase_index=j)
+    _, tiles = reconstruct._block_tiles(ds, M, n_bin, None, M - 1, False)
+    made = []
+    peak = _traced_peak(lambda: made.append(next(tiles)))
+    tile, (R,) = made[0]
+    assert tile == slice(0, n_bin) and R.shape == (M, n_bin, 2 * nblks)
+    sub = reconstruct._BIN_TILE_ELEMENTS // (nblks * n_phi)
+    assert peak <= R.nbytes + 3 * 8 * sub * nblks * n_phi
 
 
 def _traced_peak(run):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from hdtomo.errors import DataError
 from hdtomo.simulate import (
     TRUNCATION_FAIL,
     TRUNCATION_WARN,
+    FockVector,
     MarginalTable,
     SimulationPlan,
     _wavefunction_rows,
@@ -223,12 +225,13 @@ _ORACLE_STATES = {
 
 
 def _set_chunk(monkeypatch, chunk, n_points):
-    """_CHUNK for one table row count: 'default', 3 rows per chunk, or a
-    grid longer than one chunk."""
-    if chunk == "3 rows":
-        monkeypatch.setattr(simulate, "_CHUNK", 3 * n_points)
-    elif chunk == "row > chunk":
-        monkeypatch.setattr(simulate, "_CHUNK", n_points // 3)
+    """_CHUNK and draw's _DRAW_CHUNK for one table row count: 'default',
+    3 rows per chunk, or a grid longer than one chunk."""
+    for name in ("_CHUNK", "_DRAW_CHUNK"):
+        if chunk == "3 rows":
+            monkeypatch.setattr(simulate, name, 3 * n_points)
+        elif chunk == "row > chunk":
+            monkeypatch.setattr(simulate, name, n_points // 3)
 
 
 @pytest.mark.parametrize("chunk", ["default", "3 rows", "row > chunk"])
@@ -243,10 +246,12 @@ def test_chunked_simulator_matches_whole_table_oracles(name, chunk, monkeypatch)
     assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
     # no phases: an empty (0, len(x)) table, as the whole-table code gave
     assert np.array_equal(marginals(state, [], x).p, oracles.marginals_whole(state, [], x).p)
-    plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
+    plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11, grid_points=n_points)
     ds, ref = sample(table, plan), oracles.sample_by_phase(table, plan)
     for field in ("values", "phases", "block"):
         assert np.array_equal(getattr(ds, field), getattr(ref, field))
+    # the fused draw computes the same rows chunk by chunk and draws them
+    _assert_same_dataset(draw(state, plan), ds)
 
 
 @pytest.mark.parametrize("chunk", ["default", "3 rows"])
@@ -276,6 +281,14 @@ def test_marginal_grid_too_narrow_message_matches_oracle(chunk, monkeypatch):
     assert "phase 3.0000 keeps only 0.000000" in str(new.value)
 
 
+def _assert_same_dataset(ds, ref):
+    for field in ("values", "phase_index", "block"):
+        a, b = getattr(ds, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert ds.phases_derived and ref.phases_derived
+    assert (ds.n_phi, ds.nblks) == (ref.n_phi, ref.nblks)
+
+
 def _flat_run_table(n_phi):
     """Rows with a leading zero run, a trailing one, both, an interior one
     (the sampler's mask path) and none, cycled over n_phi phases."""
@@ -303,8 +316,11 @@ def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch)
         _set_chunk(monkeypatch, "3 rows", n_points)
         table = marginals(state, phase_grid(7), x)
         assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
-        assert np.array_equal(sample(table, plan).values,
-                              oracles.sample_by_phase(table, plan).values)
+        ds = sample(table, plan)
+        assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
+        # draw's chunks run on the workers: the last one recomputes row 4
+        # and draws row 6 alone
+        _assert_same_dataset(draw(state, dataclasses.replace(plan, grid_points=n_points)), ds)
     table = _flat_run_table(7)
     _set_chunk(monkeypatch, "3 rows", table.x.size)
     assert np.array_equal(sample(table, plan).values,
@@ -313,23 +329,27 @@ def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch)
 
 def test_pooled_simulator_under_thread_stress(monkeypatch):
     # more workers than cores, 2-row chunks and a short switch interval: in
-    # sample, a buffer handed to the next chunk before its own chunk is done
-    # would change the bits; marginals stays serial, its table unchanged by W
+    # sample and draw, a buffer handed to the next chunk before its own
+    # chunk is done would change the bits; marginals stays serial, its table
+    # unchanged by W
     monkeypatch.setattr(simulate, "_workers", lambda: 8)
     args, n_points = _ORACLE_STATES["cat"]
     state = make_state(*args)
     x = quadrature_grid(state.M, n_points)
     monkeypatch.setattr(simulate, "_CHUNK", 2 * n_points)
+    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 2 * n_points)
     plan = SimulationPlan(nsamples=50, nblks=2, n_phi=41, seed=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         table = marginals(state, phase_grid(41), x)
         ds = sample(table, plan)
+        fused = draw(state, dataclasses.replace(plan, grid_points=n_points))
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(41), x).p)
     assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
+    _assert_same_dataset(fused, ds)
 
 
 def test_worker_count_follows_cpus_and_omp_cap(monkeypatch):
@@ -572,6 +592,56 @@ def test_draw_samples_the_plans_grids():
     for name in ("phases", "values", "block"):
         assert np.array_equal(getattr(ds, name), getattr(ref, name))
     assert (ds.n_phi, ds.nblks, ds.N) == (5, 2, plan.total_samples)
+
+
+def _narrow_state():
+    """A coherent state, alpha = 4i, on the x grid of M = 1: its marginal
+    at phase pi/2 keeps 0.67 of its mass there, and those at pi/4 and
+    3 pi/4 keep 0.997; the phases 0, pi/8 and pi keep all of theirs."""
+    return FockVector(1, make_state("coherent", 4j, 64).c)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_draw_names_the_first_phase_off_the_grid(workers, monkeypatch):
+    # draw checks each chunk's masses before the chunk draws anything and
+    # names the first failing phase in chunk order; marginals names the
+    # worst phase of the whole table
+    monkeypatch.setattr(simulate, "_workers", lambda: workers)
+    plan = SimulationPlan(nsamples=5, nblks=1, n_phi=16, seed=0, grid_points=512)
+    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 2 * plan.grid_points)
+    drawn = []
+    rows = simulate._draw_rows
+    monkeypatch.setattr(simulate, "_draw_rows",
+                        lambda p, first, *a: drawn.append(first) or rows(p, first, *a))
+    with pytest.raises(DataError) as exc:
+        draw(_narrow_state(), plan)
+    assert str(exc.value) == (
+        "marginal grid too narrow: phase 0.7854 keeps only 0.997384 of its "
+        "probability mass; widen the x grid")
+    # chunks of 2 phases: chunk 0 (0 and pi/8) draws, chunk 1 (pi/4 and
+    # 3 pi/8) draws nothing, and the error ends the loop before the next
+    # passing chunk (pi and 9 pi/8) starts
+    assert drawn == [0]
+    with pytest.raises(DataError, match="phase 1.5708 keeps only 0.673446"):
+        marginals(_narrow_state(), phase_grid(8), quadrature_grid(1, 512))
+
+
+def test_draw_holds_the_dataset_and_the_workers_chunks(monkeypatch):
+    # 800 phases at 8192 points: the table would be 52 MB.  draw holds the
+    # dataset (12 bytes per sample), and each of its W workers one chunk of
+    # 16 rows: complex amplitudes, rows, CDF and flags, 33 bytes per entry
+    monkeypatch.setattr(simulate, "_workers", lambda: 2)
+    state = make_state("fock_superposition", [3, 5], 8)
+    plan = SimulationPlan(nsamples=5, nblks=2, n_phi=800, seed=3, grid_points=8192)
+    assert plan.n_phi * plan.grid_points * 8 >= 50e6
+    tracemalloc.start()
+    try:
+        ds = draw(state, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.phases_derived and ds.N == plan.total_samples
+    assert peak <= 12 * ds.N + 2 * 40 * simulate._DRAW_CHUNK + 2_000_000
 
 
 def test_run_experiment_vacuum_trace_compatible():
