@@ -6,15 +6,15 @@ The estimator is the phase-averaged Monte Carlo sum
 
 over measured pairs (phi, x).  Two evaluation paths give the same numbers
 on the same data: the unbinned path visits every sample, while the binned
-path compresses the data into a sinogram (per-phase histograms), takes a
-DFT along the phase axis, and contracts each matrix diagonal against
-kernel rows at the bin centers.  Error bars come either from the
-per-sample variance (real and imaginary parts separately) or from the
-scatter of estimates over independent statistical blocks.  Every
-estimator hands over its values along the upper band, diagonal by
-diagonal (_band), and _assemble alone builds the Hermitian matrices.
-estimate runs one of them by name, and alone makes the "auto" choice:
-block statistics for two or more blocks, the binned path otherwise.
+path histograms each phase's samples, takes a DFT along the phase axis,
+and contracts each matrix diagonal against kernel rows at the bin
+centers.  Error bars come either from the per-sample variance (real and
+imaginary parts separately) or from the scatter of estimates over
+independent statistical blocks.  Every estimator hands over its values
+along the upper band, diagonal by diagonal (_band), and _assemble alone
+builds the Hermitian matrices.  estimate runs one of them by name, and
+alone makes the "auto" choice: block statistics for two or more blocks,
+the binned path otherwise.
 
 On n_phi grid phases, spectrum row d also collects diagonal d + q n_phi
 of the state for q != 0; alias_free_max_diag is the band this leaves
@@ -30,23 +30,31 @@ few: the backward recurrence runs 4M numpy steps per build, whatever its
 width.  build_table and kernel_factors act on each column on its own,
 so the slabs change no bit of the binned sums.
 
-phase_dft takes the real FFT of the sinogram a tile of bins at a time
-and writes it, with its conjugate mirror, straight into the spectrum.
-The binned sums (_binned_sums) walk the bins in tiles of 2^16 / M, and
-the block estimator in narrower ones where its counts or its rows would
-pass _BIN_TILE_CELLS.  A slab of bins is a whole number of tiles, at
-least one.  Per tile, the kernel rows of every diagonal are formed from
-the slab's kernel factors while they are in cache and contracted at
-once against the tile's right-hand sides, which the estimator hands over
-once per tile for every diagonal: spectrum rows (estimate_binned) or
-every block's rows (block_statistics).  Each diagonal's product with
-them goes in blocks of rows of at most 2^18 multiply-adds, for the
-reason given for the unbinned sums below.  The sums over bins add tile
-by tile.  The bin correction, f - delta^2 f / 24 in place of the kernel
-f at the bin centres, is linear in f, so summation by parts moves it
-onto the data: the estimators correct the spectrum rows they read
-(_bin_corrected) a tile at a time, with one halo bin from each
-neighbour, and the tiles form plain kernel rows.
+The binned estimators run one row path.  One tile builder (_row_tiles)
+hands the binned sums (_binned_sums) the phase-DFT rows over a tile of
+bins at a time, with one halo bin from each neighbour for the bin
+correction.  The rows come from the dataset (_block_tiles): every
+block's rows 0..max_diag for block_statistics, and for
+estimate(..., "binned") the rows 0..min(2 max_diag, n_phi - 1) of all
+blocks pooled, which hold the rows 2d mod n_phi of the variance, so it
+holds no sinogram or spectrum.  estimate_binned reads the same rows from
+a whole PhaseSpectrum, and both binned estimates end in one finisher
+(_binned_estimate).  bin and phase_dft stay public for callers that want
+the whole arrays, as acceptance criterion 7's binned-vs-unbinned check
+does, and estimate_binned of them is the reference the dataset path is
+tested against: the same bits where its rows come from the real FFT and
+its tiles have the same width.
+
+The tiles are 2^16 / M bins wide, narrower on the dataset path where its
+counts or its rows would pass _BIN_TILE_CELLS, and a slab of bins is a
+whole number of tiles, at least one.  Per tile, the kernel rows of every
+diagonal are formed from the slab's kernel factors while they are in
+cache and contracted at once against the tile's right-hand sides, in
+blocks of rows of at most 2^18 multiply-adds (see the unbinned sums
+below); the sums over bins add tile by tile.  The bin correction,
+f - delta^2 f / 24 in place of the kernel f at the bin centres, is
+linear in f, so summation by parts moves it onto each tile's rows
+(_bin_corrected), and the tiles form plain kernel rows.
 
 The unbinned sums are real matrix products, one set per distinct phase.
 The kernel is a rank-2 product, f_{n,m} = A_n v_m - u_n v~_{m+1} with
@@ -92,32 +100,30 @@ in chunks of 2^15 samples whose scratch stays in cache, which checks the
 grid.  The samples writer reads the same index, and the unbinned sums
 (_phase_keys) sort by it.  Both binned paths give each sample one key
 from it, chunk by chunk, bin C + cell for C cells (_cell_keys): the
-phase index j for bin, and b n_phi + j for block b in the block
-estimator.  bin counts the keys with one bincount, and divides the
-counts by each phase's total into their own memory, a chunk of rows at
-a time, so it holds one (n_bin, n_phi) array.  The block estimator
-streams its spectra by bin tile.
-It sorts the keys, so each tile's samples are one run of them.  Per
-tile, the rows 0..max_diag of every block's phase DFT are formed from
-the (n_phi, w) histograms its run gives (over one more bin on each side,
-the halo the bin correction reads) and the tile is contracted.  When
-max_diag + 1 <= log2(n_phi) the rows come from real matrix products with
-a (max_diag + 1) x n_phi DFT matrix, scaled per phase row by
-1 / (n_phi n_j) and built once per call, against the counts of one
-bincount of the tile's run.  Otherwise they come from the real FFT of
-the normalized histograms, written into one contiguous
-(max_diag + 1, w, nblks) complex array a sub-chunk of 2^16 / (nblks n_phi)
-bins at a time, each from one bincount of its own run, so the tile's
-whole counts and half spectrum are never held.  So the estimator holds
-4 bytes of keys per sample, besides the dataset's index, plus one tile's
-rows and one sub-chunk's counts and spectrum (or, on the DFT-matrix
-path, one tile's counts), whatever max_diag, the block count and n_bin
-are; the whole spectra would take 16 (max_diag + 1) nblks n_bin bytes,
-about 1 GB at M = 800 with 8000 bins and 10 blocks.  The counts are
-exact integers and their keys sorted, and each transform's bits do not
-depend on the sub-chunk it is taken in, so the rows are exactly
-independent of the order of the samples within a block and of the
-sub-chunks.
+phase index j for bin and the binned estimate, and b n_phi + j for
+block b in the block estimator.  bin counts the keys with one bincount,
+and divides the counts by each phase's total into their own memory, a
+chunk of rows at a time, so it holds one (n_bin, n_phi) array.
+
+The dataset path sorts the keys, so each tile's samples are one run of
+them.  Per tile, the rows 0..k of every block's phase DFT (k = max_diag
+for the block estimator) are formed from the (n_phi, w) histograms its
+run gives, over the tile and its halo.  When k + 1 <= log2(n_phi) the
+rows come from real matrix products with a (k + 1) x n_phi DFT matrix,
+scaled per phase row by 1 / (n_phi n_j) and built once per call, against
+the counts of one bincount of the tile's run.  Otherwise they come from
+the real FFT of the normalized histograms, written into one contiguous
+(k + 1, w, nblks) complex array a sub-chunk of 2^16 / (nblks n_phi) bins
+at a time, each from one bincount of its own run, so the tile's whole
+counts and half spectrum are never held.  So the estimator holds 4 bytes
+of keys per sample, besides the dataset's index, plus one tile's rows
+and one sub-chunk's counts and spectrum (or, on the DFT-matrix path, one
+tile's counts), whatever k, the block count and n_bin are; the whole
+spectra would take 16 (k + 1) nblks n_bin bytes, about 1 GB for the full
+band at M = 800 with 8000 bins and 10 blocks.  The counts are exact
+integers and their keys sorted, and each transform's bits do not depend
+on the sub-chunk it is taken in, so the rows are exactly independent of
+the order of the samples within a block and of the sub-chunks.
 """
 
 from __future__ import annotations
@@ -534,24 +540,18 @@ def _half_spectrum(freq: np.ndarray, n_phi: int, axis: int = 0) -> np.ndarray:
     return half
 
 
-def _mirror_rows(half: np.ndarray, n_phi: int, dmax: int, out=None) -> np.ndarray:
-    """Rows 0..dmax of the full DFT, built from the real-input half
-    spectrum (rows along the first axis) so conjugate symmetry is exact:
-    row 0, and the Nyquist row of an even n_phi, are made real in half.
-    The rows go into out where it is given; otherwise they are a view of
-    half where it holds them all, else a new array."""
+def _mirror_rows(half: np.ndarray, n_phi: int, out: np.ndarray) -> None:
+    """Rows 0..len(out) - 1 of the full DFT into out, built from the
+    real-input half spectrum (rows along the first axis) so conjugate
+    symmetry is exact: row 0, and the Nyquist row of an even n_phi, are
+    made real in half."""
     nused = half.shape[0]
     half[0] = half[0].real
     if n_phi % 2 == 0:
         half[-1] = half[-1].real
-    if out is None:
-        if dmax < nused:
-            return half[:dmax + 1]
-        out = np.empty((dmax + 1,) + half.shape[1:], dtype=np.complex128)
-    out[:nused] = half[:dmax + 1]
-    mirror = n_phi - np.arange(nused, dmax + 1)
+    out[:nused] = half[:len(out)]
+    mirror = n_phi - np.arange(nused, len(out))
     np.conjugate(half[mirror], out=out[nused:])
-    return out
 
 
 def phase_dft(s: Sinogram) -> PhaseSpectrum:
@@ -563,8 +563,7 @@ def phase_dft(s: Sinogram) -> PhaseSpectrum:
     n_phi = s.n_phi
     shat = np.empty((n_phi, s.n_bin), dtype=np.complex128)
     for tile in _bin_tiles(s.n_bin, max(1, _BIN_TILE_ELEMENTS // n_phi)):
-        _mirror_rows(_half_spectrum(s.freq[:, tile], n_phi), n_phi, n_phi - 1,
-                     out=shat[:, tile])
+        _mirror_rows(_half_spectrum(s.freq[:, tile], n_phi), n_phi, shat[:, tile])
     return PhaseSpectrum(
         n_phi=n_phi, n_bin=s.n_bin, shat=shat,
         bin_centers=s.bin_centers, n_per_phase=s.n_per_phase,
@@ -660,7 +659,7 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, tiles):
 
     tiles yields (tile, R) once per tile: a slice of the bins and the
     right-hand sides of every diagonal over them, (R1,) or (R1, R2), each
-    a (dmax + 1, w, k) float64 array.  Returns one (len(band), k) array
+    a (dmax + 1, w, c) float64 array.  Returns one (len(band), c) array
     per right-hand side.
 
     The kernel f_{n,n+d} = A_n V_{n+d} - U_n W_{n+d} comes from kernel
@@ -723,24 +722,21 @@ def _binned_sums(centers, cfg: PatternConfig, dmax: int, tiles):
     return sums
 
 
-def _bin_corrected(R: np.ndarray, tile: slice | None = None,
-                   n_bin: int | None = None) -> np.ndarray:
+def _bin_corrected(R: np.ndarray, tile: slice, n_bin: int) -> np.ndarray:
     """R with the bin correction moved onto it: the adjoint of
     f -> f - delta^2 f / 24 along the last (bin) axis, where delta^2 f is
     the second difference over the bins and both end bins keep f.  So
     sum_i (f - delta^2 f / 24)_i R_i = sum_i f_i R'_i for any f.
 
-    R holds every bin by default.  A tile of the bins lo..hi-1 of a grid of
-    n_bin bins passes R over the bins max(lo - 1, 0)..min(hi, n_bin - 1),
-    its own and one halo bin from each neighbouring tile, and gets back
-    its own bins, bit for bit as the whole grid corrects them.
+    A tile of the bins lo..hi-1 of a grid of n_bin bins passes R over the
+    bins max(lo - 1, 0)..min(hi, n_bin - 1), its own and one halo bin from
+    each neighbouring tile, and gets back its own bins, bit for bit as the
+    whole grid, tile slice(0, n_bin), corrects them.
 
     Evaluating f at the centres of uniform bins of width h biases a sum
     against a smooth density p by (h^2/24) int f p'' dx, and the corrected
     f removes that term.  Applied to a spectrum, the mean's kernel f and
     the second moment's f^2 each get their own correction."""
-    if tile is None:
-        tile, n_bin = slice(0, R.shape[-1]), R.shape[-1]
     first = max(tile.start - 1, 0)
     fix = R / 24.0
     out = np.multiply(fix, 2.0)
@@ -753,6 +749,56 @@ def _bin_corrected(R: np.ndarray, tile: slice | None = None,
     out[..., :-1] -= fix[..., 1:]
     out[..., 1:] -= fix[..., :-1]
     return out[..., tile.start - first:tile.stop - first]
+
+
+def _row_tiles(n_bin: int, width: int, bin_correction: bool, rows):
+    """(tile, (R,)) for _binned_sums per tile of width bins: R is the
+    complex (k + 1, bins, c) rows(first, stop) over the bins first..stop-1
+    as (k + 1, w, 2 c) floats, real and imaginary parts side by side.  With
+    bin_correction, first..stop-1 takes a halo bin from each neighbouring
+    tile, which _bin_corrected reads and drops.  A tile's R is let go before
+    the next tile's is made, so through map only one is alive."""
+    for tile in _bin_tiles(n_bin, width):
+        first, stop = tile.start, tile.stop
+        if bin_correction:
+            first, stop = max(first - 1, 0), min(stop + 1, n_bin)
+        R = rows(first, stop)
+        if bin_correction:
+            R = _bin_corrected(R.transpose(0, 2, 1), tile, n_bin).transpose(0, 2, 1)
+        R = np.ascontiguousarray(R).view(np.float64)
+        yield tile, (R,)
+        del R  # before the next tile's are made
+
+
+def _binned_estimate(cfg: PatternConfig, max_diag, bin_correction: bool, n_phi: int,
+                     N: int, n_bin: int, source) -> DensityMatrixEstimate:
+    """The binned estimate of N samples on n_phi phases in n_bin bins.
+    After _diagonals, source(k) gives the bin centres and the _row_tiles of
+    spectrum rows 0..k, k = min(2 dmax, n_phi - 1), which hold rows 0..dmax
+    (against f) and 2d mod n_phi (row 0 +- row 2d against f^2)."""
+    M = cfg.cutoff
+    dmax, band, alias_free = _diagonals(M, max_diag, n_phi)
+    twice = 2 * np.arange(dmax + 1) % n_phi
+    centers, tiles = source(min(2 * dmax, n_phi - 1))
+
+    def moments(item):  # the real parts of rows 0 and 2d
+        tile, (R,) = item
+        s0, s2d = R[0, :, :1], R[twice, :, :1]
+        return tile, (R[:dmax + 1], np.concatenate((s0 + s2d, s0 - s2d), axis=2))
+
+    sums, sums2 = _binned_sums(centers, cfg, dmax, map(moments, tiles))
+    (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
+    denom = max(N - 1, 1)  # a single sample gives a zero numerator too
+    var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
+    var_im = np.maximum(0.5 * N * f2_odd - N * mean_im**2, 0.0) / denom
+    meta = {
+        "estimator": "binned", "N": N, "n_bin": n_bin,
+        "n_phi": n_phi, "beta": cfg.beta, "max_diag": dmax,
+        "alias_free_max_diag": alias_free,
+        "bin_correction": bool(bin_correction),
+    }
+    return _assemble(M, band, mean_re + 1j * mean_im,
+                     np.sqrt(var_re / N), np.sqrt(var_im / N), meta)
 
 
 def estimate_binned(
@@ -772,41 +818,15 @@ def estimate_binned(
     bin_correction takes the O(h^2) midpoint bias of the bin width h out
     of both sums by evaluating them against a corrected spectrum
     (_bin_corrected): the mean gets f - delta^2 f / 24 and the second
-    moment f^2 - delta^2(f^2) / 24.  Each bin tile corrects only the rows
-    it reads, 0..max_diag and 2d, with one halo bin from each neighbour.
+    moment f^2 - delta^2(f^2) / 24.  Each tile of _BIN_TILE_ELEMENTS / M
+    bins corrects only the rows it reads, with one halo bin from each
+    neighbour (_row_tiles).
     """
-    M = cfg.cutoff
-    dmax, band, alias_free = _diagonals(M, max_diag, spec.n_phi)
-    N, n_bin = int(spec.n_per_phase.sum()), spec.bin_centers.size
-    twice = 2 * np.arange(dmax + 1) % spec.n_phi
-
-    def rhs(tile):
-        # row d as (re, im) columns against f; rows 0 and 2d against f^2
-        near = tile
-        if bin_correction:  # with a halo bin from each neighbouring tile
-            near = slice(max(tile.start - 1, 0), min(tile.stop + 1, n_bin))
-        rows, doubled = spec.shat[:dmax + 1, near], spec.shat[twice, near]
-        if bin_correction:
-            rows, doubled = (_bin_corrected(r, tile, n_bin) for r in (rows, doubled))
-        s0, s2d = rows[0].real, doubled.real
-        rows = np.ascontiguousarray(rows, dtype=np.complex128)
-        return tile, (rows.view(np.float64).reshape(dmax + 1, -1, 2),
-                      np.stack((s0 + s2d, s0 - s2d), axis=2))
-
-    tiles = _bin_tiles(n_bin, max(1, _BIN_TILE_ELEMENTS // M))
-    sums, sums2 = _binned_sums(spec.bin_centers, cfg, dmax, map(rhs, tiles))
-    (mean_re, mean_im), (f2_even, f2_odd) = sums.T, sums2.T
-    denom = max(N - 1, 1)  # a single sample gives a zero numerator too
-    var_re = np.maximum(0.5 * N * f2_even - N * mean_re**2, 0.0) / denom
-    var_im = np.maximum(0.5 * N * f2_odd - N * mean_im**2, 0.0) / denom
-    meta = {
-        "estimator": "binned", "N": N, "n_bin": spec.n_bin,
-        "n_phi": spec.n_phi, "beta": cfg.beta, "max_diag": dmax,
-        "alias_free_max_diag": alias_free,
-        "bin_correction": bool(bin_correction),
-    }
-    return _assemble(M, band, mean_re + 1j * mean_im,
-                     np.sqrt(var_re / N), np.sqrt(var_im / N), meta)
+    width = max(1, _BIN_TILE_ELEMENTS // cfg.cutoff)
+    return _binned_estimate(
+        cfg, max_diag, bin_correction, spec.n_phi, int(spec.n_per_phase.sum()), spec.n_bin,
+        lambda k: (spec.bin_centers, _row_tiles(spec.n_bin, width, bin_correction,
+                                                lambda a, b: spec.shat[:k + 1, a:b, None])))
 
 
 def _blocks(t, r, dmax, inner):
@@ -1085,53 +1105,26 @@ def _phase_dft_matrix(n_per_phase: np.ndarray, dmax: int):
     return dft / (n_phi * n_per_phase[:, None, :])
 
 
-def _phase_rows(counts: np.ndarray, n_per_phase: np.ndarray, dmax: int, dft,
-                out=None) -> np.ndarray:
-    """Rows 0..dmax of the phase DFT of every block's histogram over w
-    bins, with its phase rows normalized by their counts as phase_dft has
-    them.  counts is (w, nblks, n_phi) float64, and is overwritten; the
-    rows are a (dmax + 1, w, nblks) complex array, written into out where
-    it is given (the real FFT only).
-
-    They come from the scaled DFT matrices dft (_phase_dft_matrix), row 0
-    exactly real, or from the real FFT where dft is None.
-    """
-    w, nblks, n_phi = counts.shape
-    if dft is None:
-        counts /= n_per_phase
-        half = _half_spectrum(counts, n_phi, axis=-1)
-        return _mirror_rows(half.transpose(2, 0, 1), n_phi, dmax, out=out)
-    # (nblks, w, 2 dmax + 1): each block's counts against its matrix
-    re_im = np.matmul(counts.transpose(1, 0, 2), dft.transpose(0, 2, 1)).transpose(2, 1, 0)
-    rows = np.empty((dmax + 1, w, nblks), dtype=np.complex128)
-    rows.real = re_im[:dmax + 1]
-    rows[0].imag = 0.0
-    rows[1:].imag = re_im[dmax + 1:]
-    return rows
-
-
-def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int,
-                 bin_correction: bool):
-    """(bin centres, tiles) of the binned block estimator, where tiles
-    yields (tile, (R,)) for _binned_sums: R is (dmax + 1, w, 2 nblks),
-    every block's rows 0..dmax over the tile, real and imaginary parts
-    side by side.
+def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, k: int,
+                 bin_correction: bool, nblks: int):
+    """(bin centres, tiles) of both binned estimators of a dataset: tiles
+    (_row_tiles) yields the rows 0..k of the phase DFT of every block's
+    histogram over a tile, (k + 1, w, nblks) complex.  The binned
+    estimator takes one block, whose cells, one per phase, pool the
+    blocks (_cell_keys).
 
     The checks of the bin range, the phase grid and the phase counts of
     each block run here, before any tile.  Every sample gets one key,
-    bin C + b n_phi + j with C = nblks n_phi for block b and phase index
-    j (_cell_keys), and the sorted keys of bins lo..hi-1 are one run.
-    Each tile's rows are made when _binned_sums asks for them, widened by
-    one bin on each side for the bin correction: on the DFT-matrix path
-    from one bincount of its run, and on the FFT path into one contiguous
-    (dmax + 1, w, nblks) array, a sub-chunk of _BIN_TILE_ELEMENTS / C bins
-    at a time, each from a bincount of its own run.  The tiles are
-    _BIN_TILE_ELEMENTS / M bins wide, narrower where their C w count
-    cells, or the 2 (dmax + 1) nblks w doubles of their rows, would pass
-    _BIN_TILE_CELLS.
+    bin C + b n_phi + j with C = nblks n_phi (_cell_keys), and the sorted
+    keys of bins lo..hi-1 are one run.  The rows come from the DFT matrix
+    where _phase_dft_matrix gives one, from one bincount of the tile's
+    run, and otherwise from the real FFT, a sub-chunk of
+    _BIN_TILE_ELEMENTS / C bins at a time, each from a bincount of its own
+    run.  The tiles are _BIN_TILE_ELEMENTS / M bins wide, narrower where
+    their C w count cells, or the 2 (k + 1) nblks w doubles of their rows,
+    would pass _BIN_TILE_CELLS.
     """
-    nblks, n_phi = ds.nblks, ds.n_phi
-    cells = nblks * n_phi
+    n_phi, cells = ds.n_phi, nblks * ds.n_phi
     edges = _bin_edges(ds.values, n_bin, bin_range)
     key, n_per_phase = _cell_keys(ds, edges, cells)
     n_per_phase = n_per_phase.reshape(nblks, n_phi)
@@ -1139,8 +1132,8 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
     # the keys of the bins first..stop-1 are key[start[first]:start[stop]]
     start = np.searchsorted(key, np.arange(n_bin + 1, dtype=key.dtype) * cells)
     width = max(1, min(_BIN_TILE_ELEMENTS // M,
-                       _BIN_TILE_CELLS // max(cells, 2 * (dmax + 1) * nblks)))
-    dft = _phase_dft_matrix(n_per_phase, dmax)
+                       _BIN_TILE_CELLS // max(cells, 2 * (k + 1) * nblks)))
+    dft = _phase_dft_matrix(n_per_phase, k)
     sub = max(1, _BIN_TILE_ELEMENTS // cells)
 
     def counts(first, stop):
@@ -1151,24 +1144,26 @@ def _block_tiles(ds: QuadratureDataset, M: int, n_bin: int, bin_range, dmax: int
                         (stop - first) * cells).astype(np.float64, copy=False)
         return c.reshape(stop - first, nblks, n_phi)
 
-    def rhs(tile):
-        first, stop = tile.start, tile.stop
-        if bin_correction:  # with a halo bin from each neighbouring tile
-            first, stop = max(first - 1, 0), min(stop + 1, n_bin)
-        if dft is None:  # the FFT rows, a sub-chunk of bins at a time
-            rows = np.empty((dmax + 1, stop - first, nblks), dtype=np.complex128)
+    def rows(first, stop):
+        R = np.empty((k + 1, stop - first, nblks), dtype=np.complex128)
+        if dft is None:  # the real FFT, a sub-chunk of bins at a time
             for a in range(first, stop, sub):
                 b = min(a + sub, stop)
-                _phase_rows(counts(a, b), n_per_phase, dmax, None,
-                            out=rows[:, a - first:b - first])
-        else:
-            rows = _phase_rows(counts(first, stop), n_per_phase, dmax, dft)
-        if bin_correction:
-            rows = _bin_corrected(rows.transpose(0, 2, 1), tile, n_bin).transpose(0, 2, 1)
-        # (dmax + 1, w, nblks) complex as (dmax + 1, w, 2 nblks) float
-        return tile, (np.ascontiguousarray(rows).view(np.float64),)
+                c = counts(a, b)
+                c /= n_per_phase
+                half = _half_spectrum(c, n_phi, axis=-1)
+                _mirror_rows(half.transpose(2, 0, 1), n_phi, R[:, a - first:b - first])
+                del c, half  # before the next sub-chunk's are made
+            return R
+        # (nblks, w, 2 k + 1): each block's counts against its matrix
+        re_im = np.matmul(counts(first, stop).transpose(1, 0, 2), dft.transpose(0, 2, 1))
+        re_im = re_im.transpose(2, 1, 0)
+        R.real = re_im[:k + 1]
+        R[0].imag = 0.0
+        R[1:].imag = re_im[k + 1:]
+        return R
 
-    return 0.5 * (edges[:-1] + edges[1:]), map(rhs, _bin_tiles(n_bin, width))
+    return 0.5 * (edges[:-1] + edges[1:]), _row_tiles(n_bin, width, bin_correction, rows)
 
 
 def block_statistics(
@@ -1202,7 +1197,7 @@ def block_statistics(
             for pick in picks
         ], axis=1)
     else:
-        centers, tiles = _block_tiles(ds, M, n_bin, bin_range, dmax, bin_correction)
+        centers, tiles = _block_tiles(ds, M, n_bin, bin_range, dmax, bin_correction, nblks)
         G = _binned_sums(centers, cfg, dmax, tiles)[0].view(np.complex128)
     meta = {
         "estimator": "block", "N": ds.N, "n_bin": n_bin,
@@ -1218,16 +1213,21 @@ def block_statistics(
 def estimate(ds: QuadratureDataset, cfg: PatternConfig, estimator: str = "auto", *,
              n_bin: int | None = 400, bin_range=None, max_diag: int | None = None,
              bin_correction: bool = False) -> DensityMatrixEstimate:
-    """The estimate by the named estimator: "binned" (bin -> phase_dft ->
-    estimate_binned), "unbinned" (estimate_unbinned), "block"
-    (block_statistics), or "auto": "block" for two or more blocks, else
-    "binned".  The other arguments go to the estimator that takes them.
-    Raises ValueError for any other name."""
+    """The estimate by the named estimator: "binned", "unbinned"
+    (estimate_unbinned), "block" (block_statistics), or "auto": "block"
+    for two or more blocks, else "binned".  The other arguments go to the
+    estimator that takes them.  Raises ValueError for any other name.
+
+    "binned" is estimate_binned of phase_dft(bin(ds, ...)), every block
+    pooled, but its rows come tile by tile from the dataset, as the block
+    estimator's do, so no sinogram or spectrum is held; its checks run in
+    block_statistics' order, the band's before the data's."""
     if estimator == "auto":
         estimator = "block" if ds.nblks >= 2 else "binned"
     if estimator == "binned":
-        spec = phase_dft(bin(ds, n_bin, bin_range=bin_range))
-        return estimate_binned(spec, cfg, max_diag=max_diag, bin_correction=bin_correction)
+        return _binned_estimate(
+            cfg, max_diag, bin_correction, ds.n_phi, ds.N, n_bin,
+            lambda k: _block_tiles(ds, cfg.cutoff, n_bin, bin_range, k, bin_correction, 1))
     if estimator == "unbinned":
         return estimate_unbinned(ds, cfg, max_diag=max_diag)
     if estimator == "block":

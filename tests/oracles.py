@@ -508,7 +508,8 @@ def estimate_binned_whole_correction(spec, cfg, max_diag=None):
 
     from hdtomo import reconstruct
 
-    whole = dataclasses.replace(spec, shat=reconstruct._bin_corrected(spec.shat))
+    whole = dataclasses.replace(spec, shat=reconstruct._bin_corrected(
+        spec.shat, slice(0, spec.n_bin), spec.n_bin))
     est = reconstruct.estimate_binned(whole, cfg, max_diag=max_diag)
     est.meta["bin_correction"] = True
     return est

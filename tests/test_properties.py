@@ -3,16 +3,17 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from hdtomo import formats, simulate
-from hdtomo.errors import DataError
+from hdtomo import formats, reconstruct, simulate
+from hdtomo.errors import DataError, PhaseAliasingWarning
 from hdtomo.patterns import (
     PatternConfig,
     build_table,
@@ -25,6 +26,7 @@ from hdtomo.reconstruct import (
     _bin_index,
     bin,
     block_statistics,
+    estimate,
     estimate_binned,
     estimate_unbinned,
     phase_dft,
@@ -193,6 +195,67 @@ def test_block_statistics_ignore_sample_order_and_block_names(data):
             else:
                 assert np.array_equal(b, a)
             np.testing.assert_allclose(c, a, rtol=0, atol=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_binned_estimate_from_the_dataset_matches_the_spectrum_path(data):
+    # estimate(..., "binned") makes the spectrum rows 0..k, k = min(2 dmax,
+    # n_phi - 1), tile by tile from the dataset; estimate_binned reads them
+    # from phase_dft(bin(ds)).  Tiles of 1-5 bins, the dataset path's capped
+    # at 1-6 bins by its count cells or rows, with FFT sub-chunks of
+    # tile M / n_phi bins.  The real FFT gives both paths the same bits
+    # where their tiles have one width; the DFT matrix (k + 1 <= log2(n_phi))
+    # or narrower tiles add in another order, within the bounds of
+    # test_reconstruct._check_matches_oracle.
+    M = data.draw(st.integers(1, 8), label="M")
+    n_phi = data.draw(st.integers(M, 3 * M + 4), label="n_phi")
+    nblks = data.draw(st.sampled_from([1, 3]), label="nblks")
+    per = data.draw(st.integers(1, 3), label="samples per phase and block")
+    max_diag = data.draw(st.sampled_from([None, 0]) | st.integers(0, min(2, M - 1)),
+                         label="max_diag")
+    bin_correction = data.draw(st.booleans(), label="bin_correction")
+    derived = data.draw(st.booleans(), label="derived phases")
+    n_bin = data.draw(st.integers(1, 60), label="n_bin")
+    tile = data.draw(st.integers(1, 5), label="tile bins")
+    cap = data.draw(st.integers(1, 6), label="dataset tile cap")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    j = rng.permutation(np.tile(np.repeat(np.arange(n_phi), per), nblks))
+    x = rng.normal(0.0, 2.0, j.size)
+    block = np.repeat(np.arange(nblks), j.size // nblks)
+    if derived:
+        ds = QuadratureDataset(None, x, n_phi, block, nblks, phase_index=j)
+    else:
+        ds = QuadratureDataset(2.0 * math.pi * j / n_phi, x, n_phi, block, nblks)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(x))
+    k = min(2 * (M - 1 if max_diag is None else max_diag), n_phi - 1)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhaseAliasingWarning)
+        mp.setattr(reconstruct, "_BIN_TILE_ELEMENTS", tile * M)
+        mp.setattr(reconstruct, "_BIN_TILE_CELLS", cap * max(n_phi, 2 * (k + 1)))
+        est = estimate(ds, cfg, "binned", n_bin=n_bin, max_diag=max_diag,
+                       bin_correction=bin_correction)
+        ref = estimate_binned(phase_dft(bin(ds, n_bin)), cfg, max_diag=max_diag,
+                              bin_correction=bin_correction)
+    assert est.meta == ref.meta
+    pairs = ((est.rho.real, ref.rho.real, est.err_re, ref.err_re),
+             (est.rho.imag, ref.rho.imag, est.err_im, ref.err_im))
+    if k + 1 > math.log2(n_phi) and cap >= tile:
+        event("real FFT, tiles of one width: the same bits")
+        for new, old, new_err, old_err in pairs:
+            assert np.array_equal(new, old) and np.array_equal(new_err, old_err)
+        return
+    # a bar of 0 on the band (a variance clipped at 0: one kernel value for
+    # every sample, as f_00 at two bins +-c, or few phases) bounds no
+    # rounding, and its bar on the other path is the root of a residue;
+    # only the imaginary diagonal is exactly 0 on both paths
+    d = np.subtract.outer(np.arange(M), np.arange(M))
+    band = (d <= 0) & (d >= -est.meta["max_diag"])
+    assume(np.all(ref.err_re[band] > 0) and np.all(ref.err_im[band & (d < 0)] > 0))
+    event("DFT matrix or narrower tiles: within the bounds")
+    for new, old, new_err, old_err in pairs:
+        assert np.all(np.abs(new - old) <= 1e-10 * old_err)
+        assert np.all(np.abs(new_err - old_err) <= 1e-12 * old_err)
 
 
 def _zero_runs(data, n_x):

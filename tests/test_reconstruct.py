@@ -853,7 +853,7 @@ def test_block_fft_tile_holds_its_rows_and_one_sub_chunk():
     j = np.tile(np.repeat(np.arange(n_phi), 20), nblks)
     ds = QuadratureDataset(None, np.random.default_rng(3).normal(0.0, 2.0, j.size), n_phi,
                            np.repeat(np.arange(nblks), 20 * n_phi), nblks, phase_index=j)
-    _, tiles = reconstruct._block_tiles(ds, M, n_bin, None, M - 1, False)
+    _, tiles = reconstruct._block_tiles(ds, M, n_bin, None, M - 1, False, nblks)
     made = []
     peak = _traced_peak(lambda: made.append(next(tiles)))
     tile, (R,) = made[0]
@@ -893,6 +893,35 @@ def test_binned_memory_follows_the_slab_not_the_bins(m128_data, bin_correction):
         warnings.simplefilter("ignore", PhaseAliasingWarning)
         peak = _traced_peak(lambda: estimate_binned(spec, cfg, bin_correction=bin_correction))
     assert peak < 4 * 8 * (cfg.cutoff + 2) * spec.n_bin
+
+
+def test_binned_estimate_streams_its_rows_from_the_dataset(monkeypatch):
+    # estimate(..., "binned") makes its rows tile by tile from the dataset,
+    # with neither bin nor phase_dft.  At M = 16 on 801 phases and 4000
+    # bins their sinogram and spectrum take 77 MB, and traced 78 MB; the
+    # keys, one tile's rows (31 rows of 2618 bins) and one pattern slab
+    # trace 6.5-6.8 MB
+    M, n_phi, n_bin = 16, 801, 4000
+    j = np.tile(np.arange(n_phi), 10)
+    ds = QuadratureDataset(None, np.random.default_rng(7).normal(0.0, 2.0, j.size), n_phi,
+                           phase_index=j)
+    cfg = PatternConfig(cutoff=M, beta=choose_beta(ds.values))
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the binned estimate made a whole sinogram or spectrum")
+
+    monkeypatch.setattr(reconstruct, "bin", whole)
+    monkeypatch.setattr(reconstruct, "phase_dft", whole)
+    k = 2 * (M - 1)
+    width = min(reconstruct._BIN_TILE_ELEMENTS // M, reconstruct._BIN_TILE_CELLS // n_phi)
+    keys = 4 * ds.N
+    rows = 4 * 16 * (k + 1) * (width + 2)  # with their corrected and float copies
+    slab = 8 * 8 * (M + 2) * n_bin  # the table's and the kernel factors' arrays
+    for bin_correction in (False, True):
+        peak = _traced_peak(lambda: reconstruct.estimate(
+            ds, cfg, "binned", n_bin=n_bin, bin_correction=bin_correction))
+        # a bound below a quarter of the sinogram's and spectrum's bytes
+        assert peak <= keys + rows + slab < 24 * n_phi * n_bin / 4
 
 
 def test_bin_holds_its_counts_or_its_frequencies_not_both(m128_data):
@@ -1052,11 +1081,12 @@ def test_bin_correction_moves_onto_the_data(n_bin):
     rng = np.random.default_rng(n_bin)
     F = rng.normal(size=(7, n_bin))
     R = rng.normal(size=(n_bin, 3))
+    grid = slice(0, n_bin)
     assert np.allclose(oracles.midpoint_corrected(F) @ R,
-                       F @ reconstruct._bin_corrected(R.T).T, rtol=1e-13, atol=1e-13)
+                       F @ reconstruct._bin_corrected(R.T, grid, n_bin).T, rtol=1e-13, atol=1e-13)
     # complex spectra with leading axes, corrected in one call
     S = rng.normal(size=(4, 5, n_bin)) + 1j * rng.normal(size=(4, 5, n_bin))
-    whole = reconstruct._bin_corrected(S)
+    whole = reconstruct._bin_corrected(S, grid, n_bin)
     assert np.allclose(np.einsum("ri,dbi->dbr", oracles.midpoint_corrected(F), S),
                        np.einsum("ri,dbi->dbr", F, whole), rtol=1e-13, atol=1e-13)
     if n_bin < 3:
@@ -1562,6 +1592,23 @@ def test_block_checks_keep_their_order():
         ds = QuadratureDataset(ph, values, n_phi=4, block=np.array(labels), nblks=2)
         with pytest.raises(DataError, match=message):
             block_statistics(ds, cfg, n_bin=4, bin_range=bin_range, max_diag=0)
+
+
+@pytest.mark.parametrize("name", ["binned", "block"])
+def test_binned_estimators_check_the_band_before_the_data(name):
+    # both check the band first, as _diagonals does, then the data: with
+    # phase 2 empty, an n_phi too small for M raises UsageError, and an
+    # aliased band warns before the empty phase raises DataError
+    phases = 2.0 * math.pi * np.array([0, 1, 3, 3, 0, 1, 1, 3]) / 4
+    ds = QuadratureDataset(phases, np.linspace(-1.0, 1.0, 8), n_phi=4,
+                           block=np.repeat([0, 1], 4), nblks=2)
+    with pytest.raises(UsageError, match="phase count insufficient for cutoff M"):
+        reconstruct.estimate(ds, PatternConfig(cutoff=6, beta=1.0), name, n_bin=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="phase index 2 has no samples"):
+            reconstruct.estimate(ds, PatternConfig(cutoff=4, beta=1.0), name, n_bin=4)
+    assert [w.category for w in caught] == [PhaseAliasingWarning]
 
 
 def _uneven_blocks(n_phi, nblks=4, size=300, seed=5):
