@@ -149,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="estimate only diagonals 0..max_diag")
     p.add_argument("--beta", type=float, default=None,
                    help="scaling parameter; default chosen from the data")
-    p.add_argument("--beta-policy", choices=("auto", "balanced"), default="auto",
-                   help="rule for the default beta")
     p.add_argument("--estimator", choices=("auto", "binned", "unbinned", "block"),
                    default="auto")
     p.add_argument("--bin-correction", action="store_true",
@@ -252,12 +250,7 @@ def cmd_reconstruct(args) -> int:
         if ds.n_phi % 2:
             raise DataError(f"--symmetrize needs an even n_phi, the samples file has {ds.n_phi}")
         ds = reconstruct.double_by_symmetry(replace(ds, n_phi=ds.n_phi // 2))
-    if args.beta is not None:
-        beta = float(args.beta)
-    elif args.beta_policy == "balanced":
-        beta = patterns.balanced_beta(ds.values)
-    else:
-        beta = patterns.choose_beta(ds.values)
+    beta = patterns.choose_beta(ds.values) if args.beta is None else float(args.beta)
     cfg = patterns.PatternConfig(cutoff=args.cutoff, beta=beta,
                                  precision=args.precision)
     est = reconstruct.estimate(ds, cfg, args.estimator, n_bin=args.n_bin,

@@ -37,6 +37,12 @@ from .errors import NumericalError, PatternOverflowError, _check_count
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 
+# The most negative exponent a scaled start value may take, 8 above
+# double underflow (e^-708.4): the simulator's wavefunctions start no
+# lower than e^-700, and choose_beta takes a rule whose beta and
+# beta^-1 e^-x^2 stay at or above it.
+_EXP_HEADROOM = 700.0
+
 
 @dataclass(frozen=True)
 class PatternConfig:
@@ -81,16 +87,25 @@ class PatternTable:
 
 
 def choose_beta(x_values) -> float:
-    """Default range-control heuristic beta = exp(-3 max|x|) over the data."""
+    """Default range-control heuristic beta = exp(-3 X), X = max|x| over
+    the data, while the irregular family's scaling beta^-1 e^-X^2 =
+    e^(3X - X^2) stays at or above e^-_EXP_HEADROOM (X <= 28.0).  Past
+    that, balanced_beta's exp(-X^2 / 2), as long as it stays at or above
+    e^-_EXP_HEADROOM itself (X <= 37.4); beyond, no beta keeps both
+    families in the double range at large cutoffs, and exp(-3 X) stays,
+    which still serves small ones."""
     x = np.asarray(x_values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("choose_beta needs at least one quadrature value")
-    return float(np.exp(-3.0 * np.max(np.abs(x))))
+    X = np.max(np.abs(x))
+    if X * X - 3.0 * X > _EXP_HEADROOM >= 0.5 * X * X:
+        return balanced_beta(x)
+    return float(np.exp(-3.0 * X))
 
 
 def balanced_beta(x_values) -> float:
     """Alternative beta = exp(-max|x|^2 / 2) splitting the dynamic range
-    evenly between u and v; extends the usable cutoff for very large M."""
+    evenly between u and v; choose_beta's choice for 28.0 < max|x| <= 37.4."""
     x = np.asarray(x_values, dtype=np.float64)
     if x.size == 0:
         raise ValueError("balanced_beta needs at least one quadrature value")

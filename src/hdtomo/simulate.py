@@ -9,25 +9,31 @@ with psi_n the oscillator eigenfunctions in the convention psi_0(x) =
 (2/pi)^{1/4} e^{-x^2} (vacuum quadrature variance 1/4), and samples are
 drawn by inverse-CDF interpolation on a tabulated grid.  All three of
 marginals, sample and draw walk the phases in chunks of rows, in order,
-and share one copy of each step: a chunk's marginal rows
-(_marginal_rows) and its draws (_draw_rows).  marginals fills a whole
-table on the calling thread with one chunk's scratch (12 MB at _CHUNK,
-2^19 entries).  sample draws from a table, and draw is the fused path:
+and share one copy of each step: a chunk's marginal rows (_table_rows)
+and its draws (_draw_rows).  Marginal rows come in whole chunks of about
+_DRAW_CHUNK entries, the phase list repeated to fill the last one, so
+every product is full-sized and has at least two rows.  marginals writes
+each chunk straight into its own rows of a table of whole chunks, cut to
+the phases given.  sample draws from a table, and draw is the fused path:
 each of its chunks computes its marginal rows into its own buffers and
-draws from them, so no table is ever held.  Both run their chunks on
-worker threads, up to W in flight; W is the number of CPUs the process
-may run on, at most OMP_NUM_THREADS when that is set (as
-`hdtomo --threads` sets it).  Each worker reuses its own scratch buffers
-from chunk to chunk: about 5 MB for sample, and 4.3 MB for draw, whose
-chunks are a quarter of the size (_DRAW_CHUNK) but also hold their
-complex amplitudes and rows.  So sample's memory is the table plus W
-chunks' scratch plus the dataset it returns, and draw's the dataset plus
-W chunks' scratch (hdtomo simulate peaks at 64 MB of RSS at M = 800 on
-1600 phases of 2^17 points, whose table alone would take 1.7 GB).  From
-a table on phase_grid(n_phi), bit for bit (as draw has it), that dataset
-holds 12 bytes per sample: the values, the phase index in the smallest
-unsigned dtype and uint16 block labels.  Its phases are derived from the
-index, never stored; a table on any other phases keeps them per sample.
+draws the phases among them, so no table is ever held.  All three run
+their chunks on worker threads, up to W in flight; W is the number of
+CPUs the process may run on, at most OMP_NUM_THREADS when that is set
+(as `hdtomo --threads` sets it).  Each worker reuses its own scratch
+buffers from chunk to chunk: 3 MB for marginals (complex amplitudes and
+trapezoid terms), about 5 MB for sample, whose chunks of _CHUNK entries
+are four times the size, and 4.3 MB for draw, which holds amplitudes,
+rows and CDF rows.  So marginals' memory is the table plus W chunks'
+scratch, sample's the table plus W chunks' scratch plus the dataset it
+returns, and draw's the dataset plus W chunks' scratch (hdtomo simulate
+peaks at 64 MB of RSS at M = 800 on 1600 phases of 2^17 points, whose
+table alone would take 1.7 GB).  From a table on phase_grid(n_phi), bit
+for bit (as draw has it), that dataset holds 12 bytes per sample: the
+values, the phase index in the smallest unsigned dtype and uint16 block
+labels.  Its phases are derived from the index, never stored; a table on
+any other phases keeps them per sample.  The wavefunctions start from a
+scaled psi_0 where e^{-x^2} leaves the double range (_wavefunction_rows),
+so levels up to about 1000 keep their mass on the grid.
 A run of one chunk, or W = 1, is the plain serial loop.  Phase j's draws
 depend only on (seed, j) and table row j, and each row has the same bits
 whatever chunk computes it, so tables and samples are bit-identical for
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, _check_count, _warn
-from .patterns import PatternConfig, _regular_recurrence, choose_beta
+from .patterns import _EXP_HEADROOM, PatternConfig, _regular_recurrence, choose_beta
 from .reconstruct import (
     _PRODUCT, QuadratureDataset, _on_grid, check_normalization, estimate, phase_grid,
 )
@@ -56,11 +62,11 @@ from .reconstruct import (
 TRUNCATION_WARN = 1e-6
 TRUNCATION_FAIL = 1e-2
 
-# Table entries per chunk of rows in marginals and sample (4 rows at 2^17
-# grid points, 128 at 4096): their scratch stays cache-sized however large
-# the table is.  draw's chunks are a quarter of that (2 rows at 2^17, 32
-# at 4096): each of its W workers holds 33 bytes per entry, and no table
-# dwarfs them.
+# Table entries per chunk of rows.  sample reads a table in chunks of
+# _CHUNK (4 rows at 2^17 grid points, 128 at 4096), whose scratch stays
+# cache-sized however large the table is.  marginals and draw compute rows
+# in chunks of _DRAW_CHUNK, a quarter of that (2 rows at 2^17, 32 at
+# 4096), since each of their W workers holds 24 or 33 bytes per entry.
 _CHUNK = 2**19
 _DRAW_CHUNK = 2**17
 
@@ -157,17 +163,24 @@ def oscillator_wavefunctions(x, nmax: int) -> np.ndarray:
 
 def _wavefunction_rows(x, rows, dtype=np.float64) -> np.ndarray:
     """Selected psi_n rows only, shape (len(rows), len(x)), from the
-    pattern functions' regular recurrence started at psi_0, written into
-    an array of dtype (complex for the simulator's products).  Memory
-    stays O(len(x)) however high the requested indices reach, which
-    matters for sparse Fock superpositions on fine grids.
+    pattern functions' regular recurrence, written into an array of dtype
+    (complex for the simulator's products).  Memory stays O(len(x))
+    however high the requested indices reach, which matters for sparse
+    Fock superpositions on fine grids.
+
+    psi_0 = (2/pi)^{1/4} e^{-x^2} is subnormal past |x| = 26.6 and 0 past
+    27.3, where the high levels live, so the recurrence starts at psi_0
+    e^s, s = max(x^2 - _EXP_HEADROOM, 0), and each row is scaled back by
+    e^-s, which is exactly 1 for |x| <= 26.46.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
     out = np.empty((rows.size, x.size), dtype)
-    psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    s = np.maximum(x * x - _EXP_HEADROOM, 0.0)
+    psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x + s)
+    back = np.exp(-s)
     for n, (_, psi) in enumerate(_regular_recurrence(x, psi0, int(rows.max()) + 1)):
-        out[rows == n] = psi
+        out[rows == n] = psi * back
     return out
 
 
@@ -210,8 +223,8 @@ def _workers() -> int:
 
 def _run_chunks(starts, scratch, work):
     """work(a, buf) for each chunk start a, in order, with at most
-    _workers() chunks in flight: sample's and draw's chunk loop.  Each
-    chunk runs on a worker thread with its own scratch buffers
+    _workers() chunks in flight: the chunk loop of marginals, sample and
+    draw.  Each chunk runs on a worker thread with its own scratch buffers
     buf = scratch(), reused by every chunk that worker slot takes.
     Exceptions from work come back in chunk order.  With one worker or one
     chunk this is the plain serial loop on the calling thread, and
@@ -246,38 +259,49 @@ def _trapezoid_terms(p: np.ndarray, dx: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _amplitudes(state: FockVector, phases: np.ndarray, x: np.ndarray):
-    """(rot, psi): the rotated coefficients c_n e^{-i n phi}, one row per
-    phase, and the complex wavefunction rows psi_n(x), over the state's
-    support, so that a table row is |rot[j] @ psi|^2.  One phase gets two
-    equal rows, of which the first is kept: numpy sends a one-row product
-    to BLAS's matrix-vector kernel, which rounds differently."""
+def _table_rows(state: FockVector, phases: np.ndarray, x: np.ndarray):
+    """(rows, fill): the one source of table rows, for marginals and draw.
+    The phase list is repeated (np.resize) to whole chunks of rows rows,
+    at least two (_chunk_rows), so every product is full-sized, one phase
+    included.  fill(a, amp, p, terms) writes the rows of phases
+    a..a + rows - 1 of that list to p through _marginal_rows and returns
+    their masses; past the last phase they repeat the first ones."""
     support = np.flatnonzero(np.abs(state.c) > 0.0)
     if support.size == 0:
         raise ValueError("the state has no nonzero Fock coefficient")
     psi = _wavefunction_rows(x, support, np.complex128)
-    n_rows = max(phases.size, 2)
+    rows = min(_chunk_rows(x.size, _DRAW_CHUNK), max(phases.size, 2))
+    n_rows = -(-phases.size // rows) * rows
     rot = np.exp(-1j * np.outer(np.resize(phases, n_rows), support)) * state.c[support]
-    return rot, psi
+    dx = np.diff(x)
+    # complex products of fewer than _PRODUCT / 4 multiply-adds, which
+    # OpenBLAS runs on the calling thread (BLAS threads under each worker
+    # fight over the cores: on 2 cores, draw at M = 800 on 1600 phases of
+    # 2^17 points took 4.0 s with them and 2.3 s without), but never
+    # narrower than 1024 grid points, below which the calls cost more
+    cols = max(1024, (_PRODUCT // 4 - 1) // (rows * support.size))
+
+    def fill(a, amp, p, terms):
+        return _marginal_rows(rot[a:a + rows], psi, dx, p, amp, terms, cols)
+
+    return rows, fill
 
 
-def _marginal_rows(rot, psi, dx, p, amp, terms, cols=None) -> np.ndarray:
+def _marginal_rows(rot, psi, dx, p, amp, terms, cols) -> np.ndarray:
     """Table rows |rot @ psi|^2 written to p, through the complex buffer
     amp, and their trapezoid masses, returned; the rows are normalised
     unless one of them keeps less than 0.999 of its mass.  terms takes the
-    trapezoid terms.  The product goes in blocks of cols grid points, all
-    at once by default.  Every entry goes through the same operations in
-    the same order whatever the row count and the blocks, so each row has
-    the bits of a whole-table evaluation (given the BLAS property
-    marginals states)."""
-    cols = cols or psi.shape[1]
+    trapezoid terms.  The product goes in blocks of cols grid points.
+    Every entry goes through the same operations in the same order
+    whatever the row count and the blocks, so each row has the bits of a
+    whole-table evaluation (given the BLAS property marginals states)."""
     for a in range(0, psi.shape[1], cols):
         np.matmul(rot, psi[:, a:a + cols], out=amp[:, a:a + cols])
     np.multiply(amp.real, amp.real, out=p)
     np.multiply(amp.imag, amp.imag, out=amp.imag)
     p += amp.imag
     mass = _trapezoid_terms(p, dx, terms).sum(axis=1)
-    if not np.any(mass < 0.999):
+    if np.all(mass >= 0.999):
         p /= mass[:, None]
     return mass
 
@@ -294,42 +318,41 @@ def _narrow_grid(phase: float, mass: float) -> DataError:
 def marginals(state: FockVector, phases, x) -> MarginalTable:
     """Analytic quadrature distributions of the state at the given phases.
 
-    The table is filled on the calling thread in chunks of rows of about
-    _CHUNK entries (_marginal_rows).  Per chunk: one complex matrix
-    product into a reused buffer, |amp|^2 written into the table rows,
-    their trapezoid mass, and their normalisation while the chunk is still
-    in cache.  The last chunk is moved back to end at n_phi, full-sized,
-    and recomputes the rows it shares with the chunk before it.  Memory is
-    the table plus one chunk's scratch (12 MB).
+    The table is computed in the chunks of _table_rows, each on a worker
+    of _run_chunks straight into its own rows of a table of whole chunks,
+    which is then cut to the phases given.  Per chunk: one complex matrix
+    product by column blocks into the worker's buffer, |amp|^2 written
+    into the table rows, their trapezoid mass, and their normalisation
+    while the chunk is still in cache.  Memory is the table (padded to
+    whole chunks) plus W chunks' scratch (3 MB each at _DRAW_CHUNK).
     Every entry goes through the same operations in the same order as in
-    a whole-table evaluation, so the table is bit-identical to one,
-    provided the BLAS complex matrix product gives each row the same bits
-    whatever the product's row count and the row's place in it (true of
-    OpenBLAS 0.3.31; the oracle tests check it).  One phase is computed
-    as a two-row product, so its row has the same bits as in a table of
-    more phases.  An empty phase list gives an empty table.  A table with
-    a phase that keeps less than 0.999 of its mass raises DataError naming
-    the worst phase of the whole table.
+    a whole-table evaluation, so the table is bit-identical to one, for
+    every W, provided the BLAS complex matrix product gives each row the
+    same bits whatever the product's row count, its column block and the
+    row's place in it (true of OpenBLAS 0.3.31; the oracle tests check
+    it).  An empty phase list gives an empty table.  A table with a phase
+    that keeps less than 0.999 of its mass, or a NaN mass (levels whose
+    recurrence overflows, past |x| = 37.6), raises DataError naming the
+    worst phase of the whole table.
     """
     phases = np.atleast_1d(np.asarray(phases, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
-    rot, psi = _amplitudes(state, phases, x)
+    rows, fill = _table_rows(state, phases, x)
     n_phi = phases.size
-    if n_phi == 0:
-        return MarginalTable(phases=phases, x=x, p=np.empty((0, x.size)))
-    n_rows = rot.shape[0]
-    p = np.empty((n_rows, x.size))
-    mass = np.empty(n_rows)
-    dx = np.diff(x)
-    rows = min(_chunk_rows(x.size, _CHUNK), n_rows)
-    amp = np.empty((rows, x.size), dtype=np.complex128)
-    terms = np.empty((rows, x.size - 1))
-    for a in range(0, n_rows, rows):
-        a = min(a, n_rows - rows)  # the last chunk ends at n_rows, full-sized
-        mass[a:a + rows] = _marginal_rows(rot[a:a + rows], psi, dx, p[a:a + rows],
-                                          amp, terms)
+    starts = range(0, n_phi, rows)
+    p = np.empty((len(starts) * rows, x.size))
+    mass = np.empty(len(starts) * rows)
+
+    def scratch():
+        return np.empty((rows, x.size), dtype=np.complex128), np.empty((rows, x.size - 1))
+
+    def fill_chunk(a, buf):
+        amp, terms = buf
+        mass[a:a + rows] = fill(a, amp, p[a:a + rows], terms)
+
+    _run_chunks(starts, scratch, fill_chunk)
     p, mass = p[:n_phi], mass[:n_phi]
-    if np.any(mass < 0.999):
+    if not np.all(mass >= 0.999):  # a NaN mass fails too
         j = int(np.argmin(mass))
         raise _narrow_grid(phases[j], mass[j])
     return MarginalTable(phases=phases, x=x, p=p)
@@ -486,14 +509,13 @@ def draw(state: FockVector, plan: SimulationPlan) -> QuadratureDataset:
     bit for bit as sample(marginals(...), plan) draws it, without the
     table.
 
-    Each chunk of phases, of about _DRAW_CHUNK entries, runs on a worker
-    of _run_chunks: it computes its marginal rows into the worker's own
-    buffers (_marginal_rows, as marginals does), checks their masses, and
-    draws its phases from them (_draw_rows, as sample does).  As in
-    marginals, the last chunk ends at n_phi, full-sized, and recomputes
-    the rows it shares with the chunk before it, but it draws only the
-    phases it owns.  Memory is the dataset plus W chunks' scratch (about
-    4.3 MB each).
+    Each chunk of _table_rows, as marginals has them, runs on a worker of
+    _run_chunks: it computes its marginal rows into the worker's own
+    buffers, checks their masses, and draws its phases from them
+    (_draw_rows, as sample does).  The last chunk's rows past phase
+    n_phi - 1, which repeat the first phases, are neither checked nor
+    drawn.  Memory is the dataset plus W chunks' scratch (about 4.3 MB
+    each).
 
     Raises DataError naming the first phase, in chunk order, that keeps
     less than 0.999 of its mass on the grid, before its chunk draws
@@ -501,18 +523,11 @@ def draw(state: FockVector, plan: SimulationPlan) -> QuadratureDataset:
     """
     x = quadrature_grid(state.M, plan.grid_points)
     phases = phase_grid(plan.n_phi)
-    rot, psi = _amplitudes(state, phases, x)
-    n_phi, n_rows = plan.n_phi, rot.shape[0]
+    rows, fill = _table_rows(state, phases, x)
+    n_phi = plan.n_phi
     draws = plan.nsamples * plan.nblks
     values = np.empty((n_phi, draws))
     dx = np.diff(x)
-    rows = min(_chunk_rows(x.size, _DRAW_CHUNK), n_rows)
-    # complex products of fewer than _PRODUCT / 4 multiply-adds, which
-    # OpenBLAS runs on the calling thread (BLAS threads under each worker
-    # fight over the cores: on 2 cores, draw at M = 800 on 1600 phases of
-    # 2^17 points took 4.0 s with them and 2.3 s without), but never
-    # narrower than 1024 grid points, below which the calls cost more
-    cols = max(1024, (_PRODUCT // 4 - 1) // (rows * psi.shape[0]))
 
     def scratch():
         return (np.empty((rows, x.size), dtype=np.complex128), np.empty((rows, x.size)),
@@ -520,15 +535,12 @@ def draw(state: FockVector, plan: SimulationPlan) -> QuadratureDataset:
 
     def draw_chunk(a, buf):
         amp, p, drawn = buf
-        c = min(a, n_rows - rows)  # the first row computed; rows c..a-1 are not ours
         # the trapezoid terms go into the CDF buffer, which _draw_rows overwrites
-        mass = _marginal_rows(rot[c:c + rows], psi, dx, p, amp, drawn[0][:, 1:], cols)
-        own = slice(a - c, min(rows, n_phi - c))
-        bad = np.flatnonzero(mass[own] < 0.999)
+        mass = fill(a, amp, p, drawn[0][:, 1:])[:n_phi - a]
+        bad = np.flatnonzero(~(mass >= 0.999))
         if bad.size:
-            j = a + int(bad[0])
-            raise _narrow_grid(phases[j], mass[j - c])
-        _draw_rows(p[own], a, x, dx, plan.seed, values, drawn)
+            raise _narrow_grid(phases[a + bad[0]], mass[bad[0]])
+        _draw_rows(p[:n_phi - a], a, x, dx, plan.seed, values, drawn)
 
     _run_chunks(range(0, n_phi, rows), scratch, draw_chunk)
     return _dataset(values, phases, plan)

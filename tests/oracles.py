@@ -33,6 +33,17 @@ def u_exact(x: float, n: int, beta: float = 1.0) -> float:
         return float(beta * val)
 
 
+def psi_exact(x: float, n: int) -> float:
+    """Oscillator eigenfunction psi_n(x) = (2/pi)^{1/4} e^{-x^2}
+    H_n(sqrt(2) x) / sqrt(2^n n!), Gaussian included, wholly in mpmath and
+    rounded to a double only at the end: u_exact rounds the Hermite part
+    first, which overflows at high n and large |x|."""
+    with mp.workdps(60):
+        xm = mp.mpf(x)
+        val = (2 / mp.pi) ** mp.mpf(0.25) * mp.exp(-xm * xm) * mp.hermite(n, mp.sqrt(2) * xm)
+        return float(val / mp.sqrt(mp.mpf(2) ** n * mp.factorial(n)))
+
+
 def w_exact(x: float, m: int) -> float:
     """Irregular solution w_m with v_m = beta^{-1} e^{-x^2} w_m, by upward
     climb in arbitrary precision.

@@ -779,6 +779,33 @@ def test_cli_missing_samples_file(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_cli_beta_overrides_the_default(tmp_path, capsys):
+    sim = _simulated_dir(tmp_path)
+    rec = tmp_path / "rec"
+    assert _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+                "--beta", "1e-3", "--out-dir", rec) == 0
+    assert formats.read_report(rec / "report.json")["beta"] == 1e-3
+    capsys.readouterr()
+    for bad in ("0", "nan"):
+        rc = _run("reconstruct", "--samples", sim / "samples.csv", "-M", "4",
+                  "--beta", bad, "--out-dir", tmp_path / bad)
+        assert rc == 1
+        assert "beta must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / bad).exists()
+
+
+def test_cli_beta_policy_is_gone(tmp_path, capsys):
+    # the default beta switches rule by itself: no flag and no config key
+    sim = _simulated_dir(tmp_path)
+    argv = ["reconstruct", "--samples", sim / "samples.csv", "-M", "4"]
+    assert _run(*argv, "--beta-policy", "balanced", "--out-dir", tmp_path / "a") == 1
+    assert "unrecognized arguments: --beta-policy" in capsys.readouterr().err
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"version": 1, "beta_policy": "balanced"}))
+    assert _run(*argv, "--config", cfgp, "--out-dir", tmp_path / "b") == 1
+    assert "unknown config keys: beta_policy" in capsys.readouterr().err
+
+
 def test_cli_refuses_few_phases(tmp_path, capsys):
     sim = _simulated_dir(tmp_path, n_phi=4)
     rc = _run("reconstruct", "--samples", sim / "samples.csv", "-M", "6",

@@ -30,6 +30,34 @@ def test_choose_beta_examples():
         choose_beta([])
 
 
+def test_choose_beta_switches_to_balanced_past_the_headroom():
+    # exp(-3 X) while beta^-1 e^-X^2 = e^(3X - X^2) >= e^-700: X^2 - 3X is
+    # exactly 700 at X = 28.0, and 726.75 at X = 28.5
+    assert choose_beta([28.0, -1.0]) == math.exp(-84.0)
+    assert choose_beta([-28.5, 1.0]) == balanced_beta([28.5]) == math.exp(-0.5 * 28.5**2)
+    # balanced_beta only while it stays at or above e^-700 (X^2 / 2 is
+    # 699.38 at X = 37.4 and 703.13 at 37.5); past that exp(-3 X) stays,
+    # which still builds small cutoffs where balanced_beta underflows to 0
+    assert choose_beta([37.4]) == balanced_beta([37.4])
+    assert choose_beta([37.5]) == math.exp(-112.5)
+    assert balanced_beta([80.0]) == 0.0
+    x = np.linspace(-80.0, 80.0, 41)
+    assert np.all(np.isfinite(pattern_row_grid(build_table(x, PatternConfig(16, choose_beta(x))), 0)))
+
+
+def test_default_beta_builds_a_table_at_m1000_to_31():
+    # exp(-3 X) = e^-93 here would send beta^-1 e^-x^2 below the double range
+    x = np.linspace(-31.0, 31.0, 63)
+    cfg = PatternConfig(cutoff=1000, beta=choose_beta(x))
+    assert cfg.beta == balanced_beta(x)
+    table = build_table(x, cfg)
+    for a in (table.u, table.u_tilde, table.v, table.v_tilde):
+        assert np.all(np.isfinite(a))
+    assert np.all(np.isfinite(pattern_row_grid(table, 0)))
+    for n in (0, 500, 1001):
+        assert table.u[n, -1] == pytest.approx(oracles.u_exact(31.0, n, cfg.beta), rel=1e-12)
+
+
 def test_balanced_beta():
     assert balanced_beta([4.0]) == math.exp(-8.0)
     assert balanced_beta([-3.0, 1.0]) == math.exp(-4.5)

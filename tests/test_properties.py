@@ -297,9 +297,8 @@ def test_chunked_sampler_matches_per_phase_oracle(data):
 @given(data=st.data())
 def test_draw_matches_sample_of_marginals(data):
     # random coefficients, some of them 0, on a coarse or fine grid; chunks
-    # of 2-5 rows over n_phi phases, so the last chunk is often short and
-    # moved back over rows of the chunk before it, which it recomputes but
-    # must not draw again
+    # of 2-5 rows over n_phi phases, so the last chunk is often padded with
+    # the first phases again, whose rows it computes but must not draw
     M = data.draw(st.integers(1, 8), label="M")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     c = (rng.normal(size=M) + 1j * rng.normal(size=M)) * (rng.random(M) < 0.7)

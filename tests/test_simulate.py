@@ -123,6 +123,45 @@ def test_wavefunction_rows_match_all_rows(rows):
     assert np.array_equal(_wavefunction_rows(x, rows), psi[rows])
 
 
+@pytest.mark.parametrize("x", [26.5, 28.0, 31.0, 33.5])
+def test_wavefunction_past_the_gaussian_underflow(x):
+    # psi_0 = (2/pi)^{1/4} e^{-x^2} is subnormal past |x| = 26.6 and 0 past
+    # 27.3, where psi_999 still lives: the scaled start keeps every level
+    got = _wavefunction_rows(np.array([-x, x]), [999])[0]
+    assert got[1] == pytest.approx(oracles.psi_exact(x, 999), rel=1e-12, abs=0.0)
+    assert got[0] == -got[1]
+
+
+def test_wavefunction_start_is_scaled_only_past_the_headroom():
+    # |x| <= sqrt(700) = 26.46 keeps the plain start's bits
+    x = np.linspace(-26.45, 26.45, 2001)
+    psi0 = (2.0 / math.pi) ** 0.25 * np.exp(-x * x)
+    assert np.array_equal(_wavefunction_rows(x, [0, 400, 999]),
+                          oracles.regular_rows(x, psi0, 1000)[1][[0, 400, 999]])
+
+
+def test_draw_reaches_level_999():
+    # the top level at M = 1000 spreads to |x| = 31.6, past where e^{-x^2}
+    # leaves the double range
+    state = make_state("fock_superposition", [999], 1000)
+    plan = SimulationPlan(nsamples=200, nblks=1, n_phi=3, seed=3, grid_points=2**15)
+    ds = draw(state, plan)
+    assert np.all(np.isfinite(ds.values)) and np.max(np.abs(ds.values)) > 27.3
+    x = quadrature_grid(1000, plan.grid_points)
+    p = marginals(state, [0.0], x).p[0]
+    assert np.trapezoid(p * x * x, x) == pytest.approx(999.5 / 2.0, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid:RuntimeWarning")
+def test_marginals_past_the_scaled_start_raise():
+    # at |x| = 40 the scaled recurrence of level 1399 overflows; its rows
+    # of NaN must fail the mass check, not make a table
+    state = make_state("fock_superposition", [1399], 1400)
+    with pytest.raises(DataError, match="keeps only nan"):
+        marginals(state, [0.0, 1.0], quadrature_grid(1400, 2**12))
+
+
 def test_wavefunctions_are_normalized():
     x = np.linspace(-8.0, 8.0, 4001)
     psi = oscillator_wavefunctions(x, 6)
@@ -225,8 +264,9 @@ _ORACLE_STATES = {
 
 
 def _set_chunk(monkeypatch, chunk, n_points):
-    """_CHUNK and draw's _DRAW_CHUNK for one table row count: 'default',
-    3 rows per chunk, or a grid longer than one chunk."""
+    """sample's _CHUNK and the _DRAW_CHUNK of marginals and draw for one
+    table row count: 'default', 3 rows per chunk, or a grid longer than one
+    chunk."""
     for name in ("_CHUNK", "_DRAW_CHUNK"):
         if chunk == "3 rows":
             monkeypatch.setattr(simulate, name, 3 * n_points)
@@ -305,9 +345,9 @@ def _flat_run_table(n_phi):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch):
-    # 3 rows per chunk and 7 phases: three chunks, the last overlapping the
-    # one before it in marginals (which runs serially, so W must not change
-    # its table) and taking one row in sample's pool
+    # 3 rows per chunk and 7 phases: three chunks on the workers, the last
+    # padded with phases 0 and 1 again in marginals and draw, and taking
+    # one row in sample's pool
     monkeypatch.setattr(simulate, "_workers", lambda: workers)
     plan = SimulationPlan(nsamples=300, nblks=2, n_phi=7, seed=11)
     for args, n_points in _ORACLE_STATES.values():
@@ -318,8 +358,8 @@ def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch)
         assert np.array_equal(table.p, oracles.marginals_whole(state, phase_grid(7), x).p)
         ds = sample(table, plan)
         assert np.array_equal(ds.values, oracles.sample_by_phase(table, plan).values)
-        # draw's chunks run on the workers: the last one recomputes row 4
-        # and draws row 6 alone
+        # draw's last chunk computes the rows of phases 6, 0 and 1 and
+        # draws phase 6 alone
         _assert_same_dataset(draw(state, dataclasses.replace(plan, grid_points=n_points)), ds)
     table = _flat_run_table(7)
     _set_chunk(monkeypatch, "3 rows", table.x.size)
@@ -329,9 +369,8 @@ def test_simulator_is_bit_identical_for_every_worker_count(workers, monkeypatch)
 
 def test_pooled_simulator_under_thread_stress(monkeypatch):
     # more workers than cores, 2-row chunks and a short switch interval: in
-    # sample and draw, a buffer handed to the next chunk before its own
-    # chunk is done would change the bits; marginals stays serial, its table
-    # unchanged by W
+    # marginals, sample and draw, a buffer handed to the next chunk before
+    # its own chunk is done would change the bits
     monkeypatch.setattr(simulate, "_workers", lambda: 8)
     args, n_points = _ORACLE_STATES["cat"]
     state = make_state(*args)
